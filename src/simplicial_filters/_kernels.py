@@ -1,100 +1,51 @@
-"""CSR shift kernels with an optional numba fast path.
+"""The shift operator: one read-only scipy CSR matrix.
 
-The hot operation in this package is repeated sparse matrix-vector products
-(simplicial shifting). The numba path is compiled lazily; setting
-``SCFILTER_NO_NUMBA=1`` or ``NUMBA_DISABLE_JIT=1`` before import selects the
-pure-numpy fallback, which produces identical results.
+The hot operation in this package is repeated sparse products with a
+Laplacian part (simplicial shifting). A single flow of shape ``(n,)`` runs as
+one CSR matvec, a block of ``k`` flows of shape ``(n, k)`` as one SpMM. Both
+accumulate every row in stored order, so each column of a block result is
+bitwise equal to the matvec of that column alone.
 """
 from __future__ import annotations
 
-import os
-
 import numpy as np
+import scipy.sparse as sp
 
-
-def _numba_wanted() -> bool:
-    if os.environ.get("SCFILTER_NO_NUMBA", "").strip() == "1":
-        return False
-    if os.environ.get("NUMBA_DISABLE_JIT", "").strip() == "1":
-        return False
-    return True
-
-
-_HAVE_NUMBA = False
-if _numba_wanted():
-    try:
-        from numba import njit
-
-        _HAVE_NUMBA = True
-    except ImportError:  # pragma: no cover - numba is an optional speedup
-        pass
-
-
-if _HAVE_NUMBA:
-
-    @njit(cache=True)
-    def _csr_matvec_jit(indptr, indices, data, x, out):  # pragma: no cover
-        for i in range(out.shape[0]):
-            acc = 0.0
-            for p in range(indptr[i], indptr[i + 1]):
-                acc += data[p] * x[indices[p]]
-            out[i] = acc
-
-
-def active_backend() -> str:
-    """Backend used when none is requested explicitly."""
-    return "numba" if _HAVE_NUMBA else "numpy"
+# identity columns per block when a whole operator is applied column by column
+IDENTITY_CHUNK = 128
 
 
 class ShiftMatrix:
     """Read-only CSR operator for repeated shift application.
 
-    Wraps a scipy sparse matrix once and then serves matvecs through either
-    the jitted CSR kernel or a vectorized numpy fallback. Pass ``backend`` to
-    force one path (used by the benchmark); by default numba is used when
-    available.
+    Wraps a copy of a scipy sparse or dense matrix whose ``data``, ``indices``
+    and ``indptr`` are not writeable. ``matvec`` and ``@`` take an ``(n,)``
+    vector or an ``(n, k)`` block, ``n`` being the operator's column count.
     """
 
-    def __init__(self, matrix, backend: str | None = None):
-        csr = matrix.tocsr()
+    def __init__(self, matrix):
+        csr = sp.csr_matrix(matrix, dtype=np.float64, copy=True)
+        for array in (csr.data, csr.indices, csr.indptr):
+            array.setflags(write=False)
+        self.csr = csr
         self.shape = tuple(csr.shape)
-        self._indptr = np.ascontiguousarray(csr.indptr, dtype=np.int64)
-        self._indices = np.ascontiguousarray(csr.indices, dtype=np.int64)
-        self._data = np.ascontiguousarray(csr.data, dtype=np.float64)
-        if backend is None:
-            backend = active_backend()
-        if backend == "numba" and not _HAVE_NUMBA:
-            raise ValueError("numba backend requested but numba is unavailable")
-        if backend not in ("numba", "numpy"):
-            raise ValueError(f"unknown backend {backend!r}")
-        self.backend = backend
-        # row index of every stored entry, for the bincount fallback
-        self._rows = np.repeat(
-            np.arange(self.shape[0], dtype=np.int64), np.diff(self._indptr)
-        )
 
-    def matvec(self, x: np.ndarray) -> np.ndarray:
+    def matvec(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
-        if x.shape != (self.shape[1],):
+        if x.ndim not in (1, 2) or x.shape[0] != self.shape[1]:
             raise ValueError(
-                f"operand length {x.shape} does not match operator {self.shape}"
+                f"operand shape {x.shape} does not match operator {self.shape}"
             )
-        if self.backend == "numba":
-            out = np.empty(self.shape[0], dtype=np.float64)
-            _csr_matvec_jit(self._indptr, self._indices, self._data, x, out)
-            return out
-        return np.bincount(
-            self._rows,
-            weights=self._data * x[self._indices],
-            minlength=self.shape[0],
-        )
+        return self.csr @ x
 
     def __matmul__(self, x):
         return self.matvec(x)
 
-    def to_dense(self) -> np.ndarray:
-        out = np.zeros(self.shape, dtype=np.float64)
-        for i in range(self.shape[0]):
-            lo, hi = self._indptr[i], self._indptr[i + 1]
-            out[i, self._indices[lo:hi]] = self._data[lo:hi]
-        return out
+
+def identity_chunks(n: int, width: int = IDENTITY_CHUNK):
+    """Yield ``(start, block)`` with block = columns start.. of the n x n identity."""
+    for start in range(0, n, width):
+        stop = min(start + width, n)
+        block = np.zeros((n, stop - start))
+        block[np.arange(start, stop), np.arange(stop - start)] = 1.0
+        yield start, block

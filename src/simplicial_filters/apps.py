@@ -11,9 +11,8 @@ from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse as sp
 
-from ._kernels import ShiftMatrix
+from ._kernels import ShiftMatrix, identity_chunks
 from .complexes import SimplicialComplex, build_complex, infer_triangles
 from .design import (
     ResponseSpec,
@@ -39,6 +38,7 @@ from .errors import (
 )
 from .filters import FilterCoefficients, apply, apply_operators, shift_operators
 from .spectral import (
+    _check_flow,
     distinct_frequencies,
     hodge_decompose,
     hodge_laplacian,
@@ -218,9 +218,7 @@ def denoise(
         raise DataError("mu must be positive")
     if regularizer not in ("edge_laplacian", "hodge_laplacian"):
         raise DataError(f"unknown regularizer {regularizer!r}")
-    flow = np.asarray(flow, dtype=np.float64)
-    if flow.shape != (sc.n_edges,):
-        raise DataError(f"flow has shape {flow.shape}, expected ({sc.n_edges},)")
+    flow = _check_flow(sc.n_edges, flow)
     lap = hodge_laplacian(sc, 1)
     penalty = lap.total if regularizer == "hodge_laplacian" else lap.lower
 
@@ -424,27 +422,36 @@ def _normalized_split(sc: SimplicialComplex):
     )
 
 
-def _subspace_norms(sc: SimplicialComplex, pi: np.ndarray) -> tuple[SubspaceNorms, SubspaceNorms]:
+@lru_cache(maxsize=32)
+def _normalized_operators(sc: SimplicialComplex) -> tuple[ShiftMatrix, ...]:
+    """Sparse normalized parts: lower, upper, sym_lower, sym_upper."""
+    norm = normalized_laplacian(sc)
+    return tuple(
+        ShiftMatrix(m) for m in (norm.lower, norm.upper, norm.sym_lower, norm.sym_upper)
+    )
+
+
+def _subspace_norms(
+    sc: SimplicialComplex, pi: np.ndarray
+) -> tuple[list[SubspaceNorms], list[SubspaceNorms]]:
+    """Absolute and relative subspace norms of every column of an (N1, k) block."""
     v_grad, v_curl, root_weight = _normalized_split(sc)
     # weighted coordinates in which the normalized parts are symmetric and the
     # gradient/curl/harmonic split is orthogonal
-    y = pi / root_weight
+    y = pi / root_weight[:, np.newaxis]
     y_g = v_grad @ (v_grad.T @ y)
     y_c = v_curl @ (v_curl.T @ y)
     y_h = y - y_g - y_c
-    norms = SubspaceNorms(
-        float(np.linalg.norm(y)),
-        float(np.linalg.norm(y_h)),
-        float(np.linalg.norm(y_g)),
-        float(np.linalg.norm(y_c)),
+    norms = np.array([np.linalg.norm(part, axis=0) for part in (y, y_h, y_g, y_c)])
+    rel = norms / np.where(norms[0] > 0, norms[0], 1.0)
+    rel[0] = 1.0
+    return (
+        [SubspaceNorms(*map(float, col)) for col in norms.T],
+        [SubspaceNorms(*map(float, col)) for col in rel.T],
     )
-    total = norms.total if norms.total > 0 else 1.0
-    rel = SubspaceNorms(1.0, norms.harmonic / total, norms.gradient / total,
-                        norms.curl / total)
-    return norms, rel
 
 
-def _pagerank_filter_matrix(
+def _pagerank_filter(
     sc: SimplicialComplex,
     gamma: float,
     method: str,
@@ -453,12 +460,13 @@ def _pagerank_filter_matrix(
     seed: int,
     power_steps: int,
 ):
-    """Shift operators plus the designed filter for the 1/(gamma+lambda) response."""
-    norm = normalized_laplacian(sc)
-    low = ShiftMatrix(sp.csr_matrix(norm.lower))
-    up = ShiftMatrix(sp.csr_matrix(norm.upper))
-    lam_g = LAMBDA_MAX_MARGIN * estimate_lambda_max(norm.sym_lower, power_steps, seed)
-    lam_c = LAMBDA_MAX_MARGIN * estimate_lambda_max(norm.sym_upper, power_steps, seed)
+    """The designed 1/(gamma+lambda) filter over the normalized parts, as a
+    function of an (N1,) flow or an (N1, k) block."""
+    if order is None:
+        raise DataError(f"method {method!r} needs a filter order")
+    low, up, sym_low, sym_up = _normalized_operators(sc)
+    lam_g = LAMBDA_MAX_MARGIN * estimate_lambda_max(sym_low, power_steps, seed)
+    lam_c = LAMBDA_MAX_MARGIN * estimate_lambda_max(sym_up, power_steps, seed)
     lam_c = lam_c if lam_c > 0 else 1.0
     if method == "grid":
         spec = ResponseSpec(
@@ -466,8 +474,8 @@ def _pagerank_filter_matrix(
             gradient=response_inverse_shift(gamma, lam_g, GRID_LAMBDA_MIN),
             curl=response_inverse_shift(gamma, lam_c, GRID_LAMBDA_MIN),
         )
-        design = grid_design(spec, samples, samples, order, order)
-        return low, up, ("poly", design.coefficients)
+        coeffs = grid_design(spec, samples, samples, order, order).coefficients
+        return lambda flow: apply_operators(low, up, coeffs, flow)
     if method == "cheb":
         spec = ResponseSpec(
             g0=1.0 / gamma,
@@ -475,7 +483,7 @@ def _pagerank_filter_matrix(
             curl=response_inverse_shift(gamma, lam_c),
         )
         filt = chebyshev_design(spec, lam_g, lam_c, order, order)
-        return low, up, ("cheb", filt)
+        return lambda flow: chebyshev_apply_operators(filt, low, up, flow)
     raise DataError(f"unknown pagerank method {method!r}")
 
 
@@ -505,17 +513,9 @@ def edge_pagerank(
         norm = normalized_laplacian(sc)
         pi = np.linalg.solve(gamma * np.eye(sc.n_edges) + norm.total, f)
     else:
-        if order is None:
-            raise DataError(f"method {method!r} needs a filter order")
-        low, up, (kind, filt) = _pagerank_filter_matrix(
-            sc, gamma, method, order, samples, seed, power_steps
-        )
-        if kind == "poly":
-            pi = apply_operators(low, up, filt, f)
-        else:
-            pi = chebyshev_apply_operators(filt, low, up, f)
-    norms, rel = _subspace_norms(sc, pi)
-    return PageRankResult(edge_index, pi, norms, rel)
+        pi = _pagerank_filter(sc, gamma, method, order, samples, seed, power_steps)(f)
+    norms, rel = _subspace_norms(sc, pi[:, np.newaxis])
+    return PageRankResult(edge_index, pi, norms[0], rel[0])
 
 
 def edge_pagerank_all(
@@ -527,29 +527,26 @@ def edge_pagerank_all(
     seed: int = 0,
     power_steps: int = 50,
 ) -> list[PageRankResult]:
-    """PageRank for every edge; the exact path factorizes the system once."""
+    """PageRank for every edge.
+
+    The identity runs through the method in column blocks: the exact path
+    solves against one LU factorization, grid/cheb run one SpMM recursion per
+    block. Each ``pi`` of grid/cheb is bitwise equal to ``edge_pagerank``'s.
+    """
     if gamma <= 0:
         raise DataError("gamma must be positive")
-    n = sc.n_edges
     if method == "exact":
         norm = normalized_laplacian(sc)
-        lu, piv = scipy.linalg.lu_factor(gamma * np.eye(n) + norm.total)
-        columns = scipy.linalg.lu_solve((lu, piv), np.eye(n))
+        lu = scipy.linalg.lu_factor(gamma * np.eye(sc.n_edges) + norm.total)
+        rank = lambda block: scipy.linalg.lu_solve(lu, block)
     else:
-        if order is None:
-            raise DataError(f"method {method!r} needs a filter order")
-        low, up, (kind, filt) = _pagerank_filter_matrix(
-            sc, gamma, method, order, samples, seed, power_steps
-        )
-        columns = np.empty((n, n))
-        eye = np.eye(n)
-        for j in range(n):
-            if kind == "poly":
-                columns[:, j] = apply_operators(low, up, filt, eye[:, j])
-            else:
-                columns[:, j] = chebyshev_apply_operators(filt, low, up, eye[:, j])
+        rank = _pagerank_filter(sc, gamma, method, order, samples, seed, power_steps)
     out = []
-    for j in range(n):
-        norms, rel = _subspace_norms(sc, columns[:, j])
-        out.append(PageRankResult(j, columns[:, j].copy(), norms, rel))
+    for start, block in identity_chunks(sc.n_edges):
+        pi = rank(block)
+        norms, rel = _subspace_norms(sc, pi)
+        out.extend(
+            PageRankResult(start + j, pi[:, j].copy(), norms[j], rel[j])
+            for j in range(pi.shape[1])
+        )
     return out

@@ -15,7 +15,7 @@ from typing import Callable, Sequence
 import numpy as np
 from numpy.polynomial import chebyshev as _cheb
 
-from ._kernels import ShiftMatrix
+from ._kernels import ShiftMatrix, identity_chunks
 from .errors import DataError, DomainMismatch, EmptySpec, IllConditioned
 from .filters import FilterCoefficients
 
@@ -289,28 +289,25 @@ def ls_tied(
 def estimate_lambda_max(matrix, iterations: int = 50, seed: int = 0) -> float:
     """Power-iteration estimate of the dominant eigenvalue (Rayleigh quotient).
 
-    Deterministic for a fixed seed. Returns 0.0 for the zero matrix.
+    ``matrix`` is anything with ``shape`` and ``@``: a ShiftMatrix, a scipy
+    sparse matrix or a dense array. Deterministic for a fixed seed. Returns
+    0.0 for the zero matrix.
     """
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
-    if isinstance(matrix, ShiftMatrix):
-        n = matrix.shape[0]
-        matvec = matrix.matvec
-    else:
-        if not hasattr(matrix, "shape"):
-            matrix = np.asarray(matrix, dtype=np.float64)
-        n = matrix.shape[0]
-        matvec = lambda x: matrix @ x
+    if not hasattr(matrix, "shape"):
+        matrix = np.asarray(matrix, dtype=np.float64)
+    n = matrix.shape[0]
     rng = np.random.default_rng(seed)
     v = rng.standard_normal(n)
     v /= np.linalg.norm(v)
     for _ in range(iterations):
-        w = matvec(v)
+        w = matrix @ v
         norm = np.linalg.norm(w)
         if norm < 1e-300:
             return 0.0
         v = w / norm
-    return float(v @ matvec(v))
+    return float(v @ (matrix @ v))
 
 
 def grid_design(
@@ -438,12 +435,19 @@ def _series_apply(
     out = 0.5 * coeffs[0] * flow
     if len(coeffs) == 1:
         return out
+    # in-place steps round exactly like 2.0 * (L w / omega - w) - w_prev
     w_prev2 = flow
-    w_prev1 = op.matvec(flow) / omega - flow
-    out = out + coeffs[1] * w_prev1
+    w_prev1 = op.matvec(flow)
+    w_prev1 /= omega
+    w_prev1 -= flow
+    out += coeffs[1] * w_prev1
     for c in coeffs[2:]:
-        w = 2.0 * (op.matvec(w_prev1) / omega - w_prev1) - w_prev2
-        out = out + c * w
+        w = op.matvec(w_prev1)
+        w /= omega
+        w -= w_prev1
+        w *= 2.0
+        w -= w_prev2
+        out += c * w
         w_prev2, w_prev1 = w_prev1, w
     return out
 
@@ -454,6 +458,7 @@ def chebyshev_apply_operators(
     op_upper: ShiftMatrix | None,
     flow: np.ndarray,
 ) -> np.ndarray:
+    """Run the Chebyshev recursion on an (N1,) flow or an (N1, k) block."""
     parts = []
     if filt.c_lower:
         if op_lower is None:
@@ -471,12 +476,16 @@ def chebyshev_apply_operators(
     return out
 
 
-def chebyshev_apply(filt: ChebyshevFilter, sc, flow, backend: str | None = None) -> np.ndarray:
-    """Apply a Chebyshev filter to an edge flow by the three-term recursion."""
-    from .filters import _check_flow, shift_operators
+def chebyshev_apply(filt: ChebyshevFilter, sc, flow) -> np.ndarray:
+    """Apply a Chebyshev filter to an edge flow by the three-term recursion.
 
-    flow = _check_flow(sc, flow)
-    low, up = shift_operators(sc, backend)
+    ``flow`` has shape (N1,) or is a block (N1, k) of k flows; the result has
+    the same shape, and each column equals the filter applied to that column.
+    """
+    from .filters import _check_edge_flow, shift_operators
+
+    flow = _check_edge_flow(sc, flow)
+    low, up = shift_operators(sc)
     return chebyshev_apply_operators(filt, low, up, flow)
 
 
@@ -552,11 +561,12 @@ def chebyshev_operator_error(filt: ChebyshevFilter, spec: ResponseSpec, sc) -> f
         else np.full(spectrum.n_curl, spec.g0)
     )
     exact = spectrum.basis @ np.diag(np.concatenate([target, g_grad, g_curl])) @ spectrum.basis.T
-    dense = np.zeros((n, n))
     from .filters import shift_operators
 
     low, up = shift_operators(sc)
-    eye = np.eye(n)
-    for j in range(n):
-        dense[:, j] = chebyshev_apply_operators(filt, low, up, eye[:, j])
+    dense = np.empty((n, n))
+    for start, block in identity_chunks(n):
+        dense[:, start : start + block.shape[1]] = chebyshev_apply_operators(
+            filt, low, up, block
+        )
     return float(np.linalg.norm(exact - dense, 2))

@@ -2,8 +2,8 @@
 
 A filter is the matrix polynomial h0*I + sum_l alpha_l * L_lower^l
 + sum_l beta_l * L_upper^l applied to edge flows. Application always runs as
-a per-step vector recursion over sparse shifts; dense polynomial matrices are
-never formed.
+a per-step recursion over sparse shifts, on one flow or on a block of flows;
+dense polynomial matrices are never formed.
 """
 from __future__ import annotations
 
@@ -21,8 +21,8 @@ from .complexes import (
     lower_neighborhood,
     upper_neighborhood,
 )
-from .errors import DataError, DimensionMismatch
-from .spectral import HodgeSpectrum, hodge_laplacian
+from .errors import DataError
+from .spectral import HodgeSpectrum, _check_flow, hodge_laplacian
 
 
 @dataclass(frozen=True)
@@ -51,42 +51,31 @@ class FilterCoefficients:
 
 
 @lru_cache(maxsize=128)
-def _shift_csr(obj: SimplicialComplex | OrientedComplex):
+def shift_operators(
+    obj: SimplicialComplex | OrientedComplex,
+) -> tuple[ShiftMatrix, ShiftMatrix]:
+    """Cached sparse lower/upper Laplacian operators of a complex.
+
+    Each takes an (N1,) flow or an (N1, k) block of flows.
+    """
     b1 = boundary_csr(obj, 1)
     b2 = boundary_csr(obj, 2)
-    return (b1.T @ b1).tocsr(), (b2 @ b2.T).tocsr()
+    return ShiftMatrix((b1.T @ b1).tocsr()), ShiftMatrix((b2 @ b2.T).tocsr())
 
 
-def shift_operators(
-    obj: SimplicialComplex | OrientedComplex, backend: str | None = None
-) -> tuple[ShiftMatrix, ShiftMatrix]:
-    """Sparse lower/upper Laplacian operators bound to a kernel backend."""
-    low, up = _shift_csr(obj)
-    return ShiftMatrix(low, backend), ShiftMatrix(up, backend)
-
-
-def _edge_count(obj: SimplicialComplex | OrientedComplex) -> int:
-    return obj.base.n_edges if isinstance(obj, OrientedComplex) else obj.n_edges
-
-
-def _check_flow(obj, flow) -> np.ndarray:
-    flow = np.asarray(flow, dtype=np.float64)
-    n = _edge_count(obj)
-    if flow.shape != (n,):
-        raise DimensionMismatch(f"flow has shape {flow.shape}, expected ({n},)")
-    return flow
+def _check_edge_flow(obj: SimplicialComplex | OrientedComplex, flow) -> np.ndarray:
+    base = obj.base if isinstance(obj, OrientedComplex) else obj
+    return _check_flow(base.n_edges, flow)
 
 
 def shift_lower(obj: SimplicialComplex | OrientedComplex, flow) -> np.ndarray:
-    """One lower shift: L_lower @ f."""
-    flow = _check_flow(obj, flow)
-    return shift_operators(obj)[0].matvec(flow)
+    """One lower shift: L_lower @ f, for f of shape (N1,) or (N1, k)."""
+    return shift_operators(obj)[0].matvec(_check_edge_flow(obj, flow))
 
 
 def shift_upper(obj: SimplicialComplex | OrientedComplex, flow) -> np.ndarray:
-    """One upper shift: L_upper @ f."""
-    flow = _check_flow(obj, flow)
-    return shift_operators(obj)[1].matvec(flow)
+    """One upper shift: L_upper @ f, for f of shape (N1,) or (N1, k)."""
+    return shift_operators(obj)[1].matvec(_check_edge_flow(obj, flow))
 
 
 def apply_operators(
@@ -95,7 +84,11 @@ def apply_operators(
     coeffs: FilterCoefficients,
     flow: np.ndarray,
 ) -> np.ndarray:
-    """Run the filter recursion against explicit shift operators."""
+    """Run the filter recursion against explicit shift operators.
+
+    ``flow`` is one flow (N1,) or a block (N1, k); a block runs as one SpMM
+    per step.
+    """
     out = coeffs.h0 * flow
     if coeffs.alpha:
         if op_lower is None:
@@ -103,14 +96,14 @@ def apply_operators(
         x = flow
         for a in coeffs.alpha:
             x = op_lower.matvec(x)
-            out = out + a * x
+            out += a * x
     if coeffs.beta:
         if op_upper is None:
             raise ValueError("upper taps given but no upper operator")
         x = flow
         for b in coeffs.beta:
             x = op_upper.matvec(x)
-            out = out + b * x
+            out += b * x
     return out
 
 
@@ -118,11 +111,14 @@ def apply(
     obj: SimplicialComplex | OrientedComplex,
     coeffs: FilterCoefficients,
     flow,
-    backend: str | None = None,
 ) -> np.ndarray:
-    """Apply a filter to an edge flow by repeated shifting."""
-    flow = _check_flow(obj, flow)
-    low, up = shift_operators(obj, backend)
+    """Apply a filter to an edge flow by repeated shifting.
+
+    ``flow`` has shape (N1,) or is a block (N1, k) of k flows; the result has
+    the same shape, and each column equals the filter applied to that column.
+    """
+    flow = _check_edge_flow(obj, flow)
+    low, up = shift_operators(obj)
     return apply_operators(low, up, coeffs, flow)
 
 
@@ -159,7 +155,7 @@ def distributed_shift(
     Laplacian entry. The final vectors equal L_lower^rounds_lower @ f and
     L_upper^rounds_upper @ f.
     """
-    flow = _check_flow(sc, flow)
+    flow = _check_flow(sc.n_edges, flow)
     if rounds_lower < 0 or rounds_upper < 0:
         raise ValueError("round counts must be nonnegative")
     n = sc.n_edges
@@ -169,7 +165,7 @@ def distributed_shift(
     def run(matrix: np.ndarray, neighbors, rounds: int, kind: str) -> np.ndarray:
         current = flow.copy()
         for _ in range(rounds):
-            nxt = np.empty(n)
+            nxt = np.empty_like(current)
             counts = []
             for i in range(n):
                 acc = matrix[i, i] * current[i]

@@ -86,11 +86,14 @@ def load_complex(path) -> SimplicialComplex:
         edges = data["edges"]
     except (TypeError, KeyError) as exc:
         raise DataError(f"complex file {path} is missing {exc}") from exc
-    if data.get("infer_triangles"):
-        triangles = infer_triangles(vertex_count, edges)
-    else:
-        triangles = data.get("triangles", [])
-    return build_complex(vertex_count, edges, triangles)
+    try:
+        if data.get("infer_triangles"):
+            triangles = infer_triangles(vertex_count, edges)
+        else:
+            triangles = data.get("triangles", [])
+        return build_complex(vertex_count, edges, triangles)
+    except (TypeError, ValueError) as exc:
+        raise DataError(f"complex file {path} holds a malformed entry: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -115,6 +118,13 @@ def _data_rows(path) -> list[list[str]]:
     return rows
 
 
+def _parse(cell: str, kind: type, path):
+    try:
+        return kind(cell)
+    except ValueError as exc:
+        raise DataError(f"{path}: {cell!r} is not a valid {kind.__name__}") from exc
+
+
 def load_signal(path, sc: SimplicialComplex | None = None) -> np.ndarray:
     """Read a signal CSV: ``index,value`` rows, or ``u,v,value`` edge rows.
 
@@ -128,30 +138,31 @@ def load_signal(path, sc: SimplicialComplex | None = None) -> np.ndarray:
     width = len(rows[0])
     if any(len(r) != width for r in rows):
         raise DataError(f"signal file {path} has ragged rows")
+    if width not in (2, 3):
+        raise DataError(f"signal file {path} must have 2 or 3 columns")
+    values = np.array([_parse(r[-1], float, path) for r in rows])
+    if not np.all(np.isfinite(values)):
+        raise DataError(f"signal file {path} holds a non-finite value")
     if width == 2:
-        pairs = [(int(r[0]), float(r[1])) for r in rows]
-        n = max(i for i, _ in pairs) + 1
-        if sc is not None:
-            n = sc.n_edges
-        values = np.zeros(n)
-        for i, v in pairs:
+        indices = [_parse(r[0], int, path) for r in rows]
+        n = sc.n_edges if sc is not None else max(indices) + 1
+        flow = np.zeros(n)
+        for i, val in zip(indices, values):
             if not 0 <= i < n:
                 raise DataError(f"signal index {i} outside [0, {n})")
-            values[i] = v
-        return values
-    if width == 3:
-        if sc is None:
-            raise DataError("edge-pair signal files need the complex to resolve edges")
-        index = sc.edge_index
-        values = np.zeros(sc.n_edges)
-        for r in rows:
-            u, v, val = int(r[0]), int(r[1]), float(r[2])
-            key = (min(u, v), max(u, v))
-            if key not in index:
-                raise DataError(f"unknown edge {key} in signal file {path}")
-            values[index[key]] = val if u < v else -val
-        return values
-    raise DataError(f"signal file {path} must have 2 or 3 columns")
+            flow[i] = val
+        return flow
+    if sc is None:
+        raise DataError("edge-pair signal files need the complex to resolve edges")
+    index = sc.edge_index
+    flow = np.zeros(sc.n_edges)
+    for r, val in zip(rows, values):
+        u, v = _parse(r[0], int, path), _parse(r[1], int, path)
+        key = (min(u, v), max(u, v))
+        if key not in index:
+            raise DataError(f"unknown edge {key} in signal file {path}")
+        flow[index[key]] = val if u < v else -val
+    return flow
 
 
 def save_signal(values, path) -> None:
@@ -206,7 +217,7 @@ def load_market(path) -> ExchangeMarket:
             raise DataError(f"market row {i} has {len(cells)} cells, expected {n}")
         for j, cell in enumerate(cells):
             if cell:
-                rate[i, j] = float(cell)
+                rate[i, j] = _parse(cell, float, path)
     return ExchangeMarket(tuple(names), rate)
 
 

@@ -12,10 +12,29 @@ from functools import lru_cache
 import numpy as np
 
 from .complexes import OrientedComplex, SimplicialComplex, boundary_dense
-from .errors import DimensionMismatch, EigenFailure, UnsupportedOrder
+from .errors import DataError, DimensionMismatch, EigenFailure, UnsupportedOrder
 
 # relative threshold separating zero (harmonic) eigenvalues from the rest
 ZERO_TOL_FACTOR = 1e-8
+
+
+def _check_flow(n_edges: int, flow) -> np.ndarray:
+    """An edge flow of shape (n_edges,) or a block of flows (n_edges, k), finite."""
+    flow = np.asarray(flow, dtype=np.float64)
+    if flow.ndim not in (1, 2) or flow.shape[0] != n_edges:
+        raise DimensionMismatch(
+            f"flow has shape {flow.shape}, expected ({n_edges},) or ({n_edges}, k)"
+        )
+    if not np.all(np.isfinite(flow)):
+        raise DataError("flow values must be finite")
+    return flow
+
+
+def _freeze(obj) -> None:
+    # cached results are shared by every caller, so their arrays are read-only
+    for value in vars(obj).values():
+        if isinstance(value, np.ndarray):
+            value.setflags(write=False)
 
 
 @dataclass(frozen=True)
@@ -24,6 +43,9 @@ class HodgeLaplacians:
 
     lower: np.ndarray
     upper: np.ndarray
+
+    def __post_init__(self):
+        _freeze(self)
 
     @property
     def total(self) -> np.ndarray:
@@ -77,6 +99,9 @@ class HodgeSpectrum:
     lambda_gradient: np.ndarray
     lambda_curl: np.ndarray
     zero_tol: float
+
+    def __post_init__(self):
+        _freeze(self)
 
     @property
     def n_harmonic(self) -> int:
@@ -149,15 +174,6 @@ class Embeddings:
     harmonic: np.ndarray
     gradient: np.ndarray
     curl: np.ndarray
-
-
-def _check_flow(n_edges: int, flow) -> np.ndarray:
-    flow = np.asarray(flow, dtype=np.float64)
-    if flow.shape != (n_edges,):
-        raise DimensionMismatch(
-            f"flow has shape {flow.shape}, expected ({n_edges},)"
-        )
-    return flow
 
 
 def sft(spectrum: HodgeSpectrum, flow) -> Embeddings:
@@ -251,6 +267,9 @@ class NormalizedLaplacian:
     weight: np.ndarray
     sym_lower: np.ndarray
     sym_upper: np.ndarray
+
+    def __post_init__(self):
+        _freeze(self)
 
     @property
     def total(self) -> np.ndarray:

@@ -215,6 +215,27 @@ def test_pagerank_batch_matches_single(toy):
     np.testing.assert_allclose(batch[3].pi, single.pi, atol=1e-12)
 
 
+def test_pagerank_batch_filters_match_single(toy):
+    # the batch runs the identity as column blocks through one SpMM
+    # recursion; each column must equal the single-edge run bit for bit
+    gamma = 0.05
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for method, kwargs in (("cheb", {"order": 30}),
+                               ("grid", {"order": 9, "samples": 200})):
+            batch = sf.edge_pagerank_all(toy, gamma, method, **kwargs)
+            assert [r.edge_index for r in batch] == list(range(toy.n_edges))
+            for j, result in enumerate(batch):
+                single = sf.edge_pagerank(toy, gamma, j, method, **kwargs)
+                assert np.array_equal(result.pi, single.pi)
+                # relative to the total: a block that is zero up to rounding
+                # (curl here is ~1e-15) has no relative digits to agree on
+                np.testing.assert_allclose(result.norms_abs, single.norms_abs,
+                                           rtol=0, atol=1e-12 * single.norms_abs.total)
+                np.testing.assert_allclose(result.norms_rel, single.norms_rel,
+                                           rtol=0, atol=1e-12)
+
+
 def test_pagerank_filter_methods_approach_exact(toy):
     exact = sf.edge_pagerank(toy, 0.05, 2, "exact")
     with warnings.catch_warnings():

@@ -285,3 +285,41 @@ def test_cli_response_csv(tmp_path, toy, capsys):
     lam, kind, val = lines[1].split(",")
     assert kind == "H" and float(val) == pytest.approx(1.0)
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("cell", ["abc", "nan", "inf"])
+def test_cli_decompose_bad_signal_cell_exits_2(tmp_path, toy, capsys, cell):
+    sc_path = tmp_path / "sc.json"
+    io.save_complex(toy, sc_path)
+    sig_path = tmp_path / "flow.csv"
+    rows = ["index,value"] + [f"{i},1.5" for i in range(toy.n_edges)]
+    rows[4] = f"3,{cell}"
+    sig_path.write_text("\n".join(rows) + "\n")
+    assert run_cli(["decompose", "--sc", str(sc_path), "--signal", str(sig_path),
+                    "--out", str(tmp_path / "dec.json")]) == 2
+    assert not (tmp_path / "dec.json").exists()
+    capsys.readouterr()
+
+
+def test_malformed_complex_and_index_cells(tmp_path, toy):
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"vertex_count": 3, "edges": [[0, "x"]]}')
+    with pytest.raises(sf.DataError):
+        io.load_complex(bad)
+    sig = tmp_path / "f.csv"
+    sig.write_text("index,value\n0,1.0\nx,2.0\n")
+    with pytest.raises(sf.DataError):
+        io.load_signal(sig)
+    sig.write_text("u,v,value\n0,1,nan\n")
+    with pytest.raises(sf.DataError):
+        io.load_signal(sig, toy)
+
+
+def test_market_missing_quotes_stay_legal(tmp_path):
+    path = tmp_path / "m.csv"
+    path.write_text(",A,B,C\nA,1,2,\nB,0.5,1,4\nC,,0.25,1\n")
+    market = io.load_market(path)
+    assert np.isnan(market.rate[0, 2]) and np.isnan(market.rate[2, 0])
+    path.write_text(",A,B\nA,1,abc\nB,0.5,1\n")
+    with pytest.raises(sf.DataError):
+        io.load_market(path)

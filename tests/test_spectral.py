@@ -161,3 +161,26 @@ def test_symmetrized_parts_annihilate(rng):
     root = np.sqrt(norm.weight)
     sim = root[:, None] * (norm.sym_lower + norm.sym_upper) / root[None, :]
     np.testing.assert_allclose(sim, norm.total, atol=1e-10)
+
+
+def test_cached_spectrum_is_read_only(toy, rng):
+    # a caller writing into the cached spectrum used to zero every later
+    # hodge_decompose gradient on that complex
+    spectrum = sf.hodge_spectrum(toy)
+    with pytest.raises(ValueError):
+        spectrum.u_gradient[:] = 0.0
+    flow = rng.standard_normal(toy.n_edges)
+    f_g, _, _ = sf.hodge_decompose(toy, flow)
+    assert np.linalg.norm(f_g) > 0.1 * np.linalg.norm(flow)
+    np.testing.assert_allclose(
+        f_g, spectrum.u_gradient @ (spectrum.u_gradient.T @ flow), atol=1e-12
+    )
+    arrays = [spectrum.u_harmonic, spectrum.u_curl, spectrum.lambda_gradient,
+              spectrum.lambda_curl]
+    lap = sf.hodge_laplacian(toy)
+    norm = sf.normalized_laplacian(toy)
+    arrays += [lap.lower, lap.upper, norm.lower, norm.upper, norm.weight,
+               norm.sym_lower, norm.sym_upper]
+    for array in arrays:
+        with pytest.raises(ValueError):
+            array[0] = 0.0
