@@ -15,6 +15,13 @@ import scipy.sparse as sp
 IDENTITY_CHUNK = 128
 
 
+def read_only(csr: sp.csr_matrix) -> sp.csr_matrix:
+    """Make a shared CSR matrix's ``data``, ``indices`` and ``indptr`` read-only."""
+    for array in (csr.data, csr.indices, csr.indptr):
+        array.setflags(write=False)
+    return csr
+
+
 class ShiftMatrix:
     """Read-only CSR operator for repeated shift application.
 
@@ -24,11 +31,8 @@ class ShiftMatrix:
     """
 
     def __init__(self, matrix):
-        csr = sp.csr_matrix(matrix, dtype=np.float64, copy=True)
-        for array in (csr.data, csr.indices, csr.indptr):
-            array.setflags(write=False)
-        self.csr = csr
-        self.shape = tuple(csr.shape)
+        self.csr = read_only(sp.csr_matrix(matrix, dtype=np.float64, copy=True))
+        self.shape = tuple(self.csr.shape)
 
     def matvec(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)

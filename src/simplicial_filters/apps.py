@@ -13,7 +13,7 @@ import numpy as np
 import scipy.linalg
 
 from ._kernels import ShiftMatrix, identity_chunks
-from .complexes import SimplicialComplex, build_complex, infer_triangles
+from .complexes import SimplicialComplex, _hodge_parts, build_complex, infer_triangles
 from .design import (
     ResponseSpec,
     chebyshev_apply_operators,
@@ -39,11 +39,11 @@ from .errors import (
 from .filters import FilterCoefficients, apply, apply_operators, shift_operators
 from .spectral import (
     _check_flow,
+    _normalized_parts,
     distinct_frequencies,
     hodge_decompose,
-    hodge_laplacian,
     hodge_spectrum,
-    normalized_laplacian,
+    normalized_hodge_laplacian,
 )
 
 # safety margin applied to power-iteration spectral bounds before designing
@@ -219,10 +219,11 @@ def denoise(
     if regularizer not in ("edge_laplacian", "hodge_laplacian"):
         raise DataError(f"unknown regularizer {regularizer!r}")
     flow = _check_flow(sc.n_edges, flow)
-    lap = hodge_laplacian(sc, 1)
-    penalty = lap.total if regularizer == "hodge_laplacian" else lap.lower
+    two_sided = regularizer == "hodge_laplacian"
 
     if method == "exact":
+        lower, upper = _hodge_parts(sc, 1)
+        penalty = (lower + upper if two_sided else lower).toarray()
         system = np.eye(sc.n_edges) + mu * penalty
         try:
             return np.linalg.solve(system, flow)
@@ -238,7 +239,6 @@ def denoise(
     lam_g = LAMBDA_MAX_MARGIN * estimate_lambda_max(low, power_steps, seed)
     lam_c = LAMBDA_MAX_MARGIN * estimate_lambda_max(up, power_steps, seed)
     response = lambda lam: 1.0 / (1.0 + mu * lam)
-    two_sided = regularizer == "hodge_laplacian"
     spec = ResponseSpec(
         g0=1.0,
         gradient=response_custom(response, lam_g, family="inverse-regularizer"),
@@ -410,25 +410,23 @@ class PageRankResult:
 @lru_cache(maxsize=32)
 def _normalized_split(sc: SimplicialComplex):
     """Eigenbases of the symmetrized normalized parts, for subspace norms."""
-    norm = normalized_laplacian(sc)
-    w_low, v_low = np.linalg.eigh(norm.sym_lower)
-    w_up, v_up = np.linalg.eigh(norm.sym_upper)
+    _, _, weight, sym_lower, sym_upper = _normalized_parts(sc)
+    w_low, v_low = np.linalg.eigh(sym_lower.toarray())
+    w_up, v_up = np.linalg.eigh(sym_upper.toarray())
     top = max(w_low[-1] if w_low.size else 0.0, w_up[-1] if w_up.size else 0.0)
     tol = 1e-8 * top if top > 0 else 1e-12
     return (
         v_low[:, w_low > tol],
         v_up[:, w_up > tol],
-        np.sqrt(norm.weight),
+        np.sqrt(weight),
     )
 
 
 @lru_cache(maxsize=32)
 def _normalized_operators(sc: SimplicialComplex) -> tuple[ShiftMatrix, ...]:
     """Sparse normalized parts: lower, upper, sym_lower, sym_upper."""
-    norm = normalized_laplacian(sc)
-    return tuple(
-        ShiftMatrix(m) for m in (norm.lower, norm.upper, norm.sym_lower, norm.sym_upper)
-    )
+    lower, upper, _, sym_lower, sym_upper = _normalized_parts(sc)
+    return tuple(ShiftMatrix(m) for m in (lower, upper, sym_lower, sym_upper))
 
 
 def _subspace_norms(
@@ -510,8 +508,8 @@ def edge_pagerank(
     f = np.zeros(sc.n_edges)
     f[edge_index] = 1.0
     if method == "exact":
-        norm = normalized_laplacian(sc)
-        pi = np.linalg.solve(gamma * np.eye(sc.n_edges) + norm.total, f)
+        system = gamma * np.eye(sc.n_edges) + normalized_hodge_laplacian(sc)
+        pi = np.linalg.solve(system, f)
     else:
         pi = _pagerank_filter(sc, gamma, method, order, samples, seed, power_steps)(f)
     norms, rel = _subspace_norms(sc, pi[:, np.newaxis])
@@ -536,8 +534,8 @@ def edge_pagerank_all(
     if gamma <= 0:
         raise DataError("gamma must be positive")
     if method == "exact":
-        norm = normalized_laplacian(sc)
-        lu = scipy.linalg.lu_factor(gamma * np.eye(sc.n_edges) + norm.total)
+        system = gamma * np.eye(sc.n_edges) + normalized_hodge_laplacian(sc)
+        lu = scipy.linalg.lu_factor(system)
         rank = lambda block: scipy.linalg.lu_solve(lu, block)
     else:
         rank = _pagerank_filter(sc, gamma, method, order, samples, seed, power_steps)

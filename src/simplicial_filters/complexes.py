@@ -16,6 +16,7 @@ from typing import Iterable, Mapping
 import numpy as np
 import scipy.sparse as sp
 
+from ._kernels import read_only
 from .errors import (
     DataError,
     DimensionMismatch,
@@ -120,90 +121,102 @@ def infer_triangles(vertex_count: int, edges: Iterable[Iterable[int]]) -> list[T
     return sorted(out)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SignedIncidence:
-    """Sparse signed incidence matrix with entries in {-1, +1}."""
+    """Signed incidence matrix held as one read-only CSR matrix of +-1 floats."""
 
-    rows: int
-    cols: int
-    entries: Mapping[tuple[int, int], int]
+    csr: sp.csr_matrix
+
+    @property
+    def rows(self) -> int:
+        return self.csr.shape[0]
+
+    @property
+    def cols(self) -> int:
+        return self.csr.shape[1]
 
     def to_dense(self) -> np.ndarray:
-        out = np.zeros((self.rows, self.cols), dtype=np.int64)
-        for (r, c), v in self.entries.items():
-            out[r, c] = v
-        return out
+        """Dense integer copy, O(rows * cols): an oracle for tests."""
+        return self.csr.toarray().astype(np.int64)
 
     def to_csr(self) -> sp.csr_matrix:
-        if not self.entries:
-            return sp.csr_matrix((self.rows, self.cols), dtype=np.float64)
-        rr, cc, vv = zip(*((r, c, v) for (r, c), v in self.entries.items()))
-        return sp.csr_matrix(
-            (np.asarray(vv, dtype=np.float64), (rr, cc)),
-            shape=(self.rows, self.cols),
-        )
+        """The shared read-only CSR matrix itself."""
+        return self.csr
 
 
 @lru_cache(maxsize=256)
-def incidence_matrix(sc: SimplicialComplex, k: int) -> SignedIncidence:
-    """Signed incidence matrix B_k for k in {1, 2}.
+def incidence_matrix(obj: SimplicialComplex | OrientedComplex, k: int) -> SignedIncidence:
+    """Signed incidence matrix B_k for k in {1, 2}, assembled from index arrays.
 
     B1 column for edge (u, v): -1 at u, +1 at v. B2 column for triangle
     (u, v, w): +1 at edge (u, v), -1 at (u, w), +1 at (v, w). Under these
-    conventions B1 @ B2 is exactly zero in integer arithmetic.
+    conventions B1 @ B2 is exactly zero in integer arithmetic. An oriented
+    complex scales them to B1 D1 and D1 B2 D2.
     """
+    sc = obj.base if isinstance(obj, OrientedComplex) else obj
+    edges = np.asarray(sc.edges, dtype=np.int64).reshape(-1, 2)
+    n1 = len(edges)
     if k == 1:
-        entries = {}
-        for j, (u, v) in enumerate(sc.edges):
-            entries[(u, j)] = -1
-            entries[(v, j)] = 1
-        return SignedIncidence(sc.vertex_count, sc.n_edges, MappingProxyType(entries))
-    if k == 2:
-        eidx = sc.edge_index
-        entries = {}
-        for j, (u, v, w) in enumerate(sc.triangles):
-            entries[(eidx[(u, v)], j)] = 1
-            entries[(eidx[(u, w)], j)] = -1
-            entries[(eidx[(v, w)], j)] = 1
-        return SignedIncidence(sc.n_edges, sc.n_triangles, MappingProxyType(entries))
-    raise UnsupportedOrder(f"incidence matrix defined for k in {{1, 2}}, got {k}")
+        rows = edges.T.ravel()
+        cols = np.tile(np.arange(n1), 2)
+        data = np.repeat([-1.0, 1.0], n1)
+        shape = (sc.vertex_count, n1)
+    elif k == 2:
+        tris = np.asarray(sc.triangles, dtype=np.int64).reshape(-1, 3)
+        n0, n2 = sc.vertex_count, len(tris)
+        keys = edges[:, 0] * n0 + edges[:, 1]
+        faces = np.concatenate(
+            [tris[:, a] * n0 + tris[:, b] for a, b in ((0, 1), (0, 2), (1, 2))]
+        )
+        # permute() leaves the edge list unsorted, so search in key order
+        order = np.argsort(keys)
+        pos = np.searchsorted(keys[order], faces)
+        if faces.size and (n1 == 0 or not np.array_equal(keys[order[pos % n1]], faces)):
+            raise MissingFace("a triangle of the complex has a missing edge")
+        rows = order[pos]
+        cols = np.tile(np.arange(n2), 3)
+        data = np.repeat([1.0, -1.0, 1.0], n2)
+        shape = (n1, n2)
+    else:
+        raise UnsupportedOrder(f"incidence matrix defined for k in {{1, 2}}, got {k}")
+    if isinstance(obj, OrientedComplex):
+        data *= np.asarray(obj.edge_signs, dtype=np.float64)[cols if k == 1 else rows]
+        if k == 2:
+            data *= np.asarray(obj.triangle_signs, dtype=np.float64)[cols]
+    return SignedIncidence(read_only(sp.csr_matrix((data, (rows, cols)), shape=shape)))
+
+
+@lru_cache(maxsize=256)
+def _hodge_parts(
+    obj: SimplicialComplex | OrientedComplex, k: int
+) -> tuple[sp.csr_matrix, sp.csr_matrix]:
+    """Read-only sparse (lower, upper) Hodge Laplacians of order k in {0, 1, 2}.
+
+    Lower is B_k^T B_k and upper B_{k+1} B_{k+1}^T; the lower part is zero
+    for k=0 and the upper part for k=2.
+    """
+    if k not in (0, 1, 2):
+        raise UnsupportedOrder(f"Hodge Laplacian defined for k in {{0, 1, 2}}, got {k}")
+    b1 = boundary_csr(obj, 1)
+    b2 = boundary_csr(obj, 2)
+    if k == 0:
+        parts = (sp.csr_matrix((b1.shape[0],) * 2), b1 @ b1.T)
+    elif k == 1:
+        parts = (b1.T @ b1, b2 @ b2.T)
+    else:
+        parts = (b2.T @ b2, sp.csr_matrix((b2.shape[1],) * 2))
+    return tuple(read_only(sp.csr_matrix(part)) for part in parts)
 
 
 @lru_cache(maxsize=256)
 def _adjacency(sc: SimplicialComplex, k: int, upper: bool) -> tuple[frozenset, ...]:
-    n = sc.simplex_count(k)
-    sets: list[set[int]] = [set() for _ in range(n)]
-    if k == 0 and upper:
-        for (u, v) in sc.edges:
-            sets[u].add(v)
-            sets[v].add(u)
-    elif k == 1 and not upper:
-        by_vertex: dict[int, list[int]] = {}
-        for i, (u, v) in enumerate(sc.edges):
-            by_vertex.setdefault(u, []).append(i)
-            by_vertex.setdefault(v, []).append(i)
-        for members in by_vertex.values():
-            for i, j in combinations(members, 2):
-                sets[i].add(j)
-                sets[j].add(i)
-    elif k == 1 and upper:
-        eidx = sc.edge_index
-        for (u, v, w) in sc.triangles:
-            tri_edges = [eidx[(u, v)], eidx[(u, w)], eidx[(v, w)]]
-            for i, j in combinations(tri_edges, 2):
-                sets[i].add(j)
-                sets[j].add(i)
-    elif k == 2 and not upper:
-        by_edge: dict[Edge, list[int]] = {}
-        for i, (u, v, w) in enumerate(sc.triangles):
-            for face in ((u, v), (u, w), (v, w)):
-                by_edge.setdefault(face, []).append(i)
-        for members in by_edge.values():
-            for i, j in combinations(members, 2):
-                sets[i].add(j)
-                sets[j].add(i)
-    # k == 0 lower and k == 2 upper stay empty: no (-1)-faces, no 3-simplices
-    return tuple(frozenset(s) for s in sets)
+    # off-diagonal pattern of the Laplacian part; no entry cancels, because two
+    # distinct simplices share at most one face and at most one coface
+    part = _hodge_parts(sc, k)[int(upper)]
+    ptr, idx = part.indptr, part.indices
+    return tuple(
+        frozenset(idx[ptr[i] : ptr[i + 1]].tolist()) - {i} for i in range(part.shape[0])
+    )
 
 
 def _check_simplex_index(sc: SimplicialComplex, k: int, i: int) -> None:
@@ -361,18 +374,11 @@ def reorient(sc: SimplicialComplex, plan: OrientationPlan) -> OrientedComplex:
 
 
 def boundary_dense(obj: SimplicialComplex | OrientedComplex, k: int) -> np.ndarray:
-    """Dense integer incidence matrix of either a plain or oriented complex."""
-    if isinstance(obj, OrientedComplex):
-        base = boundary_dense(obj.base, k)
-        d1 = np.asarray(obj.edge_signs, dtype=np.int64)
-        if k == 1:
-            return base * d1[np.newaxis, :]
-        d2 = np.asarray(obj.triangle_signs, dtype=np.int64)
-        return d1[:, np.newaxis] * base * d2[np.newaxis, :]
+    """Dense integer incidence matrix of a plain or oriented complex: an
+    O(N_{k-1} N_k) oracle; the package works on the sparse `incidence_matrix`."""
     return incidence_matrix(obj, k).to_dense()
 
 
 def boundary_csr(obj: SimplicialComplex | OrientedComplex, k: int) -> sp.csr_matrix:
-    if isinstance(obj, OrientedComplex):
-        return sp.csr_matrix(boundary_dense(obj, k).astype(np.float64))
+    """The shared read-only CSR incidence matrix of a plain or oriented complex."""
     return incidence_matrix(obj, k).to_csr()

@@ -14,15 +14,9 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from ._kernels import ShiftMatrix
-from .complexes import (
-    OrientedComplex,
-    SimplicialComplex,
-    boundary_csr,
-    lower_neighborhood,
-    upper_neighborhood,
-)
+from .complexes import OrientedComplex, SimplicialComplex, _adjacency, _hodge_parts
 from .errors import DataError
-from .spectral import HodgeSpectrum, _check_flow, hodge_laplacian
+from .spectral import HodgeSpectrum, _check_flow
 
 
 @dataclass(frozen=True)
@@ -58,9 +52,8 @@ def shift_operators(
 
     Each takes an (N1,) flow or an (N1, k) block of flows.
     """
-    b1 = boundary_csr(obj, 1)
-    b2 = boundary_csr(obj, 2)
-    return ShiftMatrix((b1.T @ b1).tocsr()), ShiftMatrix((b2 @ b2.T).tocsr())
+    lower, upper = _hodge_parts(obj, 1)
+    return ShiftMatrix(lower), ShiftMatrix(upper)
 
 
 def _check_edge_flow(obj: SimplicialComplex | OrientedComplex, flow) -> np.ndarray:
@@ -158,29 +151,25 @@ def distributed_shift(
     flow = _check_flow(sc.n_edges, flow)
     if rounds_lower < 0 or rounds_upper < 0:
         raise ValueError("round counts must be nonnegative")
-    n = sc.n_edges
-    lap = hodge_laplacian(sc, 1)
     trace: list[ShiftRound] = []
 
-    def run(matrix: np.ndarray, neighbors, rounds: int, kind: str) -> np.ndarray:
+    def run(upper: bool, rounds: int) -> np.ndarray:
+        # CSR row i holds edge i's own weight and one weight per neighbor
+        part = _hodge_parts(sc, 1)[int(upper)]
+        ptr, idx, weights = part.indptr, part.indices, part.data
+        counts = tuple(len(nbrs) for nbrs in _adjacency(sc, 1, upper))
         current = flow.copy()
         for _ in range(rounds):
             nxt = np.empty_like(current)
-            counts = []
-            for i in range(n):
-                acc = matrix[i, i] * current[i]
-                for j in neighbors[i]:
-                    acc += matrix[i, j] * current[j]
-                nxt[i] = acc
-                counts.append(len(neighbors[i]))
+            for i in range(sc.n_edges):
+                row = slice(ptr[i], ptr[i + 1])
+                nxt[i] = weights[row] @ current[idx[row]]
             current = nxt
-            trace.append(ShiftRound(kind, tuple(counts)))
+            trace.append(ShiftRound("upper" if upper else "lower", counts))
         return current
 
-    low_nbrs = [lower_neighborhood(sc, 1, i) for i in range(n)]
-    up_nbrs = [upper_neighborhood(sc, 1, i) for i in range(n)]
-    final_lower = run(lap.lower, low_nbrs, rounds_lower, "lower")
-    final_upper = run(lap.upper, up_nbrs, rounds_upper, "upper")
+    final_lower = run(False, rounds_lower)
+    final_upper = run(True, rounds_upper)
     return DistributedShiftResult(final_lower, final_upper, tuple(trace))
 
 

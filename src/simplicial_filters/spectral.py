@@ -10,9 +10,11 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+import scipy.sparse as sp
 
-from .complexes import OrientedComplex, SimplicialComplex, boundary_dense
-from .errors import DataError, DimensionMismatch, EigenFailure, UnsupportedOrder
+from ._kernels import read_only
+from .complexes import OrientedComplex, SimplicialComplex, _hodge_parts, boundary_csr
+from .errors import DataError, DimensionMismatch, EigenFailure
 
 # relative threshold separating zero (harmonic) eigenvalues from the rest
 ZERO_TOL_FACTOR = 1e-8
@@ -52,36 +54,14 @@ class HodgeLaplacians:
         return self.lower + self.upper
 
 
-@lru_cache(maxsize=128)
-def _laplacians_cached(sc: SimplicialComplex, k: int) -> HodgeLaplacians:
-    b1 = boundary_dense(sc, 1).astype(np.float64)
-    if k == 0:
-        zero = np.zeros((sc.vertex_count, sc.vertex_count))
-        return HodgeLaplacians(zero, b1 @ b1.T)
-    b2 = boundary_dense(sc, 2).astype(np.float64)
-    if k == 1:
-        return HodgeLaplacians(b1.T @ b1, b2 @ b2.T)
-    if k == 2:
-        zero = np.zeros((sc.n_triangles, sc.n_triangles))
-        return HodgeLaplacians(b2.T @ b2, zero)
-    raise UnsupportedOrder(f"Hodge Laplacian defined for k in {{0, 1, 2}}, got {k}")
-
-
 def hodge_laplacian(obj: SimplicialComplex | OrientedComplex, k: int = 1) -> HodgeLaplacians:
-    """Dense Hodge Laplacians at order k (lower part zero for k=0, upper for k=2)."""
-    if isinstance(obj, OrientedComplex):
-        if k not in (0, 1, 2):
-            raise UnsupportedOrder(f"Hodge Laplacian defined for k in {{0, 1, 2}}, got {k}")
-        b1 = boundary_dense(obj, 1).astype(np.float64)
-        b2 = boundary_dense(obj, 2).astype(np.float64)
-        if k == 0:
-            zero = np.zeros((obj.base.vertex_count, obj.base.vertex_count))
-            return HodgeLaplacians(zero, b1 @ b1.T)
-        if k == 1:
-            return HodgeLaplacians(b1.T @ b1, b2 @ b2.T)
-        zero = np.zeros((obj.base.n_triangles, obj.base.n_triangles))
-        return HodgeLaplacians(b2.T @ b2, zero)
-    return _laplacians_cached(obj, k)
+    """Dense Hodge Laplacians at order k (lower part zero for k=0, upper for k=2).
+
+    A dense O(N_k^2) view of the sparse parts the package works on, built on
+    each call: an oracle for tests and for the dense eigen and exact paths.
+    """
+    lower, upper = _hodge_parts(obj, k)
+    return HodgeLaplacians(lower.toarray(), upper.toarray())
 
 
 @dataclass(frozen=True)
@@ -217,13 +197,13 @@ def hodge_decompose(
 def divergence(sc: SimplicialComplex, flow) -> np.ndarray:
     """Net outflow per node: B1 @ f."""
     flow = _check_flow(sc.n_edges, flow)
-    return boundary_dense(sc, 1).astype(np.float64) @ flow
+    return boundary_csr(sc, 1) @ flow
 
 
 def curl(sc: SimplicialComplex, flow) -> np.ndarray:
     """Circulation per triangle: B2^T @ f."""
     flow = _check_flow(sc.n_edges, flow)
-    return boundary_dense(sc, 2).astype(np.float64).T @ flow
+    return boundary_csr(sc, 2).T @ flow
 
 
 def _group_sorted(values: np.ndarray, tol: float) -> list[float]:
@@ -277,26 +257,46 @@ class NormalizedLaplacian:
 
 
 @lru_cache(maxsize=64)
-def normalized_laplacian(sc: SimplicialComplex) -> NormalizedLaplacian:
-    b1 = boundary_dense(sc, 1).astype(np.float64)
-    b2 = boundary_dense(sc, 2).astype(np.float64)
+def _normalized_parts(sc: SimplicialComplex):
+    """Read-only sparse normalized parts: (lower, upper, weight, sym_lower, sym_upper).
+
+    Diagonal scalings of B1^T B1 and B2 B2^T; see `NormalizedLaplacian`.
+    """
+    b1 = boundary_csr(sc, 1)
+    b2 = boundary_csr(sc, 2)
     # d2: triangle-degree weights per edge, floored at 1
-    d2 = np.maximum(np.abs(b2).sum(axis=1), 1.0)
+    d2 = np.maximum(np.diff(b2.indptr), 1).astype(np.float64)
     # d1: weighted node degrees; isolated nodes have a zero B1 row, so the
     # guard value never contributes
-    d1 = 2.0 * (np.abs(b1) @ d2)
+    d1 = 2.0 * (abs(b1) @ d2)
     d1[d1 == 0.0] = 1.0
-    bt_scaled = b1.T @ (b1 / d1[:, np.newaxis])
-    lower = d2[:, np.newaxis] * bt_scaled
-    upper = (b2 / 3.0) @ (b2.T / d2[np.newaxis, :])
+    bt_scaled = b1.T @ sp.diags(1.0 / d1) @ b1
     root = np.sqrt(d2)
-    sym_lower = root[:, np.newaxis] * bt_scaled * root[np.newaxis, :]
-    sym_upper = (b2 / root[:, np.newaxis]) @ (b2.T / root[np.newaxis, :]) / 3.0
+    b2_scaled = sp.diags(1.0 / root) @ b2
+    lower = sp.diags(d2) @ bt_scaled
+    upper = (b2 / 3.0) @ (b2.T @ sp.diags(1.0 / d2))
+    sym_lower = sp.diags(root) @ bt_scaled @ sp.diags(root)
+    sym_upper = (b2_scaled @ b2_scaled.T) / 3.0
+    d2.setflags(write=False)
+    # ascending column order in every row, so each matvec row sums in the
+    # order of the dense matrix's row
+    lower, upper, sym_lower, sym_upper = (
+        read_only(sp.csr_matrix(m).sorted_indices())
+        for m in (lower, upper, sym_lower, sym_upper)
+    )
+    return lower, upper, d2, sym_lower, sym_upper
+
+
+def normalized_laplacian(sc: SimplicialComplex) -> NormalizedLaplacian:
+    """Dense view of the normalized parts, O(N1^2) memory, built on each call:
+    an oracle for tests and callers that ask for dense matrices."""
+    lower, upper, weight, sym_lower, sym_upper = _normalized_parts(sc)
     return NormalizedLaplacian(
-        lower=lower, upper=upper, weight=d2, sym_lower=sym_lower, sym_upper=sym_upper
+        lower.toarray(), upper.toarray(), weight, sym_lower.toarray(), sym_upper.toarray()
     )
 
 
 def normalized_hodge_laplacian(sc: SimplicialComplex) -> np.ndarray:
-    """Normalized edge Laplacian L_n = D2 B1^T D1^{-1} B1 + B2 D3 B2^T D2^{-1}."""
-    return normalized_laplacian(sc).total
+    """Normalized edge Laplacian L_n = D2 B1^T D1^{-1} B1 + B2 D3 B2^T D2^{-1}, dense."""
+    lower, upper = _normalized_parts(sc)[:2]
+    return (lower + upper).toarray()

@@ -42,6 +42,39 @@ def random_complex(rng, max_nodes=20, edge_prob=0.35, clique_fill=True):
     return build_complex(nvert, edges, tris)
 
 
+def degenerate_complexes():
+    """Edge cases of the assembly: no edges, no triangles, a hollow tetrahedron
+    from clique filling, and a disconnected complex with an isolated vertex."""
+    tetra = [(u, v) for u in range(4) for v in range(u + 1, 4)]
+    two_triangles = [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)]
+    return [
+        build_complex(3, []),
+        build_complex(5, [(0, 1), (1, 2), (2, 3), (0, 3), (3, 4)]),
+        build_complex(4, tetra, infer_triangles(4, tetra)),
+        build_complex(7, two_triangles, [(0, 1, 2), (3, 4, 5)]),
+    ]
+
+
+def dense_b1(sc):
+    """Node-edge incidence built directly from the sign rule."""
+    out = np.zeros((sc.vertex_count, sc.n_edges), dtype=np.int64)
+    for j, (u, v) in enumerate(sc.edges):
+        out[u, j] = -1
+        out[v, j] = 1
+    return out
+
+
+def dense_b2(sc):
+    """Edge-triangle incidence built directly from the sign rule."""
+    idx = {e: i for i, e in enumerate(sc.edges)}
+    out = np.zeros((sc.n_edges, sc.n_triangles), dtype=np.int64)
+    for j, (u, v, w) in enumerate(sc.triangles):
+        out[idx[(u, v)], j] = 1
+        out[idx[(u, w)], j] = -1
+        out[idx[(v, w)], j] = 1
+    return out
+
+
 @pytest.fixture
 def toy():
     return toy_complex()

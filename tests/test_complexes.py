@@ -1,3 +1,6 @@
+import sys
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -20,27 +23,7 @@ from simplicial_filters.complexes import (
     permutation_signs,
 )
 
-from conftest import random_complex
-
-
-def dense_b1(sc):
-    """Node-edge incidence built directly from the sign rule."""
-    out = np.zeros((sc.vertex_count, sc.n_edges), dtype=np.int64)
-    for j, (u, v) in enumerate(sc.edges):
-        out[u, j] = -1
-        out[v, j] = 1
-    return out
-
-
-def dense_b2(sc):
-    """Edge-triangle incidence built directly from the sign rule."""
-    idx = {e: i for i, e in enumerate(sc.edges)}
-    out = np.zeros((sc.n_edges, sc.n_triangles), dtype=np.int64)
-    for j, (u, v, w) in enumerate(sc.triangles):
-        out[idx[(u, v)], j] = 1
-        out[idx[(u, w)], j] = -1
-        out[idx[(v, w)], j] = 1
-    return out
+from conftest import degenerate_complexes, dense_b1, dense_b2, random_complex
 
 
 def test_build_normalizes_and_sorts():
@@ -92,6 +75,10 @@ def test_incidence_signs(toy):
     assert col[toy.edge_index[(0, 1)]] == 1
     assert col[toy.edge_index[(0, 2)]] == -1
     assert col[toy.edge_index[(1, 2)]] == 1
+    # empty index arrays must still give incidences of the right shape
+    for sc in degenerate_complexes():
+        np.testing.assert_array_equal(incidence_matrix(sc, 1).to_dense(), dense_b1(sc))
+        np.testing.assert_array_equal(incidence_matrix(sc, 2).to_dense(), dense_b2(sc))
 
 
 def test_boundary_of_boundary_zero(rng):
@@ -114,9 +101,46 @@ def test_csr_matches_dense(toy):
     assert np.array_equal(m.to_csr().toarray(), m.to_dense())
 
 
+def _cold_peak_bytes(fn) -> int:
+    """Peak traced allocation of fn() with every package cache emptied first."""
+    for name, module in list(sys.modules.items()):
+        if name.startswith("simplicial_filters"):
+            for obj in list(vars(module).values()):
+                if hasattr(obj, "cache_clear"):
+                    obj.cache_clear()
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_sparse_assembly_allocates_no_dense_matrix():
+    # the sparse paths must never build an N1 x N1 (or N0 x N1) dense matrix
+    sc = sf.generate_road_complex(1100, 2176, 11)
+    osc = sf.reorient(sc, OrientationPlan.random(sc, np.random.default_rng(0)))
+    flow = np.ones(sc.n_edges)
+    cases = {}
+    for label, obj in (("plain", sc), ("reoriented", osc)):
+        cases[f"incidences {label}"] = lambda obj=obj: [
+            (incidence_matrix(obj, k), sf.boundary_csr(obj, k)) for k in (1, 2)
+        ]
+        cases[f"shift operators {label}"] = lambda obj=obj: sf.shift_operators(obj)
+    cases["divergence and curl"] = lambda: (sf.divergence(sc, flow), sf.curl(sc, flow))
+    for k in (0, 1, 2):
+        cases[f"neighborhoods k={k}"] = lambda k=k: [
+            f(sc, k, 0) for f in (lower_neighborhood, upper_neighborhood)
+        ]
+    cases["normalized operators"] = lambda: sf.apps._normalized_operators(sc)
+    one_dense = 8 * sc.n_edges ** 2
+    peaks = {name: _cold_peak_bytes(fn) / one_dense for name, fn in cases.items()}
+    assert all(peak < 1 / 8 for peak in peaks.values()), peaks
+
+
 def test_neighborhoods_against_bruteforce(rng):
-    for _ in range(10):
-        sc = random_complex(rng, max_nodes=12)
+    randoms = [random_complex(rng, max_nodes=12) for _ in range(10)]
+    for sc in randoms + degenerate_complexes():
         eidx = sc.edge_index
         for i, (u, v) in enumerate(sc.edges):
             low = {
@@ -133,6 +157,17 @@ def test_neighborhoods_against_bruteforce(rng):
                             if e != (u, v):
                                 up.add(eidx[e])
             assert upper_neighborhood(sc, 1, i) == up
+        for i in range(sc.vertex_count):
+            assert lower_neighborhood(sc, 0, i) == set()
+            assert upper_neighborhood(sc, 0, i) == {
+                x for e in sc.edges if i in e for x in e if x != i
+            }
+        for i, t in enumerate(sc.triangles):
+            assert lower_neighborhood(sc, 2, i) == {
+                j for j, s in enumerate(sc.triangles)
+                if j != i and len(set(t) & set(s)) == 2
+            }
+            assert upper_neighborhood(sc, 2, i) == set()
 
 
 def test_neighborhood_toy_values(toy):

@@ -1,3 +1,5 @@
+from itertools import chain
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,7 @@ import simplicial_filters as sf
 from simplicial_filters import DataError, DimensionMismatch, FilterCoefficients
 from simplicial_filters.complexes import OrientationPlan, PermutationPlan
 
-from conftest import random_complex
+from conftest import degenerate_complexes, random_complex
 
 
 def dense_filter(sc, coeffs):
@@ -33,8 +35,8 @@ def random_coeffs(rng, lmax=3):
 
 
 def test_apply_matches_dense(rng):
-    for _ in range(20):
-        sc = random_complex(rng)
+    randoms = (random_complex(rng) for _ in range(20))
+    for sc in chain(randoms, degenerate_complexes()):
         coeffs = random_coeffs(rng)
         flow = rng.standard_normal(sc.n_edges)
         out = sf.apply(sc, coeffs, flow)
@@ -203,9 +205,18 @@ def test_non_finite_flow_rejected(toy):
 
 
 def test_shift_operators_cached_and_read_only(toy):
+    from simplicial_filters.complexes import _hodge_parts
+    from simplicial_filters.spectral import _normalized_parts
+
     low, up = sf.shift_operators(toy)
     assert sf.shift_operators(toy)[0] is low
-    for op in (low, up):
-        for array in (op.csr.data, op.csr.indices, op.csr.indptr):
-            with pytest.raises(ValueError):
-                array[0] = 0
+    # every shared sparse matrix the operators are assembled from, too
+    lower, upper, weight, sym_lower, sym_upper = _normalized_parts(toy)
+    matrices = [low.csr, up.csr, lower, upper, sym_lower, sym_upper]
+    matrices += [sf.incidence_matrix(toy, k).to_csr() for k in (1, 2)]
+    matrices += [part for k in (0, 1, 2) for part in _hodge_parts(toy, k)]
+    assert sf.incidence_matrix(toy, 1).to_csr() is matrices[6]
+    arrays = [weight] + [a for m in matrices for a in (m.data, m.indices, m.indptr)]
+    for array in arrays:
+        with pytest.raises(ValueError):
+            array[...] = 0

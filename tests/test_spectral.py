@@ -1,3 +1,5 @@
+from itertools import chain
+
 import numpy as np
 import pytest
 
@@ -5,16 +7,24 @@ import simplicial_filters as sf
 from simplicial_filters import DimensionMismatch, hodge_laplacian, hodge_spectrum
 from simplicial_filters.spectral import ZERO_TOL_FACTOR
 
-from conftest import random_complex
+from conftest import degenerate_complexes, dense_b1, dense_b2, random_complex
 
 
 def test_laplacian_assembly(toy):
-    b1 = sf.incidence_matrix(toy, 1).to_dense().astype(float)
-    b2 = sf.incidence_matrix(toy, 2).to_dense().astype(float)
-    L = hodge_laplacian(toy)
-    np.testing.assert_allclose(L.lower, b1.T @ b1, atol=0)
-    np.testing.assert_allclose(L.upper, b2 @ b2.T, atol=0)
-    np.testing.assert_allclose(L.total, L.lower + L.upper, atol=0)
+    for sc in [toy] + degenerate_complexes():
+        b1 = dense_b1(sc).astype(float)
+        b2 = dense_b2(sc).astype(float)
+        n0, n2 = sc.vertex_count, sc.n_triangles
+        expect = {
+            0: (np.zeros((n0, n0)), b1 @ b1.T),
+            1: (b1.T @ b1, b2 @ b2.T),
+            2: (b2.T @ b2, np.zeros((n2, n2))),
+        }
+        for k, (lower, upper) in expect.items():
+            L = hodge_laplacian(sc, k)
+            np.testing.assert_array_equal(L.lower, lower)
+            np.testing.assert_array_equal(L.upper, upper)
+            np.testing.assert_array_equal(L.total, lower + upper)
 
 
 def test_laplacian_product_annihilates(rng):
@@ -83,8 +93,8 @@ def test_sft_roundtrip(toy, rng):
 
 
 def test_decompose_matches_projectors(rng):
-    for _ in range(10):
-        sc = random_complex(rng)
+    randoms = (random_complex(rng) for _ in range(10))
+    for sc in chain(randoms, degenerate_complexes()):
         spec = hodge_spectrum(sc)
         flow = rng.standard_normal(sc.n_edges)
         fg, fc, fh = sf.hodge_decompose(sc, flow)
