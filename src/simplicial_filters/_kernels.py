@@ -46,10 +46,6 @@ class ShiftMatrix:
         return self.matvec(x)
 
 
-def identity_chunks(n: int, width: int = IDENTITY_CHUNK):
-    """Yield ``(start, block)`` with block = columns start.. of the n x n identity."""
-    for start in range(0, n, width):
-        stop = min(start + width, n)
-        block = np.zeros((n, stop - start))
-        block[np.arange(start, stop), np.arange(stop - start)] = 1.0
-        yield start, block
+def identity_block(n: int, start: int) -> np.ndarray:
+    """IDENTITY_CHUNK columns of the n x n identity from ``start`` on (fewer at the end)."""
+    return np.eye(n, min(IDENTITY_CHUNK, n - start), -start)

@@ -12,10 +12,11 @@ from typing import NamedTuple
 import numpy as np
 import scipy.linalg
 
-from ._kernels import ShiftMatrix, identity_chunks
+from ._kernels import IDENTITY_CHUNK, ShiftMatrix, identity_block
 from .complexes import SimplicialComplex, _hodge_parts, build_complex, infer_triangles
 from .design import (
     ResponseSpec,
+    _vandermonde,
     chebyshev_apply_operators,
     chebyshev_design,
     estimate_lambda_max,
@@ -24,7 +25,6 @@ from .design import (
     ls_tied,
     response_constant,
     response_custom,
-    response_inverse_shift,
     response_logistic,
 )
 from .errors import (
@@ -38,7 +38,9 @@ from .errors import (
 )
 from .filters import FilterCoefficients, apply, apply_operators, shift_operators
 from .spectral import (
+    ZERO_TOL_FACTOR,
     _check_flow,
+    _eigh,
     _normalized_parts,
     distinct_frequencies,
     hodge_decompose,
@@ -50,6 +52,36 @@ from .spectral import (
 LAMBDA_MAX_MARGIN = 1.01
 # lower end of sampled frequency intervals; keeps 1/lambda-type targets finite
 GRID_LAMBDA_MIN = 1e-8
+
+
+def _interval_tops(ops, power_steps: int, seed: int) -> tuple[float, float]:
+    """Design interval tops of a (lower, upper) pair of parts: LAMBDA_MAX_MARGIN x
+    a power-iteration estimate of each part's largest eigenvalue, 1.0 for a zero
+    part (no edges or no triangles)."""
+    tops = [LAMBDA_MAX_MARGIN * estimate_lambda_max(op, power_steps, seed) for op in ops]
+    return tuple(top if top > 0 else 1.0 for top in tops)
+
+
+def _realize(response, tops, method, order, samples, low, up, lam_min=0.0):
+    """Grid-LS or Chebyshev filter realizing ``response`` on [lam_min, top] per side
+    as a function of an (N1,) flow or (N1, k) block; one-sided if ``up`` is None."""
+    if method not in ("grid", "cheb"):
+        raise DataError(f"unknown filter method {method!r}")
+    if order is None:
+        raise DataError(f"method {method!r} needs a filter order")
+    two_sided = up is not None
+    lam_g, lam_c = tops
+    spec = ResponseSpec(
+        g0=float(response(0.0)),
+        gradient=response_custom(response, lam_g, lam_min),
+        curl=response_custom(response, lam_c, lam_min) if two_sided else None,
+    )
+    if method == "grid":
+        design = grid_design(spec, samples, samples, order, order if two_sided else 0)
+        return lambda flow: apply_operators(low, up, design.coefficients, flow)
+    # a one-sided spec has no curl curve, so the upper top and order go unused
+    filt = chebyshev_design(spec, lam_g, lam_c, order, order)
+    return lambda flow: chebyshev_apply_operators(filt, low, up, flow)
 
 
 def nrmse(estimate, truth) -> float:
@@ -85,7 +117,7 @@ def _indicator_spec(which: str, lam_max_g: float, lam_max_c: float) -> ResponseS
 
 def _onesided_taps(freqs: np.ndarray, order: int) -> tuple[float, ...]:
     # solve Phi a = 1 with Phi the pure Vandermonde block (no constant column)
-    phi = freqs[:, None] ** np.arange(1, order + 1)
+    phi = _vandermonde(freqs, order)
     ones = np.ones(len(freqs))
     if order == len(freqs):
         taps = np.linalg.solve(phi, ones)
@@ -103,9 +135,6 @@ def extract_component(
     order_lower: int | None = None,
     order_upper: int | None = None,
     tied: bool = False,
-    steepness: float | None = None,
-    midpoint: float | None = None,
-    quadrature_points: int | None = None,
     grouping_tol: float = 0.0,
     seed: int = 0,
     power_steps: int = 50,
@@ -133,6 +162,9 @@ def extract_component(
 
     freqs_g, freqs_c = distinct_frequencies(spectrum, grouping_tol)
     freqs_g, freqs_c = np.asarray(freqs_g), np.asarray(freqs_c)
+    # LS and one-sided designs default to one tap per distinct frequency
+    l1 = order_lower if order_lower is not None else len(freqs_g)
+    l2 = order_upper if order_upper is not None else len(freqs_c)
 
     if method == "filter_ls":
         spec = _indicator_spec(
@@ -141,11 +173,8 @@ def extract_component(
             float(freqs_c[-1]) if freqs_c.size else 1.0,
         )
         if tied:
-            order = order_lower if order_lower is not None else len(freqs_g)
-            design = ls_tied(freqs_g, freqs_c, spec, order)
+            design = ls_tied(freqs_g, freqs_c, spec, l1)
         else:
-            l1 = order_lower if order_lower is not None else len(freqs_g)
-            l2 = order_upper if order_upper is not None else len(freqs_c)
             design = ls_joint(freqs_g, freqs_c, spec, l1, l2)
         return result(apply(sc, design.coefficients, flow))
 
@@ -155,30 +184,26 @@ def extract_component(
                 "a one-sided design cannot isolate the harmonic component"
             )
         if which == "gradient":
-            order = order_lower if order_lower is not None else len(freqs_g)
-            coeffs = FilterCoefficients(0.0, _onesided_taps(freqs_g, order), ())
+            coeffs = FilterCoefficients(0.0, _onesided_taps(freqs_g, l1), ())
         else:
-            order = order_upper if order_upper is not None else len(freqs_c)
-            coeffs = FilterCoefficients(0.0, (), _onesided_taps(freqs_c, order))
+            coeffs = FilterCoefficients(0.0, (), _onesided_taps(freqs_c, l2))
         return result(apply(sc, coeffs, flow))
 
     if method == "filter_cheb":
         low, up = shift_operators(sc)
-        lam_g = LAMBDA_MAX_MARGIN * estimate_lambda_max(low, power_steps, seed)
-        lam_c = LAMBDA_MAX_MARGIN * estimate_lambda_max(up, power_steps, seed)
-        lam_c = lam_c if lam_c > 0 else 1.0
+        lam_g, lam_c = _interval_tops((low, up), power_steps, seed)
         own_freqs = freqs_g if which == "gradient" else freqs_c
         others = np.concatenate([freqs_g, freqs_c])
         if which == "harmonic":
-            lam0 = midpoint if midpoint is not None else 0.5 * float(np.min(others))
-            k = steepness if steepness is not None else 40.0 / lam0
+            lam0 = 0.5 * float(np.min(others))
+            k = 40.0 / lam0
             curve_g = response_logistic(-k, lam0, lam_g)
             curve_c = response_logistic(-k, lam0, lam_c)
         else:
             if own_freqs.size == 0:
                 raise DataError(f"complex has no {which} frequencies to extract")
-            lam0 = midpoint if midpoint is not None else 0.5 * float(np.min(own_freqs))
-            k = steepness if steepness is not None else 40.0 / lam0
+            lam0 = 0.5 * float(np.min(own_freqs))
+            k = 40.0 / lam0
             rising = response_logistic(k, lam0, lam_g if which == "gradient" else lam_c)
             flat = response_constant(
                 float(rising(0.0)), lam_c if which == "gradient" else lam_g
@@ -187,7 +212,7 @@ def extract_component(
         spec = ResponseSpec(float(curve_g(0.0)), curve_g, curve_c)
         l1 = order_lower if order_lower is not None else 40
         l2 = order_upper if order_upper is not None else 40
-        filt = chebyshev_design(spec, lam_g, lam_c, l1, l2, quadrature_points)
+        filt = chebyshev_design(spec, lam_g, lam_c, l1, l2)
         return result(chebyshev_apply_operators(filt, low, up, flow))
 
     raise DataError(f"unknown extraction method {method!r}")
@@ -230,35 +255,11 @@ def denoise(
         except np.linalg.LinAlgError as exc:  # pragma: no cover - mu>0 keeps it SPD
             raise SingularSystem(str(exc)) from exc
 
-    if method not in ("grid", "cheb"):
-        raise DataError(f"unknown denoising method {method!r}")
-    if order is None:
-        raise DataError(f"method {method!r} needs a filter order")
-
     low, up = shift_operators(sc)
-    lam_g = LAMBDA_MAX_MARGIN * estimate_lambda_max(low, power_steps, seed)
-    lam_c = LAMBDA_MAX_MARGIN * estimate_lambda_max(up, power_steps, seed)
+    tops = _interval_tops((low, up), power_steps, seed)
     response = lambda lam: 1.0 / (1.0 + mu * lam)
-    spec = ResponseSpec(
-        g0=1.0,
-        gradient=response_custom(response, lam_g, family="inverse-regularizer"),
-        curl=response_custom(response, lam_c if lam_c > 0 else 1.0,
-                             family="inverse-regularizer") if two_sided else None,
-    )
-    if method == "grid":
-        design = grid_design(
-            spec, samples, samples if two_sided else 0, order,
-            order if two_sided else 0,
-        )
-        return apply_operators(low, up, design.coefficients, flow)
-    filt = chebyshev_design(
-        spec,
-        lam_g,
-        (lam_c if lam_c > 0 else 1.0) if two_sided else None,
-        order,
-        order if two_sided else None,
-    )
-    return chebyshev_apply_operators(filt, low, up, flow)
+    filt = _realize(response, tops, method, order, samples, low, up if two_sided else None)
+    return filt(flow)
 
 
 # ---------------------------------------------------------------------------
@@ -411,10 +412,10 @@ class PageRankResult:
 def _normalized_split(sc: SimplicialComplex):
     """Eigenbases of the symmetrized normalized parts, for subspace norms."""
     _, _, weight, sym_lower, sym_upper = _normalized_parts(sc)
-    w_low, v_low = np.linalg.eigh(sym_lower.toarray())
-    w_up, v_up = np.linalg.eigh(sym_upper.toarray())
+    w_low, v_low = _eigh(sym_lower.toarray())
+    w_up, v_up = _eigh(sym_upper.toarray())
     top = max(w_low[-1] if w_low.size else 0.0, w_up[-1] if w_up.size else 0.0)
-    tol = 1e-8 * top if top > 0 else 1e-12
+    tol = ZERO_TOL_FACTOR * top if top > 0 else 1e-12
     return (
         v_low[:, w_low > tol],
         v_up[:, w_up > tol],
@@ -449,40 +450,20 @@ def _subspace_norms(
     )
 
 
-def _pagerank_filter(
-    sc: SimplicialComplex,
-    gamma: float,
-    method: str,
-    order: int | None,
-    samples: int,
-    seed: int,
-    power_steps: int,
-):
-    """The designed 1/(gamma+lambda) filter over the normalized parts, as a
-    function of an (N1,) flow or an (N1, k) block."""
-    if order is None:
-        raise DataError(f"method {method!r} needs a filter order")
+def _ranker(sc, gamma, method, order, samples, seed, power_steps):
+    """The map from an (N1,) or (N1, k) right-hand side f to pi with
+    (gamma*I + L_n) pi = f: one LU factorization of the dense system (exact),
+    or a grid/cheb filter realizing 1/(gamma + lambda) over the normalized parts."""
+    if gamma <= 0:
+        raise DataError("gamma must be positive")
+    if method == "exact":
+        system = gamma * np.eye(sc.n_edges) + normalized_hodge_laplacian(sc)
+        lu = scipy.linalg.lu_factor(system)
+        return lambda f: scipy.linalg.lu_solve(lu, f)
     low, up, sym_low, sym_up = _normalized_operators(sc)
-    lam_g = LAMBDA_MAX_MARGIN * estimate_lambda_max(sym_low, power_steps, seed)
-    lam_c = LAMBDA_MAX_MARGIN * estimate_lambda_max(sym_up, power_steps, seed)
-    lam_c = lam_c if lam_c > 0 else 1.0
-    if method == "grid":
-        spec = ResponseSpec(
-            g0=1.0 / gamma,
-            gradient=response_inverse_shift(gamma, lam_g, GRID_LAMBDA_MIN),
-            curl=response_inverse_shift(gamma, lam_c, GRID_LAMBDA_MIN),
-        )
-        coeffs = grid_design(spec, samples, samples, order, order).coefficients
-        return lambda flow: apply_operators(low, up, coeffs, flow)
-    if method == "cheb":
-        spec = ResponseSpec(
-            g0=1.0 / gamma,
-            gradient=response_inverse_shift(gamma, lam_g),
-            curl=response_inverse_shift(gamma, lam_c),
-        )
-        filt = chebyshev_design(spec, lam_g, lam_c, order, order)
-        return lambda flow: chebyshev_apply_operators(filt, low, up, flow)
-    raise DataError(f"unknown pagerank method {method!r}")
+    tops = _interval_tops((sym_low, sym_up), power_steps, seed)
+    response = lambda lam: 1.0 / (gamma + lam)
+    return _realize(response, tops, method, order, samples, low, up, GRID_LAMBDA_MIN)
 
 
 def edge_pagerank(
@@ -497,23 +478,19 @@ def edge_pagerank(
 ) -> PageRankResult:
     """Influence of one edge: solve (gamma*I + L_n) pi = indicator(edge).
 
-    Exact method solves the dense system; grid/cheb realize the response
-    1/(gamma + lambda) as filters over the normalized Laplacian parts. Norms
+    ``pi`` is column ``edge_index`` of ``edge_pagerank_all``, bit for bit. Norms
     split pi into harmonic/gradient/curl parts of the normalized operator.
     """
-    if gamma <= 0:
-        raise DataError("gamma must be positive")
     if not 0 <= edge_index < sc.n_edges:
         raise IndexOutOfRange(f"edge index {edge_index} outside [0, {sc.n_edges})")
-    f = np.zeros(sc.n_edges)
-    f[edge_index] = 1.0
-    if method == "exact":
-        system = gamma * np.eye(sc.n_edges) + normalized_hodge_laplacian(sc)
-        pi = np.linalg.solve(system, f)
+    rank = _ranker(sc, gamma, method, order, samples, seed, power_steps)
+    if method == "exact":  # LU solves round by block width, SpMM columns do not
+        start = edge_index - edge_index % IDENTITY_CHUNK
+        pi = rank(identity_block(sc.n_edges, start))[:, [edge_index - start]]
     else:
-        pi = _pagerank_filter(sc, gamma, method, order, samples, seed, power_steps)(f)
-    norms, rel = _subspace_norms(sc, pi[:, np.newaxis])
-    return PageRankResult(edge_index, pi, norms[0], rel[0])
+        pi = rank(np.eye(sc.n_edges, 1, -edge_index))
+    norms, rel = _subspace_norms(sc, pi)
+    return PageRankResult(edge_index, pi[:, 0], norms[0], rel[0])
 
 
 def edge_pagerank_all(
@@ -529,19 +506,12 @@ def edge_pagerank_all(
 
     The identity runs through the method in column blocks: the exact path
     solves against one LU factorization, grid/cheb run one SpMM recursion per
-    block. Each ``pi`` of grid/cheb is bitwise equal to ``edge_pagerank``'s.
+    block.
     """
-    if gamma <= 0:
-        raise DataError("gamma must be positive")
-    if method == "exact":
-        system = gamma * np.eye(sc.n_edges) + normalized_hodge_laplacian(sc)
-        lu = scipy.linalg.lu_factor(system)
-        rank = lambda block: scipy.linalg.lu_solve(lu, block)
-    else:
-        rank = _pagerank_filter(sc, gamma, method, order, samples, seed, power_steps)
+    rank = _ranker(sc, gamma, method, order, samples, seed, power_steps)
     out = []
-    for start, block in identity_chunks(sc.n_edges):
-        pi = rank(block)
+    for start in range(0, sc.n_edges, IDENTITY_CHUNK):
+        pi = rank(identity_block(sc.n_edges, start))
         norms, rel = _subspace_norms(sc, pi)
         out.extend(
             PageRankResult(start + j, pi[:, j].copy(), norms[j], rel[j])

@@ -133,18 +133,11 @@ def design_cmd(spec_path, method, sc_path, order_lower, order_upper, mode,
 
 
 def _cheb_bounds(spec, sc_path, power_steps, seed):
-    """Frequency interval tops for Chebyshev design: spec domains, or power
-    iteration on the complex's Laplacians when a complex is given."""
+    """Chebyshev interval tops: the library's rule on the complex's Laplacians
+    when a complex is given, else the spec domains."""
     if sc_path:
-        sc = _load_sc(sc_path)
-        low, up = filters.shift_operators(sc)
-        lam_g = apps.LAMBDA_MAX_MARGIN * design.estimate_lambda_max(
-            low, power_steps, seed
-        )
-        lam_c = apps.LAMBDA_MAX_MARGIN * design.estimate_lambda_max(
-            up, power_steps, seed
-        )
-        return (lam_g if lam_g > 0 else None, lam_c if lam_c > 0 else None)
+        ops = filters.shift_operators(_load_sc(sc_path))
+        return apps._interval_tops(ops, power_steps, seed)
     lam_g = spec.gradient.lam_max if spec.gradient is not None else None
     lam_c = spec.curl.lam_max if spec.curl is not None else None
     return lam_g, lam_c

@@ -8,7 +8,7 @@ derived from that ordering alone.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations
 from types import MappingProxyType
 from typing import Iterable, Mapping
@@ -40,6 +40,14 @@ class SimplicialComplex:
     vertex_count: int
     edges: tuple[Edge, ...]
     triangles: tuple[Triangle, ...]
+
+    # hashed once: every lru_cache lookup keyed on a complex pays for its hash
+    def __hash__(self) -> int:
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.vertex_count, self.edges, self.triangles))
 
     @property
     def n_edges(self) -> int:

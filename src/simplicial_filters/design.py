@@ -15,8 +15,8 @@ from typing import Callable, Sequence
 import numpy as np
 from numpy.polynomial import chebyshev as _cheb
 
-from ._kernels import ShiftMatrix, identity_chunks
-from .errors import DataError, DomainMismatch, EmptySpec, IllConditioned
+from ._kernels import IDENTITY_CHUNK, ShiftMatrix, identity_block
+from .errors import DataError, DomainMismatch, EmptySpec, IllConditioned, NumericalError
 from .filters import FilterCoefficients
 
 COND_WARN_THRESHOLD = 1e10
@@ -156,6 +156,16 @@ def _scaled_lstsq(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float, floa
     return x, residual, cond
 
 
+def _vandermonde(freqs: np.ndarray, order: int) -> np.ndarray:
+    """The shift-power block of an LS design: columns freqs**1 .. freqs**order."""
+    if order < 0:
+        raise DataError(f"filter order must be nonnegative, got {order}")
+    powers = freqs[:, None] ** np.arange(1, order + 1)
+    if not np.all(np.isfinite(powers)):
+        raise NumericalError(f"frequency powers up to order {order} overflow float64")
+    return powers
+
+
 def _design_system(
     freqs_gradient: np.ndarray,
     freqs_curl: np.ndarray,
@@ -166,17 +176,13 @@ def _design_system(
     order_upper: int,
 ) -> tuple[np.ndarray, np.ndarray]:
     ng, nc = len(freqs_gradient), len(freqs_curl)
+    lower = _vandermonde(freqs_gradient, order_lower)
+    upper = _vandermonde(freqs_curl, order_upper)
     a = np.zeros((1 + ng + nc, 1 + order_lower + order_upper))
     a[:, 0] = 1.0
+    a[1 : 1 + ng, 1 : 1 + order_lower] = lower
+    a[1 + ng :, 1 + order_lower :] = upper
     rhs = np.concatenate(([g0], g_gradient, g_curl))
-    if order_lower:
-        a[1 : 1 + ng, 1 : 1 + order_lower] = freqs_gradient[:, None] ** np.arange(
-            1, order_lower + 1
-        )
-    if order_upper:
-        a[1 + ng :, 1 + order_lower :] = freqs_curl[:, None] ** np.arange(
-            1, order_upper + 1
-        )
     return a, rhs
 
 
@@ -248,12 +254,10 @@ def ls_decoupled(
     alpha = np.zeros(0)
     beta = np.zeros(0)
     if order_lower:
-        phi = fg[:, None] ** np.arange(1, order_lower + 1)
-        alpha, _, cond = _scaled_lstsq(phi, gg - h0)
+        alpha, _, cond = _scaled_lstsq(_vandermonde(fg, order_lower), gg - h0)
         conds.append(cond)
     if order_upper:
-        phi = fc[:, None] ** np.arange(1, order_upper + 1)
-        beta, _, cond = _scaled_lstsq(phi, gc - h0)
+        beta, _, cond = _scaled_lstsq(_vandermonde(fc, order_upper), gc - h0)
         conds.append(cond)
     coeffs = FilterCoefficients(h0=h0, alpha=tuple(alpha), beta=tuple(beta))
     a, rhs = _design_system(fg, fc, gg, gc, targets.g0, order_lower, order_upper)
@@ -272,10 +276,10 @@ def ls_tied(
     if order > 0 and fg.size == 0 and fc.size == 0:
         raise EmptySpec("taps requested but no frequencies")
     freqs = np.concatenate([fg, fc])
+    powers = _vandermonde(freqs, order)
     a = np.zeros((1 + freqs.size, 1 + order))
     a[:, 0] = 1.0
-    if order:
-        a[1:, 1:] = freqs[:, None] ** np.arange(1, order + 1)
+    a[1:, 1:] = powers
     rhs = np.concatenate(([targets.g0], gg, gc))
     x, residual, cond = _scaled_lstsq(a, rhs)
     shared = tuple(x[1:])
@@ -294,7 +298,7 @@ def estimate_lambda_max(matrix, iterations: int = 50, seed: int = 0) -> float:
     0.0 for the zero matrix.
     """
     if iterations < 1:
-        raise ValueError("iterations must be >= 1")
+        raise DataError("iterations must be >= 1")
     if not hasattr(matrix, "shape"):
         matrix = np.asarray(matrix, dtype=np.float64)
     n = matrix.shape[0]
@@ -399,32 +403,29 @@ def chebyshev_design(
     has_upper = spec.curl is not None and order_upper is not None
     if not has_lower and not has_upper:
         raise EmptySpec("chebyshev design needs at least one response curve")
-    for present, curve, label in (
-        (has_lower, spec.gradient, "gradient"),
-        (has_upper, spec.curl, "curl"),
+    if quadrature_points is not None and quadrature_points < 1:
+        raise DataError("quadrature_points must be >= 1")
+    sides = []  # (coefficients, omega) of the lower, then the upper series
+    for present, curve, lam_max, order, label in (
+        (has_lower, spec.gradient, lambda_max_gradient, order_lower, "gradient"),
+        (has_upper, spec.curl, lambda_max_curl, order_upper, "curl"),
     ):
-        if present and abs(float(curve(0.0)) - spec.g0) > 1e-12:
+        if not present:
+            sides.append(((), 0.0))
+            continue
+        if abs(float(curve(0.0)) - spec.g0) > 1e-12:
             raise DomainMismatch(
                 f"{label} curve value at 0 ({float(curve(0.0)):.17g}) must equal "
                 f"g0 ({spec.g0:.17g})"
             )
-    c_lower: tuple[float, ...] = ()
-    c_upper: tuple[float, ...] = ()
-    omega_lower = omega_upper = 0.0
-    if has_lower:
-        if lambda_max_gradient is None or lambda_max_gradient <= 0:
-            raise DataError("lambda_max_gradient must be positive")
-        omega_lower = float(lambda_max_gradient) / 2.0
-        q = quadrature_points or default_quadrature_points(order_lower)
-        c_lower = tuple(
-            chebyshev_coefficients(spec.gradient, omega_lower, order_lower, q)
-        )
-    if has_upper:
-        if lambda_max_curl is None or lambda_max_curl <= 0:
-            raise DataError("lambda_max_curl must be positive")
-        omega_upper = float(lambda_max_curl) / 2.0
-        q = quadrature_points or default_quadrature_points(order_upper)
-        c_upper = tuple(chebyshev_coefficients(spec.curl, omega_upper, order_upper, q))
+        if lam_max is None or lam_max <= 0:
+            raise DataError(f"lambda_max_{label} must be positive")
+        if order < 0:
+            raise DataError(f"{label} order must be nonnegative, got {order}")
+        omega = float(lam_max) / 2.0
+        q = quadrature_points or default_quadrature_points(order)
+        sides.append((tuple(chebyshev_coefficients(curve, omega, order, q)), omega))
+    (c_lower, omega_lower), (c_upper, omega_upper) = sides
     return ChebyshevFilter(c_lower, c_upper, omega_lower, omega_upper, float(spec.g0))
 
 
@@ -565,7 +566,8 @@ def chebyshev_operator_error(filt: ChebyshevFilter, spec: ResponseSpec, sc) -> f
 
     low, up = shift_operators(sc)
     dense = np.empty((n, n))
-    for start, block in identity_chunks(n):
+    for start in range(0, n, IDENTITY_CHUNK):
+        block = identity_block(n, start)
         dense[:, start : start + block.shape[1]] = chebyshev_apply_operators(
             filt, low, up, block
         )

@@ -225,7 +225,7 @@ def distinct_frequencies(
     exceeds grouping_tol; each group is represented by its mean.
     """
     if grouping_tol < 0:
-        raise ValueError("grouping_tol must be nonnegative")
+        raise DataError("grouping_tol must be nonnegative")
     return (
         _group_sorted(spectrum.lambda_gradient, grouping_tol),
         _group_sorted(spectrum.lambda_curl, grouping_tol),

@@ -12,7 +12,10 @@ from simplicial_filters import (
     ZeroReference,
 )
 
-from conftest import random_complex
+from simplicial_filters import apps, design, io
+from simplicial_filters.cli import main
+
+from conftest import degenerate_complexes
 
 
 def test_nrmse():
@@ -216,24 +219,28 @@ def test_pagerank_batch_matches_single(toy):
 
 
 def test_pagerank_batch_filters_match_single(toy):
-    # the batch runs the identity as column blocks through one SpMM
-    # recursion; each column must equal the single-edge run bit for bit
+    # the batch runs the identity as column blocks through one LU solve or
+    # SpMM recursion; each single-edge pi must equal its column bit for bit,
+    # also past the first block of 128 edges
     gamma = 0.05
+    road = sf.generate_road_complex(60, 130, 11)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        for method, kwargs in (("cheb", {"order": 30}),
-                               ("grid", {"order": 9, "samples": 200})):
-            batch = sf.edge_pagerank_all(toy, gamma, method, **kwargs)
-            assert [r.edge_index for r in batch] == list(range(toy.n_edges))
-            for j, result in enumerate(batch):
-                single = sf.edge_pagerank(toy, gamma, j, method, **kwargs)
-                assert np.array_equal(result.pi, single.pi)
-                # relative to the total: a block that is zero up to rounding
-                # (curl here is ~1e-15) has no relative digits to agree on
-                np.testing.assert_allclose(result.norms_abs, single.norms_abs,
-                                           rtol=0, atol=1e-12 * single.norms_abs.total)
-                np.testing.assert_allclose(result.norms_rel, single.norms_rel,
-                                           rtol=0, atol=1e-12)
+        for sc, edges in ((toy, range(toy.n_edges)), (road, (0, 127, 128, 129))):
+            for method, kwargs in (("exact", {}), ("cheb", {"order": 30}),
+                                   ("grid", {"order": 9, "samples": 200})):
+                batch = sf.edge_pagerank_all(sc, gamma, method, **kwargs)
+                assert [r.edge_index for r in batch] == list(range(sc.n_edges))
+                for j in edges:
+                    single = sf.edge_pagerank(sc, gamma, j, method, **kwargs)
+                    assert single.edge_index == j
+                    assert np.array_equal(batch[j].pi, single.pi)
+                    # relative to the total: a block that is zero up to rounding
+                    # (curl here is ~1e-15) has no relative digits to agree on
+                    np.testing.assert_allclose(batch[j].norms_abs, single.norms_abs, rtol=0,
+                                               atol=1e-12 * single.norms_abs.total)
+                    np.testing.assert_allclose(batch[j].norms_rel, single.norms_rel,
+                                               rtol=0, atol=1e-12)
 
 
 def test_pagerank_filter_methods_approach_exact(toy):
@@ -253,3 +260,62 @@ def test_pagerank_gamma_guard(toy):
         sf.edge_pagerank(toy, 0.0, 0, "exact")
     with pytest.raises(sf.IndexOutOfRange):
         sf.edge_pagerank(toy, 0.05, toy.n_edges, "exact")
+
+
+def test_pagerank_eigensolver_failure_is_numerical(toy, monkeypatch):
+    # the subspace norms' eigensolver failure used to escape as a raw LinAlgError
+    def fail(matrix):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    apps._normalized_split.cache_clear()
+    monkeypatch.setattr(np.linalg, "eigh", fail)
+    with pytest.raises(sf.EigenFailure):
+        sf.edge_pagerank(toy, 0.05, 0, "exact")
+
+
+@pytest.mark.parametrize("triangles", [True, False], ids=["toy", "no-triangles"])
+def test_chebyshev_callers_share_interval_tops(tmp_path, toy, capsys, monkeypatch,
+                                               triangles):
+    # every Chebyshev design takes its interval tops from one rule: margin x a
+    # 50-step power iteration, [0, 1] for a zero part; the CLI used to exit 2
+    # on a complex without triangles
+    sc = toy if triangles else degenerate_complexes()[1]
+
+    def rule(ops):
+        tops = [apps.LAMBDA_MAX_MARGIN * sf.estimate_lambda_max(op, 50, 0) for op in ops]
+        return tuple(top if top > 0 else 1.0 for top in tops)
+
+    seen = []
+
+    def spy(spec, lam_g, lam_c, *args):
+        seen.append((lam_g, lam_c))
+        return chebyshev_design(spec, lam_g, lam_c, *args)
+
+    chebyshev_design = design.chebyshev_design
+    monkeypatch.setattr(apps, "chebyshev_design", spy)
+    monkeypatch.setattr(design, "chebyshev_design", spy)
+    flow = np.linspace(-1.0, 1.0, sc.n_edges)
+    sf.extract_component(sc, flow, "gradient", "filter_cheb")
+    sf.denoise(sc, flow, 0.5, "hodge_laplacian", "cheb", order=10)
+    sc_path, spec_path, filt_path = (tmp_path / name for name in
+                                     ("sc.json", "spec.json", "cheb.json"))
+    io.save_complex(sc, sc_path)
+    io.dump_json({
+        "g0": 1.0,
+        "gradient": {"family": "inverse-shift", "gamma": 1.0, "max": 5.5},
+        "curl": {"family": "inverse-shift", "gamma": 1.0, "max": 4.0},
+    }, spec_path)
+    assert main(["design", "--spec", str(spec_path), "--method", "cheb",
+                 "--sc", str(sc_path), "--order-lower", "12", "--order-upper", "12",
+                 "--out", str(filt_path)]) == 0
+    tops = rule(sf.shift_operators(sc))
+    assert seen == [tops] * 3
+    io.save_filter(chebyshev_design(io.load_response_spec(spec_path), *tops, 12, 12),
+                   tmp_path / "expect.json")
+    assert filt_path.read_bytes() == (tmp_path / "expect.json").read_bytes()
+
+    seen.clear()
+    sf.edge_pagerank(sc, 0.05, 0, "cheb", order=10)
+    sf.edge_pagerank_all(sc, 0.05, "cheb", order=10)
+    assert seen == [rule(apps._normalized_operators(sc)[2:])] * 2
+    capsys.readouterr()

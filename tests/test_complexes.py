@@ -252,3 +252,16 @@ def test_plan_validation(toy):
 def test_complex_is_hashable(toy):
     assert hash(toy) == hash(sf.toy_complex())
     assert toy == sf.toy_complex()
+
+
+def test_equal_complexes_hash_once_and_share_cache_entries():
+    # the hash is stored per instance, so cache lookups stop rehashing the
+    # simplex tuples; it must still agree between equal complexes
+    a = sf.generate_road_complex(60, 130, 11)
+    b = build_complex(a.vertex_count, a.edges, a.triangles)
+    assert a is not b and a == b and hash(a) == hash(b)
+    before = sf.shift_operators.cache_info().currsize
+    assert sf.shift_operators(a) is sf.shift_operators(b)
+    assert sf.shift_operators.cache_info().currsize == before + 1
+    c = build_complex(a.vertex_count, a.edges[:-1])
+    assert c != a and sf.shift_operators(c) is not sf.shift_operators(a)

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -323,3 +324,66 @@ def test_market_missing_quotes_stay_legal(tmp_path):
     path.write_text(",A,B\nA,1,abc\nB,0.5,1\n")
     with pytest.raises(sf.DataError):
         io.load_market(path)
+
+
+OUT_OF_RANGE = [
+    ["design", "--method", "cheb", "SC", "--power-steps", "0"],
+    ["extract", "SC", "SIG", "--method", "cheb", "--power-steps", "0"],
+    ["denoise", "SC", "SIG", "--method", "cheb", "--order", "5", "--power-steps", "0"],
+    ["pagerank", "SC", "--edge", "0", "--method", "cheb", "--order", "5",
+     "--power-steps", "0"],
+    ["info", "SC", "--group-tol", "-1"],
+    ["extract", "SC", "SIG", "--method", "ls", "--group-tol", "-1"],
+    ["denoise", "SC", "SIG", "--method", "grid", "--order", "-1"],
+    ["pagerank", "SC", "--all", "--method", "cheb", "--order", "-1"],
+    ["design", "--method", "cheb", "--order-lower", "-2"],
+    ["design", "--method", "ls", "SC", "--order-lower", "-1"],
+    ["extract", "SC", "SIG", "--method", "ls", "--order-lower", "-1"],
+    ["design", "--method", "cheb", "--quadrature", "-5"],
+]
+
+
+@pytest.mark.parametrize("argv", OUT_OF_RANGE, ids=" ".join)
+def test_cli_out_of_range_numbers_exit_2(tmp_path, toy, capsys, argv):
+    # these used to end in a ValueError/IndexError traceback (exit 1) or
+    # write a filter built from an empty or garbage series (exit 0)
+    sc_path, sig_path = tmp_path / "sc.json", tmp_path / "flow.csv"
+    spec_path = tmp_path / "spec.json"
+    io.save_complex(toy, sc_path)
+    io.save_signal(np.ones(toy.n_edges), sig_path)
+    io.dump_json({
+        "g0": 1.0,
+        "gradient": {"family": "inverse-shift", "gamma": 1.0, "max": 5.5},
+        "curl": {"family": "inverse-shift", "gamma": 1.0, "max": 4.0},
+    }, spec_path)
+    expand = {"SC": ["--sc", str(sc_path)], "SIG": ["--signal", str(sig_path)]}
+    args = [part for arg in argv for part in expand.get(arg, [arg])]
+    if args[0] == "design":
+        args += ["--spec", str(spec_path)]
+    args += ["--out", str(tmp_path / "out")] if args[0] != "info" else []
+    assert run_cli(args) == 2
+    assert "data error:" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.fixture(scope="module")
+def road_1088(tmp_path_factory):
+    sc = sf.generate_road_complex(546, 1088, 11)
+    path = tmp_path_factory.mktemp("road") / "sc.json"
+    io.save_complex(sc, path)
+    return sc, path
+
+
+@pytest.mark.parametrize("method", ["ls", "onesided"])
+def test_cli_default_order_overflow_exits_3(tmp_path, road_1088, capsys, method):
+    # one power per distinct frequency overflows float64 at 1088 edges; this
+    # used to surface as a raw LinAlgError (exit 1) or as a data error (exit 2)
+    sc, sc_path = road_1088
+    sig_path = tmp_path / "flow.csv"
+    io.save_signal(np.ones(sc.n_edges), sig_path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        code = run_cli(["extract", "--sc", str(sc_path), "--signal", str(sig_path),
+                        "--method", method, "--out", str(tmp_path / "out.csv")])
+    assert code == 3
+    assert "overflow" in capsys.readouterr().err
