@@ -11,6 +11,7 @@ from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse as sp
 
 from ._kernels import IDENTITY_CHUNK, ShiftMatrix, identity_block
 from .complexes import SimplicialComplex, _hodge_parts, build_complex, infer_triangles
@@ -32,16 +33,15 @@ from .errors import (
     IncompleteMarket,
     IndexOutOfRange,
     NonPositiveRate,
-    SingularSystem,
     UnsupportedCombination,
     ZeroReference,
 )
 from .filters import FilterCoefficients, apply, apply_operators, shift_operators
 from .spectral import (
-    ZERO_TOL_FACTOR,
     _check_flow,
-    _eigh,
+    _factor,
     _normalized_parts,
+    _projector,
     distinct_frequencies,
     hodge_decompose,
     hodge_spectrum,
@@ -147,9 +147,8 @@ def extract_component(
     """
     if which not in _BLOCKS:
         raise DataError(f"unknown component {which!r}")
-    flow = np.asarray(flow, dtype=np.float64)
-    spectrum = hodge_spectrum(sc)
-    f_g, f_c, f_h = hodge_decompose(sc, flow, spectrum)
+    flow = _check_flow(sc.n_edges, flow)
+    f_g, f_c, f_h = hodge_decompose(sc, flow)
     reference = {"gradient": f_g, "curl": f_c, "harmonic": f_h}[which]
 
     def result(estimate: np.ndarray) -> ExtractionResult:
@@ -160,7 +159,7 @@ def extract_component(
     if method == "spectral":
         return ExtractionResult(reference, 0.0 if np.linalg.norm(reference) else None)
 
-    freqs_g, freqs_c = distinct_frequencies(spectrum, grouping_tol)
+    freqs_g, freqs_c = distinct_frequencies(hodge_spectrum(sc), grouping_tol)
     freqs_g, freqs_c = np.asarray(freqs_g), np.asarray(freqs_c)
     # LS and one-sided designs default to one tap per distinct frequency
     l1 = order_lower if order_lower is not None else len(freqs_g)
@@ -195,6 +194,8 @@ def extract_component(
         own_freqs = freqs_g if which == "gradient" else freqs_c
         others = np.concatenate([freqs_g, freqs_c])
         if which == "harmonic":
+            if others.size == 0:
+                raise DataError("complex has no gradient or curl frequencies to filter out")
             lam0 = 0.5 * float(np.min(others))
             k = 40.0 / lam0
             curve_g = response_logistic(-k, lam0, lam_g)
@@ -248,12 +249,8 @@ def denoise(
 
     if method == "exact":
         lower, upper = _hodge_parts(sc, 1)
-        penalty = (lower + upper if two_sided else lower).toarray()
-        system = np.eye(sc.n_edges) + mu * penalty
-        try:
-            return np.linalg.solve(system, flow)
-        except np.linalg.LinAlgError as exc:  # pragma: no cover - mu>0 keeps it SPD
-            raise SingularSystem(str(exc)) from exc
+        penalty = lower + upper if two_sided else lower
+        return _factor(sp.identity(sc.n_edges) + mu * penalty).solve(flow)
 
     low, up = shift_operators(sc)
     tops = _interval_tops((low, up), power_steps, seed)
@@ -410,17 +407,11 @@ class PageRankResult:
 
 @lru_cache(maxsize=32)
 def _normalized_split(sc: SimplicialComplex):
-    """Eigenbases of the symmetrized normalized parts, for subspace norms."""
-    _, _, weight, sym_lower, sym_upper = _normalized_parts(sc)
-    w_low, v_low = _eigh(sym_lower.toarray())
-    w_up, v_up = _eigh(sym_upper.toarray())
-    top = max(w_low[-1] if w_low.size else 0.0, w_up[-1] if w_up.size else 0.0)
-    tol = ZERO_TOL_FACTOR * top if top > 0 else 1e-12
-    return (
-        v_low[:, w_low > tol],
-        v_up[:, w_up > tol],
-        np.sqrt(weight),
-    )
+    """Projectors onto the images of the symmetrized normalized parts, and
+    sqrt(weight), for subspace norms."""
+    root_weight = np.sqrt(_normalized_parts(sc)[2])
+    root_weight.setflags(write=False)
+    return _projector(sc, "gradient", True), _projector(sc, "curl", True), root_weight
 
 
 @lru_cache(maxsize=32)
@@ -434,12 +425,12 @@ def _subspace_norms(
     sc: SimplicialComplex, pi: np.ndarray
 ) -> tuple[list[SubspaceNorms], list[SubspaceNorms]]:
     """Absolute and relative subspace norms of every column of an (N1, k) block."""
-    v_grad, v_curl, root_weight = _normalized_split(sc)
+    project_gradient, project_curl, root_weight = _normalized_split(sc)
     # weighted coordinates in which the normalized parts are symmetric and the
     # gradient/curl/harmonic split is orthogonal
     y = pi / root_weight[:, np.newaxis]
-    y_g = v_grad @ (v_grad.T @ y)
-    y_c = v_curl @ (v_curl.T @ y)
+    y_g = project_gradient(y)
+    y_c = project_curl(y)
     y_h = y - y_g - y_c
     norms = np.array([np.linalg.norm(part, axis=0) for part in (y, y_h, y_g, y_c)])
     rel = norms / np.where(norms[0] > 0, norms[0], 1.0)

@@ -1,8 +1,9 @@
 """Hodge Laplacians and their spectral machinery.
 
 Eigendecomposition into harmonic/gradient/curl blocks, the simplicial Fourier
-transform, divergence/curl operators, the Hodge decomposition of edge flows,
-and the normalized edge Laplacian used for ranking.
+transform, divergence/curl operators, the eigen-free Hodge decomposition of
+edge flows by sparse least squares, and the normalized edge Laplacian used for
+ranking.
 """
 from __future__ import annotations
 
@@ -14,10 +15,24 @@ import scipy.sparse as sp
 
 from ._kernels import read_only
 from .complexes import OrientedComplex, SimplicialComplex, _hodge_parts, boundary_csr
-from .errors import DataError, DimensionMismatch, EigenFailure
+from .errors import (
+    DataError,
+    DimensionMismatch,
+    EigenFailure,
+    NumericalError,
+    SingularSystem,
+)
 
 # relative threshold separating zero (harmonic) eigenvalues from the rest
 ZERO_TOL_FACTOR = 1e-8
+# diagonal shift of the (possibly singular) curl Gram, relative to its largest
+# row sum
+CURL_SHIFT = 1e-8
+# refinement steps a shifted curl solve may take before it counts as failed
+REFINE_STEPS = 10
+# a refinement step has converged once it moves the projection of every column
+# by at most this many ulps of that column's norm
+REFINE_ULPS = 8
 
 
 def _check_flow(n_edges: int, flow) -> np.ndarray:
@@ -181,15 +196,100 @@ def inverse_sft(spectrum: HodgeSpectrum, emb: Embeddings) -> np.ndarray:
     )
 
 
-def hodge_decompose(
-    sc: SimplicialComplex, flow, spectrum: HodgeSpectrum | None = None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Split an edge flow into (gradient, curl, harmonic) components."""
-    if spectrum is None:
-        spectrum = hodge_spectrum(sc)
+def _factor(matrix: sp.spmatrix):
+    """Sparse LU factorization of a symmetric positive definite matrix; a
+    failure is a NumericalError."""
+    from scipy.sparse.linalg import splu
+
+    try:
+        # symmetric fill-reducing order, diagonal pivots: what SPD needs
+        return splu(
+            sp.csc_matrix(matrix),
+            permc_spec="MMD_AT_PLUS_A",
+            diag_pivot_thresh=0.0,
+            options={"SymmetricMode": True},
+        )
+    except RuntimeError as exc:
+        raise SingularSystem(f"sparse factorization failed: {exc}") from exc
+
+
+@lru_cache(maxsize=64)
+def _projector(sc: SimplicialComplex, side: str, weighted: bool = False):
+    """Orthogonal projector onto im(G) as a map of an (N1,) flow or (N1, k) block.
+
+    G is B1^T (side "gradient") or B2 ("curl"); weighted, it is R B1^T or
+    R^-1 B2 with R = diag(sqrt(d2)), whose images are those of the symmetrized
+    normalized parts (see `NormalizedLaplacian`). y maps to G psi with
+    (G^T G) psi = G^T y: no eigenbasis, one cached sparse factorization.
+
+    The gradient Gram is a graph Laplacian whose kernel is the connected
+    components' indicators, so one node per component is grounded and the rest
+    is factored SPD and solved once. The curl Gram's kernel (2-cycles such as a
+    clique-filled hollow tetrahedron) is not known in advance, so G^T G + delta*I
+    is factored and the solve refined until it stops moving the projection; its
+    kernel part of psi is annihilated by G. A curl Gram with more stored
+    entries than a dense N1 x N1 matrix (clique-filled dense graphs, such as
+    markets: each triangle meets 3(N0 - 3) others) would fill in when factored,
+    so there the basis of im(G) comes from a column-pivoted QR of the dense
+    edge-space Gram G G^T instead, with the rank cut of `hodge_spectrum`.
+    """
+    g = boundary_csr(sc, 1).T if side == "gradient" else boundary_csr(sc, 2)
+    if weighted:
+        root = np.sqrt(_normalized_parts(sc)[2])
+        g = sp.diags(root if side == "gradient" else 1.0 / root) @ g
+    g = sp.csr_matrix(g)
+    gram = sp.csr_matrix(g.T @ g)
+    if side == "gradient":
+        from scipy.sparse.csgraph import connected_components
+
+        _, labels = connected_components(gram, directed=False)
+        keep = np.ones(gram.shape[0], dtype=bool)
+        keep[np.unique(labels, return_index=True)[1]] = False
+        g = g[:, keep]
+        gram = gram[keep][:, keep]
+    if gram.shape[0] == 0:
+        return lambda y: np.zeros_like(y)
+    gt = read_only(sp.csr_matrix(g.T))
+    g = read_only(g)
+    if side == "gradient":
+        lu = _factor(gram)
+        return lambda y: g @ lu.solve(gt @ y)
+
+    if gram.nnz >= sc.n_edges**2:
+        from scipy.linalg import qr
+
+        q, r, _ = qr((g @ gt).toarray(), mode="economic", pivoting=True)
+        size = np.abs(np.diag(r))
+        basis = q[:, size > ZERO_TOL_FACTOR * size[0]]
+        basis.setflags(write=False)
+        return lambda y: basis @ (basis.T @ y)
+
+    gram = read_only(gram)
+    shift = CURL_SHIFT * float(abs(gram).sum(axis=1).max())
+    lu = _factor(gram + shift * sp.identity(gram.shape[0], format="csr"))
+
+    def project(y):
+        rhs = gt @ y
+        psi = lu.solve(rhs)
+        tol = REFINE_ULPS * np.finfo(np.float64).eps * np.linalg.norm(y, axis=0)
+        for _ in range(REFINE_STEPS):
+            step = lu.solve(rhs - gram @ psi)
+            psi += step
+            if np.all(np.linalg.norm(g @ step, axis=0) <= tol):
+                return g @ psi
+        raise NumericalError(
+            f"curl projection did not converge in {REFINE_STEPS} refinement steps"
+        )
+
+    return project
+
+
+def hodge_decompose(sc: SimplicialComplex, flow) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Split an edge flow, or each column of an (N1, k) block, into (gradient,
+    curl, harmonic) components by sparse least squares (`_projector`)."""
     flow = _check_flow(sc.n_edges, flow)
-    f_gradient = spectrum.u_gradient @ (spectrum.u_gradient.T @ flow)
-    f_curl = spectrum.u_curl @ (spectrum.u_curl.T @ flow)
+    f_gradient = _projector(sc, "gradient")(flow)
+    f_curl = _projector(sc, "curl")(flow)
     f_harmonic = flow - f_gradient - f_curl
     return f_gradient, f_curl, f_harmonic
 

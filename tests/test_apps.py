@@ -2,6 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 
 import simplicial_filters as sf
 from simplicial_filters import (
@@ -12,7 +13,7 @@ from simplicial_filters import (
     ZeroReference,
 )
 
-from simplicial_filters import apps, design, io
+from simplicial_filters import apps, design, io, spectral
 from simplicial_filters.cli import main
 
 from conftest import degenerate_complexes
@@ -262,15 +263,47 @@ def test_pagerank_gamma_guard(toy):
         sf.edge_pagerank(toy, 0.05, toy.n_edges, "exact")
 
 
-def test_pagerank_eigensolver_failure_is_numerical(toy, monkeypatch):
-    # the subspace norms' eigensolver failure used to escape as a raw LinAlgError
-    def fail(matrix):
-        raise np.linalg.LinAlgError("Eigenvalues did not converge")
-
+def _clear_projections():
+    spectral._projector.cache_clear()
     apps._normalized_split.cache_clear()
-    monkeypatch.setattr(np.linalg, "eigh", fail)
-    with pytest.raises(sf.EigenFailure):
-        sf.edge_pagerank(toy, 0.05, 0, "exact")
+
+
+@pytest.mark.parametrize("failure", ["factorization", "refinement"])
+def test_projection_failure_is_numerical(toy, tmp_path, monkeypatch, failure):
+    # the sparse factorizations behind decomposition and ranking norms: a
+    # failed factor or a shifted curl solve whose refinement does not converge
+    # must surface as NumericalError (exit 3), never as unconverged output
+    if failure == "factorization":
+        def fail(*args, **kwargs):
+            raise RuntimeError("Factor is exactly singular")
+
+        monkeypatch.setattr(scipy.sparse.linalg, "splu", fail)
+    else:
+        # a shift as large as the Gram itself: each step shrinks the error by
+        # at most half, too slow for the step cap
+        monkeypatch.setattr(spectral, "CURL_SHIFT", 1.0)
+    flow = np.linspace(-1.0, 1.0, toy.n_edges)
+    _clear_projections()
+    try:
+        with pytest.raises(sf.NumericalError):
+            sf.hodge_decompose(toy, flow)
+        with pytest.raises(sf.NumericalError):
+            sf.edge_pagerank(toy, 0.05, 0, "exact")
+        with pytest.raises(sf.NumericalError):
+            sf.edge_pagerank_all(toy, 0.05, "cheb", order=10)
+        sc_path, signal_path = tmp_path / "sc.json", tmp_path / "flow.csv"
+        io.save_complex(toy, sc_path)
+        io.save_signal(flow, signal_path)
+        assert main(["decompose", "--sc", str(sc_path), "--signal", str(signal_path),
+                     "--out", str(tmp_path / "out.json")]) == 3
+    finally:
+        _clear_projections()
+
+
+def test_harmonic_cheb_extraction_on_edgeless_complex():
+    # used to die with a raw ValueError from np.min of an empty array
+    with pytest.raises(sf.DataError):
+        sf.extract_component(sf.build_complex(3, []), np.zeros(0), "harmonic", "filter_cheb")
 
 
 @pytest.mark.parametrize("triangles", [True, False], ids=["toy", "no-triangles"])

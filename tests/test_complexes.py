@@ -133,6 +133,9 @@ def test_sparse_assembly_allocates_no_dense_matrix():
             f(sc, k, 0) for f in (lower_neighborhood, upper_neighborhood)
         ]
     cases["normalized operators"] = lambda: sf.apps._normalized_operators(sc)
+    # decomposition and Chebyshev ranking used to eigendecompose dense Laplacians
+    cases["hodge_decompose"] = lambda: sf.hodge_decompose(sc, flow)
+    cases["cheb edge_pagerank"] = lambda: sf.edge_pagerank(sc, 0.05, 7, "cheb", order=20)
     one_dense = 8 * sc.n_edges ** 2
     peaks = {name: _cold_peak_bytes(fn) / one_dense for name, fn in cases.items()}
     assert all(peak < 1 / 8 for peak in peaks.values()), peaks

@@ -5,7 +5,7 @@ import pytest
 
 import simplicial_filters as sf
 from simplicial_filters import DimensionMismatch, hodge_laplacian, hodge_spectrum
-from simplicial_filters.spectral import ZERO_TOL_FACTOR
+from simplicial_filters.spectral import ZERO_TOL_FACTOR, _projector
 
 from conftest import degenerate_complexes, dense_b1, dense_b2, random_complex
 
@@ -103,6 +103,45 @@ def test_decompose_matches_projectors(rng):
         np.testing.assert_allclose(fg, PG @ flow, atol=1e-10)
         np.testing.assert_allclose(fc, PC @ flow, atol=1e-10)
         np.testing.assert_allclose(fg + fc + fh, flow, atol=1e-10)
+
+
+def _weighted_oracle(sc):
+    # eigenvectors of the dense symmetrized normalized parts with nonzero
+    # eigenvalue, under the relative zero threshold of hodge_spectrum
+    norm = sf.normalized_laplacian(sc)
+    w_low, v_low = np.linalg.eigh(norm.sym_lower)
+    w_up, v_up = np.linalg.eigh(norm.sym_upper)
+    top = max(w_low.max(initial=0.0), w_up.max(initial=0.0))
+    tol = ZERO_TOL_FACTOR * top
+    return v_low[:, w_low > tol], v_up[:, w_up > tol]
+
+
+def test_projectors_match_eigen_oracles(rng):
+    # the sparse least-squares projectors against the eigenbasis projectors, on
+    # a 2176-edge complex whose curl Gram is singular (601 triangles, rank 599)
+    # and on clique-filled dense graphs whose curl Gram has more entries than
+    # N1^2 (the QR branch)
+    randoms = [random_complex(rng) for _ in range(10)]
+    road = sf.generate_road_complex(1100, 2176, 11)
+    clique = [(u, v) for u in range(10) for v in range(u + 1, 10)]
+    square = clique + [(0, 10), (10, 11), (11, 12), (0, 12)]  # a harmonic hole
+    dense = [sf.build_complex(13, e, sf.infer_triangles(13, e)) for e in (clique, square)]
+    for sc in dense:
+        b2 = sf.boundary_csr(sc, 2)
+        assert (b2.T @ b2).nnz >= sc.n_edges ** 2
+    for sc in randoms + degenerate_complexes() + [road] + dense:
+        spec = hodge_spectrum(sc)
+        oracles = {False: (spec.u_gradient, spec.u_curl), True: _weighted_oracle(sc)}
+        flows = rng.standard_normal((sc.n_edges, 3))
+        scale = 1e-12 * np.linalg.norm(flows, axis=0)
+        for weighted, bases in oracles.items():
+            for side, basis in zip(("gradient", "curl"), bases):
+                got = _projector(sc, side, weighted)(flows)
+                expect = basis @ (basis.T @ flows)
+                assert np.all(np.linalg.norm(got - expect, axis=0) <= scale)
+                # columns of a block project as single flows
+                np.testing.assert_allclose(_projector(sc, side, weighted)(flows[:, 0]),
+                                           got[:, 0], rtol=0, atol=scale[0])
 
 
 def test_divergence_and_curl_definitions(toy, rng):
