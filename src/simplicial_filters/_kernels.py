@@ -1,10 +1,17 @@
-"""The shift operator: one read-only scipy CSR matrix.
+"""The shift operator: a product of read-only scipy CSR factors.
 
 The hot operation in this package is repeated sparse products with a
-Laplacian part (simplicial shifting). A single flow of shape ``(n,)`` runs as
-one CSR matvec, a block of ``k`` flows of shape ``(n, k)`` as one SpMM. Both
-accumulate every row in stored order, so each column of a block result is
-bitwise equal to the matvec of that column alone.
+Laplacian part (simplicial shifting). Each part is a product of two sparse
+factors, L_lower = B1^T B1 and L_upper = B2 B2^T (or diagonal scalings of
+them), and one shift is two rounds of sparse products through the
+incidences, applied right to left: edge -> node -> edge or edge -> triangle
+-> edge. A lower shift streams 4*N1 stored entries and an upper shift 6*N2,
+against sum over edges (u, v) of deg u + deg v - 1 for the assembled B1^T B1.
+
+A single flow of shape ``(n,)`` runs as one CSR matvec per factor, a block
+of ``k`` flows of shape ``(n, k)`` as one SpMM per factor. Both accumulate
+every row in stored order, so each column of a block result is bitwise
+equal to the product with that column alone.
 """
 from __future__ import annotations
 
@@ -23,16 +30,25 @@ def read_only(csr: sp.csr_matrix) -> sp.csr_matrix:
 
 
 class ShiftMatrix:
-    """Read-only CSR operator for repeated shift application.
+    """Read-only product of CSR factors for repeated shift application.
 
-    Wraps a copy of a scipy sparse or dense matrix whose ``data``, ``indices``
-    and ``indptr`` are not writeable. ``matvec`` and ``@`` take an ``(n,)``
-    vector or an ``(n, k)`` block, ``n`` being the operator's column count.
+    ``ShiftMatrix(A, B)`` applies ``A @ (B @ x)``; one factor is one matrix.
+    Each factor is a copy of a scipy sparse or dense matrix whose ``data``,
+    ``indices`` and ``indptr`` are not writeable. ``matvec`` and ``@`` take an
+    ``(n,)`` vector or an ``(n, k)`` block, ``n`` being the operator's column
+    count.
     """
 
-    def __init__(self, matrix):
-        self.csr = read_only(sp.csr_matrix(matrix, dtype=np.float64, copy=True))
-        self.shape = tuple(self.csr.shape)
+    def __init__(self, *factors):
+        if not factors:
+            raise ValueError("a shift operator needs at least one factor")
+        self.factors = tuple(
+            read_only(sp.csr_matrix(f, dtype=np.float64, copy=True)) for f in factors
+        )
+        for left, right in zip(self.factors, self.factors[1:]):
+            if left.shape[1] != right.shape[0]:
+                raise ValueError(f"factor shapes {left.shape} and {right.shape} do not chain")
+        self.shape = (self.factors[0].shape[0], self.factors[-1].shape[1])
 
     def matvec(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
@@ -40,7 +56,9 @@ class ShiftMatrix:
             raise ValueError(
                 f"operand shape {x.shape} does not match operator {self.shape}"
             )
-        return self.csr @ x
+        for factor in reversed(self.factors):
+            x = factor @ x
+        return x
 
     def __matmul__(self, x):
         return self.matvec(x)

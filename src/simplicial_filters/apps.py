@@ -14,7 +14,13 @@ import scipy.linalg
 import scipy.sparse as sp
 
 from ._kernels import IDENTITY_CHUNK, ShiftMatrix, identity_block
-from .complexes import SimplicialComplex, _hodge_parts, build_complex, infer_triangles
+from .complexes import (
+    SimplicialComplex,
+    _hodge_parts,
+    boundary_csr,
+    build_complex,
+    infer_triangles,
+)
 from .design import (
     ResponseSpec,
     _vandermonde,
@@ -40,6 +46,7 @@ from .filters import FilterCoefficients, apply, apply_operators, shift_operators
 from .spectral import (
     _check_flow,
     _factor,
+    _normalized_degrees,
     _normalized_parts,
     _projector,
     distinct_frequencies,
@@ -416,9 +423,18 @@ def _normalized_split(sc: SimplicialComplex):
 
 @lru_cache(maxsize=32)
 def _normalized_operators(sc: SimplicialComplex) -> tuple[ShiftMatrix, ...]:
-    """Sparse normalized parts: lower, upper, sym_lower, sym_upper."""
-    lower, upper, _, sym_lower, sym_upper = _normalized_parts(sc)
-    return tuple(ShiftMatrix(m) for m in (lower, upper, sym_lower, sym_upper))
+    """The normalized parts lower, upper, sym_lower, sym_upper as incidence
+    products, scaled by the diagonals of `_normalized_parts`."""
+    b1, b2 = boundary_csr(sc, 1), boundary_csr(sc, 2)
+    d1, d2 = _normalized_degrees(sc)
+    inv_d1, inv_d2 = sp.diags(1.0 / d1), sp.diags(1.0 / d2)
+    root, inv_root = sp.diags(np.sqrt(d2)), sp.diags(1.0 / np.sqrt(d2))
+    return (
+        ShiftMatrix(sp.diags(d2) @ b1.T @ inv_d1, b1),
+        ShiftMatrix(b2 / 3.0, b2.T @ inv_d2),
+        ShiftMatrix(root @ b1.T @ inv_d1, b1 @ root),
+        ShiftMatrix(inv_root @ b2 / 3.0, b2.T @ inv_root),
+    )
 
 
 def _subspace_norms(

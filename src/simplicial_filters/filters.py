@@ -14,7 +14,13 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from ._kernels import ShiftMatrix
-from .complexes import OrientedComplex, SimplicialComplex, _adjacency, _hodge_parts
+from .complexes import (
+    OrientedComplex,
+    SimplicialComplex,
+    _adjacency,
+    _hodge_parts,
+    boundary_csr,
+)
 from .errors import DataError
 from .spectral import HodgeSpectrum, _check_flow
 
@@ -48,12 +54,13 @@ class FilterCoefficients:
 def shift_operators(
     obj: SimplicialComplex | OrientedComplex,
 ) -> tuple[ShiftMatrix, ShiftMatrix]:
-    """Cached sparse lower/upper Laplacian operators of a complex.
+    """Cached lower/upper Laplacian operators of a complex, as incidence products.
 
-    Each takes an (N1,) flow or an (N1, k) block of flows.
+    The lower one applies B1^T (B1 f) and the upper one B2 (B2^T f); each
+    takes an (N1,) flow or an (N1, k) block of flows.
     """
-    lower, upper = _hodge_parts(obj, 1)
-    return ShiftMatrix(lower), ShiftMatrix(upper)
+    b1, b2 = boundary_csr(obj, 1), boundary_csr(obj, 2)
+    return ShiftMatrix(b1.T, b1), ShiftMatrix(b2, b2.T)
 
 
 def _check_edge_flow(obj: SimplicialComplex | OrientedComplex, flow) -> np.ndarray:
@@ -150,7 +157,7 @@ def distributed_shift(
     """
     flow = _check_flow(sc.n_edges, flow)
     if rounds_lower < 0 or rounds_upper < 0:
-        raise ValueError("round counts must be nonnegative")
+        raise DataError("round counts must be nonnegative")
     trace: list[ShiftRound] = []
 
     def run(upper: bool, rounds: int) -> np.ndarray:

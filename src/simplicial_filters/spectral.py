@@ -356,12 +356,8 @@ class NormalizedLaplacian:
         return self.lower + self.upper
 
 
-@lru_cache(maxsize=64)
-def _normalized_parts(sc: SimplicialComplex):
-    """Read-only sparse normalized parts: (lower, upper, weight, sym_lower, sym_upper).
-
-    Diagonal scalings of B1^T B1 and B2 B2^T; see `NormalizedLaplacian`.
-    """
+def _normalized_degrees(sc: SimplicialComplex) -> tuple[np.ndarray, np.ndarray]:
+    """The diagonals (d1, d2) that scale B1^T B1 and B2 B2^T into the normalized parts."""
     b1 = boundary_csr(sc, 1)
     b2 = boundary_csr(sc, 2)
     # d2: triangle-degree weights per edge, floored at 1
@@ -370,6 +366,18 @@ def _normalized_parts(sc: SimplicialComplex):
     # guard value never contributes
     d1 = 2.0 * (abs(b1) @ d2)
     d1[d1 == 0.0] = 1.0
+    return d1, d2
+
+
+@lru_cache(maxsize=64)
+def _normalized_parts(sc: SimplicialComplex):
+    """Read-only sparse normalized parts: (lower, upper, weight, sym_lower, sym_upper).
+
+    Diagonal scalings of B1^T B1 and B2 B2^T; see `NormalizedLaplacian`.
+    """
+    b1 = boundary_csr(sc, 1)
+    b2 = boundary_csr(sc, 2)
+    d1, d2 = _normalized_degrees(sc)
     bt_scaled = b1.T @ sp.diags(1.0 / d1) @ b1
     root = np.sqrt(d2)
     b2_scaled = sp.diags(1.0 / root) @ b2

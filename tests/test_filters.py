@@ -210,13 +210,62 @@ def test_shift_operators_cached_and_read_only(toy):
 
     low, up = sf.shift_operators(toy)
     assert sf.shift_operators(toy)[0] is low
+    normalized = sf.apps._normalized_operators(toy)
+    assert sf.apps._normalized_operators(toy)[0] is normalized[0]
+    factors = [f for op in (low, up) + normalized for f in op.factors]
+    assert len(factors) == 12
     # every shared sparse matrix the operators are assembled from, too
     lower, upper, weight, sym_lower, sym_upper = _normalized_parts(toy)
-    matrices = [low.csr, up.csr, lower, upper, sym_lower, sym_upper]
+    matrices = factors + [lower, upper, sym_lower, sym_upper]
     matrices += [sf.incidence_matrix(toy, k).to_csr() for k in (1, 2)]
     matrices += [part for k in (0, 1, 2) for part in _hodge_parts(toy, k)]
-    assert sf.incidence_matrix(toy, 1).to_csr() is matrices[6]
+    assert sf.incidence_matrix(toy, 1).to_csr() is matrices[16]
     arrays = [weight] + [a for m in matrices for a in (m.data, m.indices, m.indptr)]
     for array in arrays:
         with pytest.raises(ValueError):
             array[...] = 0
+
+
+def test_distributed_shift_rejects_negative_rounds(toy):
+    flow = np.ones(toy.n_edges)
+    for rounds in ((-1, 0), (0, -1)):
+        with pytest.raises(DataError):
+            sf.distributed_shift(toy, flow, *rounds)
+
+
+def test_factored_operators_match_assembled_parts():
+    from simplicial_filters._kernels import IDENTITY_CHUNK, identity_block
+    from simplicial_filters.complexes import _hodge_parts
+    from simplicial_filters.spectral import _normalized_parts
+
+    rng = np.random.default_rng(7)
+    road = sf.generate_road_complex(1100, 2176, 11)
+    cases = [
+        road,
+        sf.reorient(road, OrientationPlan.random(road, rng)),
+        sf.permute(road, PermutationPlan.random(road, rng)),
+    ] + degenerate_complexes()
+    eps = np.finfo(np.float64).eps
+    for obj in cases:
+        pairs = list(zip(sf.shift_operators(obj), _hodge_parts(obj, 1)))
+        # the normalized parts are defined on plain complexes only
+        if isinstance(obj, sf.SimplicialComplex):
+            lower, upper, _, sym_lower, sym_upper = _normalized_parts(obj)
+            pairs += zip(sf.apps._normalized_operators(obj),
+                         (lower, upper, sym_lower, sym_upper))
+        n = pairs[0][1].shape[0]
+        block = rng.standard_normal((n, 3))
+        for op, part in pairs:
+            assert op.shape == part.shape == (n, n)
+            # the factored product is within a few ulps of |L| |x| of the
+            # assembled part, and exactly zero wherever |L| |x| is
+            magnitude = abs(part.copy())
+            for start in range(0, n, IDENTITY_CHUNK):
+                eye = identity_block(n, start)
+                gap = np.abs(op @ eye - part @ eye)
+                assert np.all(gap <= 4 * eps * (magnitude @ eye))
+            # each column of a block product is the single-flow product, bitwise
+            out = op @ block
+            assert out.shape == (n, 3)
+            for j in range(3):
+                np.testing.assert_array_equal(out[:, j], op @ block[:, j])
