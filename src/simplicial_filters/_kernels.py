@@ -1,12 +1,20 @@
 """The shift operator: a product of read-only scipy CSR factors.
 
 The hot operation in this package is repeated sparse products with a
-Laplacian part (simplicial shifting). Each part is a product of two sparse
-factors, L_lower = B1^T B1 and L_upper = B2 B2^T (or diagonal scalings of
-them), and one shift is two rounds of sparse products through the
-incidences, applied right to left: edge -> node -> edge or edge -> triangle
--> edge. A lower shift streams 4*N1 stored entries and an upper shift 6*N2,
-against sum over edges (u, v) of deg u + deg v - 1 for the assembled B1^T B1.
+Laplacian part (simplicial shifting). Each part is a product L = A B of two
+sparse factors, L_lower = B1^T B1 and L_upper = B2 B2^T (or diagonal scalings
+of them). One shift is two rounds of sparse products through the incidences,
+applied right to left: edge -> node -> edge or edge -> triangle -> edge.
+
+The filter recursions run on the small side of each product instead. Every
+power L^l f with l >= 1 is A G^(l-1) B f with G = B A, the node Gram B1 B1^T
+or the triangle Gram B2^T B2, which has the same nonzero spectrum as L (Lim,
+"Hodge Laplacians on graphs", SIAM Review 2020). So a recursion maps the flow
+to nodes or triangles once, steps there, and maps back once. One step
+streams at most N0 + 2*N1 stored entries on the lower side and
+sum_e t_e^2 - 2*N2 on the upper side, t_e being the number of triangles on
+edge e, on vectors of length N0 or N2, against 4*N1 and 6*N2 entries on
+vectors of length N1 for an edge-space shift through the incidences.
 
 A single flow of shape ``(n,)`` runs as one CSR matvec per factor, a block
 of ``k`` flows of shape ``(n, k)`` as one SpMM per factor. Both accumulate
@@ -23,25 +31,36 @@ IDENTITY_CHUNK = 128
 
 
 def read_only(csr: sp.csr_matrix) -> sp.csr_matrix:
-    """Make a shared CSR matrix's ``data``, ``indices`` and ``indptr`` read-only."""
+    """Sort a shared CSR matrix's indices, then make its ``data``, ``indices``
+    and ``indptr`` read-only.
+
+    Sorted indices are scipy's canonical format, so operations that would
+    canonicalize in place (``abs``, for one) never write to the frozen arrays.
+    """
+    csr.sort_indices()
     for array in (csr.data, csr.indices, csr.indptr):
         array.setflags(write=False)
     return csr
 
 
 class ShiftMatrix:
-    """Read-only product of CSR factors for repeated shift application.
+    """Read-only shift operator L = A B, or one matrix L, for repeated shifting.
 
-    ``ShiftMatrix(A, B)`` applies ``A @ (B @ x)``; one factor is one matrix.
-    Each factor is a copy of a scipy sparse or dense matrix whose ``data``,
-    ``indices`` and ``indptr`` are not writeable. ``matvec`` and ``@`` take an
-    ``(n,)`` vector or an ``(n, k)`` block, ``n`` being the operator's column
-    count.
+    ``ShiftMatrix(A, B)`` applies ``A @ (B @ x)`` and carries ``small``, the
+    one-factor operator G = B A on the small side, built with it. A one-factor
+    operator is its own small side (A = I, B = L). ``to_small`` applies B and
+    ``from_small`` applies A, so L^l x is
+    ``from_small(small^(l-1) to_small(x))``.
+
+    Each factor is a copy of a scipy sparse or dense matrix in canonical CSR
+    form whose ``data``, ``indices`` and ``indptr`` are not writeable.
+    ``matvec`` and ``@`` take an ``(n,)`` vector or an ``(n, k)`` block, ``n``
+    being the operator's column count.
     """
 
     def __init__(self, *factors):
-        if not factors:
-            raise ValueError("a shift operator needs at least one factor")
+        if len(factors) not in (1, 2):
+            raise ValueError("a shift operator is one matrix or a product of two")
         self.factors = tuple(
             read_only(sp.csr_matrix(f, dtype=np.float64, copy=True)) for f in factors
         )
@@ -49,6 +68,7 @@ class ShiftMatrix:
             if left.shape[1] != right.shape[0]:
                 raise ValueError(f"factor shapes {left.shape} and {right.shape} do not chain")
         self.shape = (self.factors[0].shape[0], self.factors[-1].shape[1])
+        self.small = self if len(factors) == 1 else ShiftMatrix(self.factors[1] @ self.factors[0])
 
     def matvec(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
@@ -62,6 +82,14 @@ class ShiftMatrix:
 
     def __matmul__(self, x):
         return self.matvec(x)
+
+    def to_small(self, x: np.ndarray) -> np.ndarray:
+        """B x: a flow (or block) mapped onto the small side."""
+        return self.factors[-1] @ x
+
+    def from_small(self, y: np.ndarray) -> np.ndarray:
+        """A y: a small-side vector (or block) mapped back onto the edges."""
+        return y if self.small is self else self.factors[0] @ y
 
 
 def identity_block(n: int, start: int) -> np.ndarray:

@@ -8,6 +8,7 @@ of the raw, unscaled system.
 """
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -360,10 +361,18 @@ class ChebyshevFilter:
     g0: float
 
     def __post_init__(self):
-        if self.c_lower and self.omega_lower <= 0:
-            raise DataError("omega_lower must be positive for a nonempty series")
-        if self.c_upper and self.omega_upper <= 0:
-            raise DataError("omega_upper must be positive for a nonempty series")
+        for name in ("c_lower", "c_upper"):
+            object.__setattr__(self, name, tuple(map(float, getattr(self, name))))
+        for name in ("omega_lower", "omega_upper", "g0"):
+            object.__setattr__(self, name, float(getattr(self, name)))
+        if not (self.c_lower or self.c_upper):
+            raise DataError("a Chebyshev filter needs at least one series")
+        if not all(np.isfinite((self.g0,) + self.c_lower + self.c_upper)):
+            raise DataError("Chebyshev filter coefficients must be finite")
+        for side, series, omega in (("lower", self.c_lower, self.omega_lower),
+                                    ("upper", self.c_upper, self.omega_upper)):
+            if series and not 0 < omega < math.inf:
+                raise DataError(f"omega_{side} must be finite and positive for a nonempty series")
 
     @property
     def two_sided(self) -> bool:
@@ -432,25 +441,36 @@ def chebyshev_design(
 def _series_apply(
     op: ShiftMatrix, omega: float, coeffs: Sequence[float], flow: np.ndarray
 ) -> np.ndarray:
-    # three-term recursion in the shifted variable P1(L) = L/omega - I
-    out = 0.5 * coeffs[0] * flow
+    """Sum the shifted-Chebyshev series of L = A B on a flow, stepping on the
+    small side G = B A (nodes or triangles) instead of on the edges.
+
+    The edge-space terms w_0 = f, w_1 = (L/omega - I) f,
+    w_{k+1} = 2 (L/omega - I) w_k - w_{k-1} are w_k = (-1)^k f + A v_k with
+    v_1 = B f / omega and v_{k+1} = 2 ((G v_k + (-1)^k B f) / omega - v_k) - v_{k-1},
+    so the series is s f + A sum_k c_k v_k, s = c_0/2 + sum_k (-1)^k c_k being
+    its value at frequency 0. Each step is one product with G.
+    """
+    s = math.fsum([0.5 * coeffs[0], *coeffs[2::2], *(-c for c in coeffs[1::2])])
+    out = s * flow
     if len(coeffs) == 1:
         return out
-    # in-place steps round exactly like 2.0 * (L w / omega - w) - w_prev
-    w_prev2 = flow
-    w_prev1 = op.matvec(flow)
-    w_prev1 /= omega
-    w_prev1 -= flow
-    out += coeffs[1] * w_prev1
-    for c in coeffs[2:]:
-        w = op.matvec(w_prev1)
+    b = op.to_small(flow)
+    v_prev, v = 0.0, b / omega
+    acc = coeffs[1] * v
+    for k, c in enumerate(coeffs[2:], 1):
+        # v_{k+1} from v_k and v_{k-1}, in place
+        w = op.small.matvec(v)
+        if k % 2:
+            w -= b
+        else:
+            w += b
         w /= omega
-        w -= w_prev1
+        w -= v
         w *= 2.0
-        w -= w_prev2
-        out += c * w
-        w_prev2, w_prev1 = w_prev1, w
-    return out
+        w -= v_prev
+        acc += c * w
+        v_prev, v = v, w
+    return out + op.from_small(acc)
 
 
 def chebyshev_apply_operators(

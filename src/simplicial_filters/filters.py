@@ -3,7 +3,10 @@
 A filter is the matrix polynomial h0*I + sum_l alpha_l * L_lower^l
 + sum_l beta_l * L_upper^l applied to edge flows. Application always runs as
 a per-step recursion over sparse shifts, on one flow or on a block of flows;
-dense polynomial matrices are never formed.
+dense polynomial matrices are never formed. The recursion steps on nodes and
+triangles: L_lower^l f = B1^T (B1 B1^T)^(l-1) B1 f and
+L_upper^l f = B2 (B2^T B2)^(l-1) B2^T f, so each step is one product with the
+node or triangle Gram (see ``_kernels``).
 """
 from __future__ import annotations
 
@@ -78,6 +81,16 @@ def shift_upper(obj: SimplicialComplex | OrientedComplex, flow) -> np.ndarray:
     return shift_operators(obj)[1].matvec(_check_edge_flow(obj, flow))
 
 
+def _power_series(op: ShiftMatrix, taps: Sequence[float], flow: np.ndarray) -> np.ndarray:
+    # sum_l taps[l-1] L^l f = A (sum_l taps[l-1] G^(l-1) B f), summed on the small side
+    x = op.to_small(flow)
+    acc = taps[0] * x
+    for a in taps[1:]:
+        x = op.small.matvec(x)
+        acc += a * x
+    return op.from_small(acc)
+
+
 def apply_operators(
     op_lower: ShiftMatrix | None,
     op_upper: ShiftMatrix | None,
@@ -87,23 +100,16 @@ def apply_operators(
     """Run the filter recursion against explicit shift operators.
 
     ``flow`` is one flow (N1,) or a block (N1, k); a block runs as one SpMM
-    per step.
+    per step. Each side's powers run on that operator's small side (nodes or
+    triangles), with one product into it and one back.
     """
     out = coeffs.h0 * flow
-    if coeffs.alpha:
-        if op_lower is None:
-            raise ValueError("lower taps given but no lower operator")
-        x = flow
-        for a in coeffs.alpha:
-            x = op_lower.matvec(x)
-            out += a * x
-    if coeffs.beta:
-        if op_upper is None:
-            raise ValueError("upper taps given but no upper operator")
-        x = flow
-        for b in coeffs.beta:
-            x = op_upper.matvec(x)
-            out += b * x
+    for label, op, taps in (("lower", op_lower, coeffs.alpha),
+                            ("upper", op_upper, coeffs.beta)):
+        if taps:
+            if op is None:
+                raise ValueError(f"{label} taps given but no {label} operator")
+            out += _power_series(op, taps, flow)
     return out
 
 

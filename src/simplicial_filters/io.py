@@ -249,8 +249,8 @@ def load_filter(path) -> FilterCoefficients | ChebyshevFilter:
     data = _read_json(path)
     if not isinstance(data, dict):
         raise DataError(f"filter file {path} must hold a JSON object")
-    if data.get("type") == "chebyshev" or "c_lower" in data:
-        try:
+    try:
+        if data.get("type") == "chebyshev" or "c_lower" in data:
             return ChebyshevFilter(
                 c_lower=tuple(data.get("c_lower", ())),
                 c_upper=tuple(data.get("c_upper", ())),
@@ -258,9 +258,6 @@ def load_filter(path) -> FilterCoefficients | ChebyshevFilter:
                 omega_upper=float(data.get("omega_upper", 0.0)),
                 g0=float(data["g0"]),
             )
-        except KeyError as exc:
-            raise DataError(f"chebyshev filter file {path} is missing {exc}") from exc
-    try:
         return FilterCoefficients(
             h0=float(data["h0"]),
             alpha=tuple(data.get("alpha", ())),
@@ -268,6 +265,8 @@ def load_filter(path) -> FilterCoefficients | ChebyshevFilter:
         )
     except KeyError as exc:
         raise DataError(f"filter file {path} is missing {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise DataError(f"filter file {path} holds a non-numeric value: {exc}") from exc
 
 
 def _curve_from_json(obj, label: str) -> ResponseCurve | None:

@@ -386,11 +386,10 @@ def _normalized_parts(sc: SimplicialComplex):
     sym_lower = sp.diags(root) @ bt_scaled @ sp.diags(root)
     sym_upper = (b2_scaled @ b2_scaled.T) / 3.0
     d2.setflags(write=False)
-    # ascending column order in every row, so each matvec row sums in the
-    # order of the dense matrix's row
+    # read_only sorts each row's columns ascending, so each matvec row sums in
+    # the order of the dense matrix's row
     lower, upper, sym_lower, sym_upper = (
-        read_only(sp.csr_matrix(m).sorted_indices())
-        for m in (lower, upper, sym_lower, sym_upper)
+        read_only(sp.csr_matrix(m)) for m in (lower, upper, sym_lower, sym_upper)
     )
     return lower, upper, d2, sym_lower, sym_upper
 

@@ -212,14 +212,15 @@ def test_shift_operators_cached_and_read_only(toy):
     assert sf.shift_operators(toy)[0] is low
     normalized = sf.apps._normalized_operators(toy)
     assert sf.apps._normalized_operators(toy)[0] is normalized[0]
-    factors = [f for op in (low, up) + normalized for f in op.factors]
-    assert len(factors) == 12
+    # the edge-side factors and the node/triangle Grams of the small sides
+    factors = [f for op in (low, up) + normalized for f in op.factors + op.small.factors]
+    assert len(factors) == 18
     # every shared sparse matrix the operators are assembled from, too
     lower, upper, weight, sym_lower, sym_upper = _normalized_parts(toy)
     matrices = factors + [lower, upper, sym_lower, sym_upper]
     matrices += [sf.incidence_matrix(toy, k).to_csr() for k in (1, 2)]
     matrices += [part for k in (0, 1, 2) for part in _hodge_parts(toy, k)]
-    assert sf.incidence_matrix(toy, 1).to_csr() is matrices[16]
+    assert sf.incidence_matrix(toy, 1).to_csr() is matrices[22]
     arrays = [weight] + [a for m in matrices for a in (m.data, m.indices, m.indptr)]
     for array in arrays:
         with pytest.raises(ValueError):
@@ -233,20 +234,25 @@ def test_distributed_shift_rejects_negative_rounds(toy):
             sf.distributed_shift(toy, flow, *rounds)
 
 
+def _road_cases(rng):
+    """The 2176-edge road complex plain, reoriented and permuted, and every
+    degenerate complex."""
+    road = sf.generate_road_complex(1100, 2176, 11)
+    return [
+        road,
+        sf.reorient(road, OrientationPlan.random(road, rng)),
+        sf.permute(road, PermutationPlan.random(road, rng)),
+    ] + degenerate_complexes()
+
+
 def test_factored_operators_match_assembled_parts():
     from simplicial_filters._kernels import IDENTITY_CHUNK, identity_block
     from simplicial_filters.complexes import _hodge_parts
     from simplicial_filters.spectral import _normalized_parts
 
     rng = np.random.default_rng(7)
-    road = sf.generate_road_complex(1100, 2176, 11)
-    cases = [
-        road,
-        sf.reorient(road, OrientationPlan.random(road, rng)),
-        sf.permute(road, PermutationPlan.random(road, rng)),
-    ] + degenerate_complexes()
     eps = np.finfo(np.float64).eps
-    for obj in cases:
+    for obj in _road_cases(rng):
         pairs = list(zip(sf.shift_operators(obj), _hodge_parts(obj, 1)))
         # the normalized parts are defined on plain complexes only
         if isinstance(obj, sf.SimplicialComplex):
@@ -269,3 +275,147 @@ def test_factored_operators_match_assembled_parts():
             assert out.shape == (n, 3)
             for j in range(3):
                 np.testing.assert_array_equal(out[:, j], op @ block[:, j])
+
+
+def test_shared_sparse_matrices_are_canonical():
+    # a frozen CSR matrix with unsorted indices made scipy canonicalize in
+    # place: abs() of the upper Hodge part raised "WRITEBACKIFCOPY base is
+    # read-only"
+    from simplicial_filters.complexes import _hodge_parts
+    from simplicial_filters.spectral import _normalized_parts
+
+    def check(matrices):
+        for m in matrices:
+            assert m.has_canonical_format
+            assert abs(m).nnz == m.nnz
+
+    for obj in _road_cases(np.random.default_rng(3)):
+        check(part for k in (0, 1, 2) for part in _hodge_parts(obj, k))
+        ops = list(sf.shift_operators(obj))
+        if isinstance(obj, sf.SimplicialComplex):
+            check(m for m in _normalized_parts(obj) if m.ndim == 2)
+            ops += sf.apps._normalized_operators(obj)
+        check(f for op in ops for f in op.factors + op.small.factors)
+
+
+EPS = np.finfo(np.float64).eps
+
+
+def _abs_operator(op):
+    return sf.ShiftMatrix(*(abs(f) for f in op.factors))
+
+
+def edge_space_filter(op_lower, op_upper, coeffs, flow):
+    """The monomial recursion with one edge-space shift per step, and its magnitude:
+    the same recursion on |L|, |taps| and |flow|."""
+    out, mag = coeffs.h0 * flow, abs(coeffs.h0) * np.abs(flow)
+    for op, taps in ((op_lower, coeffs.alpha), (op_upper, coeffs.beta)):
+        if not taps:
+            continue
+        x, ax, abs_op = flow, np.abs(flow), _abs_operator(op)
+        for a in taps:
+            x, ax = op.matvec(x), abs_op.matvec(ax)
+            out, mag = out + a * x, mag + abs(a) * ax
+    return out, mag
+
+
+def edge_space_chebyshev(filt, op_lower, op_upper, flow):
+    """The shifted-Chebyshev recursion with one edge-space shift per step, and
+    per column the sum of |c_k| times the largest term norm."""
+    out = -filt.g0 * flow if filt.two_sided else np.zeros_like(flow)
+    scale = abs(filt.g0) * np.linalg.norm(flow, axis=0) if filt.two_sided else 0.0
+    for op, omega, coeffs in ((op_lower, filt.omega_lower, filt.c_lower),
+                              (op_upper, filt.omega_upper, filt.c_upper)):
+        if not coeffs:
+            continue
+        terms = [flow]
+        if len(coeffs) > 1:
+            terms.append(op.matvec(flow) / omega - flow)
+        while len(terms) < len(coeffs):
+            terms.append(2.0 * (op.matvec(terms[-1]) / omega - terms[-1]) - terms[-2])
+        out = out + 0.5 * coeffs[0] * flow + sum(c * w for c, w in zip(coeffs[1:], terms[1:]))
+        largest = np.max([np.linalg.norm(w, axis=0) for w in terms], axis=0)
+        scale = scale + np.sum(np.abs(coeffs)) * largest
+    return out, scale
+
+
+def assert_near_monomial_oracle(got, expect, mag, order):
+    # each evaluation rounds at a few ulps of the magnitude per step
+    assert np.all(np.abs(got - expect) <= 4 * (order + 1) * EPS * mag)
+
+
+def assert_near_chebyshev_oracle(got, expect, scale, order):
+    # the same per column, normwise: Chebyshev terms mix entries
+    gap = np.linalg.norm(got - expect, axis=0)
+    assert np.all(gap <= 4 * (order + 1) * EPS * scale)
+
+
+def _gershgorin_half(op):
+    top = float(np.max(_abs_operator(op).matvec(np.ones(op.shape[1])), initial=0.0))
+    return top / 2 if top > 0 else 1.0
+
+
+def _assert_columns_bitwise(fn, block):
+    out = fn(block)
+    for j in range(block.shape[1]):
+        np.testing.assert_array_equal(out[:, j], fn(block[:, j]))
+
+
+@pytest.mark.parametrize("order", [0, 1, 2, 61])
+def test_small_side_recursions_match_edge_space_oracle(order):
+    rng = np.random.default_rng(order)
+    for obj in _road_cases(rng):
+        low, up = sf.shift_operators(obj)
+        n = low.shape[0]
+        block = rng.standard_normal((n, 3))
+        # monomial taps scaled so that every power contributes
+        scale_l, scale_u = 2 * _gershgorin_half(low), 2 * _gershgorin_half(up)
+        alpha = tuple(rng.standard_normal(order) / scale_l ** np.arange(1, order + 1))
+        beta = tuple(rng.standard_normal(order) / scale_u ** np.arange(1, order + 1))
+        c_l = tuple(rng.standard_normal(order + 1) / np.arange(1, order + 2))
+        c_u = tuple(rng.standard_normal(order + 1) / np.arange(1, order + 2))
+        omegas = (_gershgorin_half(low), _gershgorin_half(up))
+        for sides in ((True, False), (False, True), (True, True)):
+            coeffs = FilterCoefficients(0.7, alpha if sides[0] else (), beta if sides[1] else ())
+            expect, mag = edge_space_filter(low, up, coeffs, block)
+            assert_near_monomial_oracle(sf.apply(obj, coeffs, block), expect, mag, order)
+            _assert_columns_bitwise(lambda f: sf.apply(obj, coeffs, f), block)
+
+            filt = sf.ChebyshevFilter(c_l if sides[0] else (), c_u if sides[1] else (),
+                                      *omegas, g0=0.4)
+            expect, scale = edge_space_chebyshev(filt, low, up, block)
+            got = sf.chebyshev_apply(filt, obj, block)
+            assert_near_chebyshev_oracle(got, expect, scale, order)
+            _assert_columns_bitwise(lambda f: sf.chebyshev_apply(filt, obj, f), block)
+
+
+@pytest.mark.parametrize("method, order", [("grid", 1), ("grid", 9), ("cheb", 2), ("cheb", 61)])
+def test_ranking_matches_edge_space_oracle(monkeypatch, method, order):
+    from simplicial_filters import apps
+
+    # ranking every edge runs N1 columns per step, so this uses rank_batch's
+    # 1088-edge size; the 2176-edge complexes are covered by the test above
+    road = sf.generate_road_complex(546, 1088, 11)
+    permuted = sf.permute(road, PermutationPlan.random(road, np.random.default_rng(4)))
+    for sc in [road, permuted] + degenerate_complexes():
+        got = sf.edge_pagerank_all(sc, 0.01, method, order=order, power_steps=200)
+        bounds = []
+
+        def oracle(run):
+            def realize(*args):
+                expect, bound = run(*args)
+                bounds.append(bound)
+                return expect
+            return realize
+
+        with monkeypatch.context() as patch:
+            patch.setattr(apps, "apply_operators", oracle(edge_space_filter))
+            patch.setattr(apps, "chebyshev_apply_operators", oracle(edge_space_chebyshev))
+            expect = sf.edge_pagerank_all(sc, 0.01, method, order=order, power_steps=200)
+        pi = np.column_stack([r.pi for r in got] or [np.zeros((sc.n_edges, 0))])
+        pi_oracle = np.column_stack([r.pi for r in expect] or [np.zeros((sc.n_edges, 0))])
+        bound = np.concatenate(bounds, axis=-1) if bounds else np.zeros(pi.shape[1])
+        if method == "grid":
+            assert_near_monomial_oracle(pi, pi_oracle, bound, order)
+        else:
+            assert_near_chebyshev_oracle(pi, pi_oracle, bound, order)

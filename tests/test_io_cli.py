@@ -387,3 +387,32 @@ def test_cli_default_order_overflow_exits_3(tmp_path, road_1088, capsys, method)
                         "--method", method, "--out", str(tmp_path / "out.csv")])
     assert code == 3
     assert "overflow" in capsys.readouterr().err
+
+
+BAD_FILTER_FILES = {
+    # no series: filter used to end in an IndexError traceback (exit 1)
+    "no-series": '{"type": "chebyshev", "g0": 1}',
+    # these used to write NaN, or zeros for an infinite omega, and exit 0
+    "nan-coefficient": '{"type": "chebyshev", "g0": 1, "c_lower": [1.0, NaN], "omega_lower": 2.0}',
+    "nan-omega": '{"type": "chebyshev", "g0": 1, "c_lower": [1.0, 0.5], "omega_lower": NaN}',
+    "infinite-omega": '{"type": "chebyshev", "g0": 1, "c_lower": [1.0, 0.5], "omega_lower": Infinity}',
+    # these used to end in a TypeError or ValueError traceback (exit 1)
+    "text-coefficient": '{"type": "chebyshev", "g0": 1, "c_lower": ["abc"], "omega_lower": 2.0}',
+    "text-tap": '{"h0": 1.0, "alpha": ["abc"]}',
+}
+
+
+@pytest.mark.parametrize("command", ["filter", "response"])
+@pytest.mark.parametrize("name", list(BAD_FILTER_FILES))
+def test_cli_bad_filter_file_exits_2(tmp_path, toy, capsys, command, name):
+    sc_path, sig_path = tmp_path / "sc.json", tmp_path / "flow.csv"
+    filt_path, out_path = tmp_path / "h.json", tmp_path / "out.csv"
+    io.save_complex(toy, sc_path)
+    io.save_signal(np.ones(toy.n_edges), sig_path)
+    filt_path.write_text(BAD_FILTER_FILES[name])
+    args = [command, "--sc", str(sc_path), "--filter", str(filt_path), "--out", str(out_path)]
+    if command == "filter":
+        args += ["--signal", str(sig_path)]
+    assert run_cli(args) == 2
+    assert "data error:" in capsys.readouterr().err
+    assert not out_path.exists()
