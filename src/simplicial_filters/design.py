@@ -442,7 +442,9 @@ def _series_apply(
     op: ShiftMatrix, omega: float, coeffs: Sequence[float], flow: np.ndarray
 ) -> np.ndarray:
     """Sum the shifted-Chebyshev series of L = A B on a flow, stepping on the
-    small side G = B A (nodes or triangles) instead of on the edges.
+    operator's ``small`` side G = B A: the node Gram for the lower operators;
+    for the upper ones L itself on the edges that lie on a triangle (B applies
+    L there, A pads with zeros).
 
     The edge-space terms w_0 = f, w_1 = (L/omega - I) f,
     w_{k+1} = 2 (L/omega - I) w_k - w_{k-1} are w_k = (-1)^k f + A v_k with

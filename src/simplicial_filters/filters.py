@@ -3,10 +3,10 @@
 A filter is the matrix polynomial h0*I + sum_l alpha_l * L_lower^l
 + sum_l beta_l * L_upper^l applied to edge flows. Application always runs as
 a per-step recursion over sparse shifts, on one flow or on a block of flows;
-dense polynomial matrices are never formed. The recursion steps on nodes and
-triangles: L_lower^l f = B1^T (B1 B1^T)^(l-1) B1 f and
-L_upper^l f = B2 (B2^T B2)^(l-1) B2^T f, so each step is one product with the
-node or triangle Gram (see ``_kernels``).
+dense polynomial matrices are never formed. The lower recursion steps on the
+nodes, L_lower^l f = B1^T (B1 B1^T)^(l-1) B1 f, one product with the node
+Gram per step; the upper recursion steps on the edges that lie on a triangle
+(see ``_kernels``).
 """
 from __future__ import annotations
 
@@ -16,7 +16,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from ._kernels import ShiftMatrix
+from ._kernels import GramShift, ShiftMatrix
 from .complexes import (
     OrientedComplex,
     SimplicialComplex,
@@ -59,11 +59,13 @@ def shift_operators(
 ) -> tuple[ShiftMatrix, ShiftMatrix]:
     """Cached lower/upper Laplacian operators of a complex, as incidence products.
 
-    The lower one applies B1^T (B1 f) and the upper one B2 (B2^T f); each
-    takes an (N1,) flow or an (N1, k) block of flows.
+    The lower one applies B1^T (B1 f) and its recursions step on the node Gram
+    B1 B1^T; the upper one applies B2 (B2^T f) and its recursions step on the
+    edges that lie on a triangle. Each takes an (N1,) flow or an (N1, k) block
+    of flows.
     """
     b1, b2 = boundary_csr(obj, 1), boundary_csr(obj, 2)
-    return ShiftMatrix(b1.T, b1), ShiftMatrix(b2, b2.T)
+    return GramShift(b1.T, b1), ShiftMatrix(b2, b2.T)
 
 
 def _check_edge_flow(obj: SimplicialComplex | OrientedComplex, flow) -> np.ndarray:
@@ -100,8 +102,9 @@ def apply_operators(
     """Run the filter recursion against explicit shift operators.
 
     ``flow`` is one flow (N1,) or a block (N1, k); a block runs as one SpMM
-    per step. Each side's powers run on that operator's small side (nodes or
-    triangles), with one product into it and one back.
+    per step. Each side's powers run on that operator's ``small`` side (the
+    nodes for a `GramShift`, else the edges the operator touches), with one
+    map into it and one back.
     """
     out = coeffs.h0 * flow
     for label, op, taps in (("lower", op_lower, coeffs.alpha),

@@ -212,19 +212,54 @@ def test_shift_operators_cached_and_read_only(toy):
     assert sf.shift_operators(toy)[0] is low
     normalized = sf.apps._normalized_operators(toy)
     assert sf.apps._normalized_operators(toy)[0] is normalized[0]
-    # the edge-side factors and the node/triangle Grams of the small sides
-    factors = [f for op in (low, up) + normalized for f in op.factors + op.small.factors]
-    assert len(factors) == 18
+    # the edge-side factors, and those of the operators the recursions step on
+    factors = [f for op in (low, up) + normalized for f in op.factors]
+    steps = [f for op in (low, up) + normalized if op.small is not op for f in op.small.factors]
+    assert len(factors) == 12 and len(steps) >= 3
     # every shared sparse matrix the operators are assembled from, too
     lower, upper, weight, sym_lower, sym_upper = _normalized_parts(toy)
-    matrices = factors + [lower, upper, sym_lower, sym_upper]
+    matrices = factors + steps + [lower, upper, sym_lower, sym_upper]
     matrices += [sf.incidence_matrix(toy, k).to_csr() for k in (1, 2)]
+    assert sf.incidence_matrix(toy, 1).to_csr() is matrices[-2]
     matrices += [part for k in (0, 1, 2) for part in _hodge_parts(toy, k)]
-    assert sf.incidence_matrix(toy, 1).to_csr() is matrices[22]
     arrays = [weight] + [a for m in matrices for a in (m.data, m.indices, m.indptr)]
     for array in arrays:
         with pytest.raises(ValueError):
             array[...] = 0
+
+
+def test_step_operators_are_built_on_first_use():
+    from simplicial_filters._kernels import GramShift
+
+    # two triangles and a path of three edges on none, plus an isolated node
+    sc = sf.build_complex(8, [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3), (3, 4), (4, 5), (5, 6)],
+                          [(0, 1, 2), (1, 2, 3)])
+    b1, b2 = sf.boundary_csr(sc, 1), sf.boundary_csr(sc, 2)
+    low, up = GramShift(b1.T, b1), sf.ShiftMatrix(b2, b2.T)
+    assert "small" not in vars(low) and "small" not in vars(up)
+    # the node Gram over the 7 nodes with an edge; the upper shift over the 5
+    # edges on a triangle
+    assert low.small is low.small and low.small.shape == (7, 7)
+    assert up.small is up.small and up.small.shape == (5, 5)
+    flow = np.arange(1.0, sc.n_edges + 1)
+    np.testing.assert_array_equal(up.from_small(up.to_small(flow)), up @ flow)
+    np.testing.assert_array_equal(low.from_small(low.to_small(flow)), low @ flow)
+
+
+def test_recursions_step_on_no_more_entries_than_the_shift():
+    # a clique-filled complex's triangle Gram B2^T B2 stores sum_e t_e^2 - 2 N2
+    # entries against 6 N2 in B2 and B2^T (the complete complex on 12 vertices:
+    # 6160 against 1320), so the upper recursions step on the edges; the node
+    # Gram stores at most 4 N1 entries and leaves out the nodes without an edge
+    clique = [(u, v) for u in range(12) for v in range(u + 1, 12)]
+    cases = [sf.build_complex(12, clique, sf.infer_triangles(12, clique)),
+             random_complex(np.random.default_rng(5), edge_prob=0.8),
+             sf.generate_road_complex(1100, 2176, 11)] + degenerate_complexes()
+    for sc in cases:
+        for op in sf.shift_operators(sc) + sf.apps._normalized_operators(sc):
+            step = op.small
+            assert sum(f.nnz for f in step.factors) <= sum(f.nnz for f in op.factors)
+            assert step.shape[0] <= 2 * sc.n_edges
 
 
 def test_distributed_shift_rejects_negative_rounds(toy):
