@@ -10,7 +10,6 @@ from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse as sp
 
 from ._kernels import IDENTITY_CHUNK, GramShift, ShiftMatrix, identity_block
@@ -52,7 +51,6 @@ from .spectral import (
     distinct_frequencies,
     hodge_decompose,
     hodge_spectrum,
-    normalized_hodge_laplacian,
 )
 
 # safety margin applied to power-iteration spectral bounds before designing
@@ -460,14 +458,19 @@ def _subspace_norms(
 
 def _ranker(sc, gamma, method, order, samples, seed, power_steps):
     """The map from an (N1,) or (N1, k) right-hand side f to pi with
-    (gamma*I + L_n) pi = f: one LU factorization of the dense system (exact),
-    or a grid/cheb filter realizing 1/(gamma + lambda) over the normalized parts."""
+    (gamma*I + L_n) pi = f: one sparse factorization (exact), or a grid/cheb
+    filter realizing 1/(gamma + lambda) over the normalized parts.
+
+    L_n = R S R^-1 with S = sym_lower + sym_upper and R = diag(sqrt(d2)), so the
+    exact pi is R (gamma*I + S)^-1 R^-1 f, and gamma*I + S is SPD."""
     if gamma <= 0:
         raise DataError("gamma must be positive")
     if method == "exact":
-        system = gamma * np.eye(sc.n_edges) + normalized_hodge_laplacian(sc)
-        lu = scipy.linalg.lu_factor(system)
-        return lambda f: scipy.linalg.lu_solve(lu, f)
+        _, _, d2, sym_lower, sym_upper = _normalized_parts(sc)
+        root = np.sqrt(d2)
+        scale, unscale = sp.diags(root), sp.diags(1.0 / root)
+        lu = _factor(gamma * sp.identity(sc.n_edges) + sym_lower + sym_upper)
+        return lambda f: scale @ lu.solve(unscale @ f)
     low, up, sym_low, sym_up = _normalized_operators(sc)
     tops = _interval_tops((sym_low, sym_up), power_steps, seed)
     response = lambda lam: 1.0 / (gamma + lam)
@@ -513,8 +516,8 @@ def edge_pagerank_all(
     """PageRank for every edge.
 
     The identity runs through the method in column blocks: the exact path
-    solves against one LU factorization, grid/cheb run one SpMM recursion per
-    block.
+    solves against one sparse factorization, grid/cheb run one SpMM recursion
+    per block.
     """
     rank = _ranker(sc, gamma, method, order, samples, seed, power_steps)
     out = []

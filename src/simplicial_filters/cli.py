@@ -16,6 +16,11 @@ from .design import ChebyshevFilter
 from .errors import DataError, NumericalError
 from .fixtures import generate_road_complex
 
+GROUP_TOL_HELP = (
+    "Gap tolerance when counting distinct frequencies; gaps at or below the "
+    "spectrum's zero tolerance (1e-8 x its largest eigenvalue) always group."
+)
+
 
 @click.group(name="scfilter")
 def cli() -> None:
@@ -28,8 +33,7 @@ def _load_sc(path):
 
 @cli.command()
 @click.option("--sc", "sc_path", required=True, type=click.Path())
-@click.option("--group-tol", default=0.0, show_default=True,
-              help="Gap tolerance when counting distinct frequencies.")
+@click.option("--group-tol", default=0.0, show_default=True, help=GROUP_TOL_HELP)
 def info(sc_path, group_tol):
     """Print size and spectral-dimension statistics of a complex."""
     sc = _load_sc(sc_path)
@@ -92,7 +96,7 @@ def decompose(sc_path, signal_path, out_path):
               help="Grid samples per frequency interval.")
 @click.option("--quadrature", default=0, show_default=True,
               help="Chebyshev quadrature nodes (0 = automatic).")
-@click.option("--group-tol", default=0.0, show_default=True)
+@click.option("--group-tol", default=0.0, show_default=True, help=GROUP_TOL_HELP)
 @click.option("--power-steps", default=50, show_default=True)
 @click.option("--seed", default=0, show_default=True)
 @click.option("--out", "out_path", required=True, type=click.Path())
@@ -199,7 +203,7 @@ def filter_cmd(sc_path, filter_path, signal_path, out_path):
               default="spectral", show_default=True)
 @click.option("--order-lower", type=int, default=None)
 @click.option("--order-upper", type=int, default=None)
-@click.option("--group-tol", default=0.0, show_default=True)
+@click.option("--group-tol", default=0.0, show_default=True, help=GROUP_TOL_HELP)
 @click.option("--seed", default=0, show_default=True)
 @click.option("--power-steps", default=50, show_default=True)
 @click.option("--out", "out_path", required=True, type=click.Path())

@@ -275,8 +275,8 @@ def _curve_from_json(obj, label: str) -> ResponseCurve | None:
     if not isinstance(obj, dict) or "family" not in obj:
         raise DataError(f"{label} curve needs a 'family' field")
     family = obj["family"]
-    lam_min = float(obj.get("min", 0.0))
     try:
+        lam_min = float(obj.get("min", 0.0))
         if family == "constant":
             return response_constant(obj["value"], obj["max"], lam_min)
         if family == "ideal-step":
@@ -289,6 +289,8 @@ def _curve_from_json(obj, label: str) -> ResponseCurve | None:
             return response_table([(p[0], p[1]) for p in obj["points"]])
     except KeyError as exc:
         raise DataError(f"{label} {family} curve is missing parameter {exc}") from exc
+    except (TypeError, ValueError, IndexError) as exc:
+        raise DataError(f"{label} {family} curve holds a malformed value: {exc}") from exc
     raise DataError(f"unknown response family {family!r}")
 
 
@@ -296,8 +298,12 @@ def load_response_spec(path) -> ResponseSpec:
     data = _read_json(path)
     if not isinstance(data, dict) or "g0" not in data:
         raise DataError(f"response spec {path} needs a 'g0' field")
+    try:
+        g0 = float(data["g0"])
+    except (TypeError, ValueError) as exc:
+        raise DataError(f"response spec {path} holds a non-numeric g0: {exc}") from exc
     return ResponseSpec(
-        g0=float(data["g0"]),
+        g0=g0,
         gradient=_curve_from_json(data.get("gradient"), "gradient"),
         curl=_curve_from_json(data.get("curl"), "curl"),
     )

@@ -1,14 +1,15 @@
 """Hodge Laplacians and their spectral machinery.
 
-Eigendecomposition into harmonic/gradient/curl blocks, the simplicial Fourier
-transform, divergence/curl operators, the eigen-free Hodge decomposition of
-edge flows by sparse least squares, and the normalized edge Laplacian used for
-ranking.
+Frequencies of the gradient and curl blocks from the small Grams of the
+incidences, eigenbases of the harmonic/gradient/curl split on demand, the
+simplicial Fourier transform, divergence/curl operators, the eigen-free Hodge
+decomposition of edge flows by sparse least squares, and the normalized edge
+Laplacian used for ranking.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 
 import numpy as np
 import scipy.sparse as sp
@@ -73,7 +74,7 @@ def hodge_laplacian(obj: SimplicialComplex | OrientedComplex, k: int = 1) -> Hod
     """Dense Hodge Laplacians at order k (lower part zero for k=0, upper for k=2).
 
     A dense O(N_k^2) view of the sparse parts the package works on, built on
-    each call: an oracle for tests and for the dense eigen and exact paths.
+    each call: an oracle for tests and for callers that ask for dense matrices.
     """
     lower, upper = _hodge_parts(obj, k)
     return HodgeLaplacians(lower.toarray(), upper.toarray())
@@ -81,16 +82,18 @@ def hodge_laplacian(obj: SimplicialComplex | OrientedComplex, k: int = 1) -> Hod
 
 @dataclass(frozen=True)
 class HodgeSpectrum:
-    """Eigenbasis of the edge space split into harmonic/gradient/curl blocks.
+    """Frequencies of the edge space, split into harmonic/gradient/curl blocks.
 
-    Gradient vectors are nonzero-eigenvalue eigenvectors of the lower
-    Laplacian, curl vectors of the upper one, harmonic vectors span the null
-    space of the total Laplacian. The full basis [U_H U_G U_C] is orthonormal.
+    The gradient frequencies are the nonzero eigenvalues of the lower
+    Laplacian B1^T B1, the curl frequencies those of the upper one B2 B2^T,
+    both ascending; every eigenvalue at or below ``zero_tol`` counts as zero.
+    The eigenbases are built from the complex on first access and kept:
+    gradient vectors are eigenvectors of the lower Laplacian, curl vectors of
+    the upper one, harmonic vectors span the null space of both, and the full
+    basis [U_H U_G U_C] is orthonormal. All arrays are read-only.
     """
 
-    u_harmonic: np.ndarray
-    u_gradient: np.ndarray
-    u_curl: np.ndarray
+    sc: SimplicialComplex | OrientedComplex = field(repr=False)
     lambda_gradient: np.ndarray
     lambda_curl: np.ndarray
     zero_tol: float
@@ -99,20 +102,44 @@ class HodgeSpectrum:
         _freeze(self)
 
     @property
-    def n_harmonic(self) -> int:
-        return self.u_harmonic.shape[1]
-
-    @property
     def n_gradient(self) -> int:
-        return self.u_gradient.shape[1]
+        return len(self.lambda_gradient)
 
     @property
     def n_curl(self) -> int:
-        return self.u_curl.shape[1]
+        return len(self.lambda_curl)
 
     @property
+    def n_harmonic(self) -> int:
+        return boundary_csr(self.sc, 1).shape[1] - self.n_gradient - self.n_curl
+
+    @cached_property
+    def u_gradient(self) -> np.ndarray:
+        return _side_basis(self.sc, "gradient", self.n_gradient)
+
+    @cached_property
+    def u_curl(self) -> np.ndarray:
+        return _side_basis(self.sc, "curl", self.n_curl)
+
+    @cached_property
+    def u_harmonic(self) -> np.ndarray:
+        # the residual of a random block after both projections spans the
+        # harmonic space; projecting twice removes what the first pass leaves
+        x = np.random.default_rng(0).standard_normal(
+            (boundary_csr(self.sc, 1).shape[1], self.n_harmonic)
+        )
+        for _ in range(2):
+            x = x - _projector(self.sc, "gradient")(x) - _projector(self.sc, "curl")(x)
+        return _read_only(_fix_signs(np.linalg.qr(x)[0]))
+
+    @cached_property
     def basis(self) -> np.ndarray:
-        return np.hstack([self.u_harmonic, self.u_gradient, self.u_curl])
+        return _read_only(np.hstack([self.u_harmonic, self.u_gradient, self.u_curl]))
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.setflags(write=False)
+    return array
 
 
 def _fix_signs(vectors: np.ndarray) -> np.ndarray:
@@ -126,38 +153,65 @@ def _fix_signs(vectors: np.ndarray) -> np.ndarray:
     return out
 
 
-def _eigh(matrix: np.ndarray):
+def _eigh(matrix: np.ndarray, vectors: bool = True):
     try:
-        return np.linalg.eigh(matrix)
+        return np.linalg.eigh(matrix) if vectors else np.linalg.eigvalsh(matrix)
     except np.linalg.LinAlgError as exc:
         raise EigenFailure(f"symmetric eigensolver failed: {exc}") from exc
 
 
+def _side_gram(obj: SimplicialComplex | OrientedComplex, side: str):
+    """The smaller Gram of one side's incidence G, dense.
+
+    G is B1^T (side "gradient") or B2 ("curl"), restricted to its nonempty rows
+    (edges) and columns (nodes with an edge, triangles). G G^T is the edge-space
+    Laplacian part there and G^T G the node or triangle Gram; both have the
+    same nonzero eigenvalues (Lim, "Hodge Laplacians on graphs", SIAM Review
+    2020), so the one with fewer rows is built. Returns (rows, G, on_edges,
+    gram): the edge indices of G's rows, G itself, whether the Gram is G G^T,
+    and the Gram.
+    """
+    g = sp.csr_matrix(boundary_csr(obj, 1).T if side == "gradient" else boundary_csr(obj, 2))
+    rows = np.flatnonzero(np.diff(g.indptr))
+    cols = np.flatnonzero(np.bincount(g.indices, minlength=g.shape[1]))
+    g = g[rows][:, cols]
+    on_edges = g.shape[0] <= g.shape[1]
+    gram = g @ g.T if on_edges else g.T @ g
+    return rows, g, on_edges, gram.toarray()
+
+
+def _side_basis(obj: SimplicialComplex | OrientedComplex, side: str, count: int) -> np.ndarray:
+    """Orthonormal eigenvectors of one side's edge-space part for its ``count``
+    largest eigenvalues, from the eigenvectors of the Gram of `_side_gram`:
+    u = G v / sqrt(lambda) when that Gram is G^T G."""
+    rows, g, on_edges, gram = _side_gram(obj, side)
+    w, v = _eigh(gram)
+    w, v = w[w.size - count :], v[:, w.size - count :]
+    out = np.zeros((boundary_csr(obj, 1).shape[1], count))
+    out[rows] = v if on_edges else (g @ v) / np.sqrt(w)
+    return _read_only(_fix_signs(out))
+
+
 @lru_cache(maxsize=64)
-def hodge_spectrum(sc: SimplicialComplex) -> HodgeSpectrum:
-    """Full spectral split of the edge space with deterministic signs."""
-    lap = hodge_laplacian(sc, 1)
-    w_total, v_total = _eigh(lap.total)
-    lam_max = float(w_total[-1]) if w_total.size else 0.0
-    zero_tol = ZERO_TOL_FACTOR * lam_max
+def hodge_spectrum(sc: SimplicialComplex | OrientedComplex) -> HodgeSpectrum:
+    """Gradient and curl frequencies of the edge space, eigenbases on demand.
 
-    w_low, v_low = _eigh(lap.lower)
-    keep = w_low > zero_tol
-    u_gradient = _fix_signs(v_low[:, keep])
-    lambda_gradient = w_low[keep]
-
-    w_up, v_up = _eigh(lap.upper)
-    keep = w_up > zero_tol
-    u_curl = _fix_signs(v_up[:, keep])
-    lambda_curl = w_up[keep]
-
-    u_harmonic = _fix_signs(v_total[:, w_total <= zero_tol])
+    The eigenvalues come from one dense `eigvalsh` per side, of the smaller
+    Gram of its incidence (`_side_gram`): on road complexes the node Gram
+    B1 B1^T and the triangle Gram B2^T B2, on a complete clique complex the
+    node Gram and the upper Laplacian on the edges. No N1 x N1 matrix is built
+    unless the edges are the smaller side. ``zero_tol`` is ZERO_TOL_FACTOR
+    times the largest eigenvalue of either side, which is the largest of the
+    total Laplacian, and the harmonic count is N1 minus the other two.
+    """
+    w_grad, w_curl = (
+        _eigh(_side_gram(sc, side)[3], vectors=False) for side in ("gradient", "curl")
+    )
+    zero_tol = ZERO_TOL_FACTOR * float(max(w_grad.max(initial=0.0), w_curl.max(initial=0.0)))
     return HodgeSpectrum(
-        u_harmonic=u_harmonic,
-        u_gradient=u_gradient,
-        u_curl=u_curl,
-        lambda_gradient=lambda_gradient,
-        lambda_curl=lambda_curl,
+        sc=sc,
+        lambda_gradient=w_grad[w_grad > zero_tol],
+        lambda_curl=w_curl[w_curl > zero_tol],
         zero_tol=zero_tol,
     )
 
@@ -255,7 +309,7 @@ def _projector(sc: SimplicialComplex, side: str, weighted: bool = False):
         lu = _factor(gram)
         return lambda y: g @ lu.solve(gt @ y)
 
-    if gram.nnz >= sc.n_edges**2:
+    if gram.nnz >= g.shape[0] ** 2:
         from scipy.linalg import qr
 
         q, r, _ = qr((g @ gt).toarray(), mode="economic", pivoting=True)
@@ -322,13 +376,17 @@ def distinct_frequencies(
     """Distinct gradient and curl frequencies under single-linkage grouping.
 
     A new group starts when the gap to the previous (sorted) eigenvalue
-    exceeds grouping_tol; each group is represented by its mean.
+    exceeds max(grouping_tol, spectrum.zero_tol); each group is represented by
+    its mean. Gaps at or below ``zero_tol`` are rounding noise of the
+    eigensolver, not distinct frequencies: a repeated eigenvalue comes out as
+    several values a few ulps of the largest one apart.
     """
     if grouping_tol < 0:
         raise DataError("grouping_tol must be nonnegative")
+    tol = max(grouping_tol, spectrum.zero_tol)
     return (
-        _group_sorted(spectrum.lambda_gradient, grouping_tol),
-        _group_sorted(spectrum.lambda_curl, grouping_tol),
+        _group_sorted(spectrum.lambda_gradient, tol),
+        _group_sorted(spectrum.lambda_curl, tol),
     )
 
 

@@ -3,7 +3,9 @@ import re
 import numpy as np
 import pytest
 
+import simplicial_filters as sf
 from simplicial_filters import build_complex, infer_triangles, toy_complex
+from simplicial_filters.complexes import OrientationPlan, PermutationPlan
 
 ACCEPTANCE_DETAILS = {}
 _ACCEPTANCE_OUTCOMES = {}
@@ -53,6 +55,23 @@ def degenerate_complexes():
         build_complex(4, tetra, infer_triangles(4, tetra)),
         build_complex(7, two_triangles, [(0, 1, 2), (3, 4, 5)]),
     ]
+
+
+def road_cases(rng):
+    """The 2176-edge road complex plain, reoriented and permuted, and every
+    degenerate complex."""
+    road = sf.generate_road_complex(1100, 2176, 11)
+    return [
+        road,
+        sf.reorient(road, OrientationPlan.random(road, rng)),
+        sf.permute(road, PermutationPlan.random(road, rng)),
+    ] + degenerate_complexes()
+
+
+def complete_complex(n):
+    """Every edge and every triangle on n vertices: N2 > N1 from n = 6 on."""
+    edges = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    return build_complex(n, edges, infer_triangles(n, edges))
 
 
 def dense_b1(sc):

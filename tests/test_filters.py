@@ -7,7 +7,7 @@ import simplicial_filters as sf
 from simplicial_filters import DataError, DimensionMismatch, FilterCoefficients
 from simplicial_filters.complexes import OrientationPlan, PermutationPlan
 
-from conftest import degenerate_complexes, random_complex
+from conftest import degenerate_complexes, random_complex, road_cases
 
 
 def dense_filter(sc, coeffs):
@@ -269,17 +269,6 @@ def test_distributed_shift_rejects_negative_rounds(toy):
             sf.distributed_shift(toy, flow, *rounds)
 
 
-def _road_cases(rng):
-    """The 2176-edge road complex plain, reoriented and permuted, and every
-    degenerate complex."""
-    road = sf.generate_road_complex(1100, 2176, 11)
-    return [
-        road,
-        sf.reorient(road, OrientationPlan.random(road, rng)),
-        sf.permute(road, PermutationPlan.random(road, rng)),
-    ] + degenerate_complexes()
-
-
 def test_factored_operators_match_assembled_parts():
     from simplicial_filters._kernels import IDENTITY_CHUNK, identity_block
     from simplicial_filters.complexes import _hodge_parts
@@ -287,7 +276,7 @@ def test_factored_operators_match_assembled_parts():
 
     rng = np.random.default_rng(7)
     eps = np.finfo(np.float64).eps
-    for obj in _road_cases(rng):
+    for obj in road_cases(rng):
         pairs = list(zip(sf.shift_operators(obj), _hodge_parts(obj, 1)))
         # the normalized parts are defined on plain complexes only
         if isinstance(obj, sf.SimplicialComplex):
@@ -324,7 +313,7 @@ def test_shared_sparse_matrices_are_canonical():
             assert m.has_canonical_format
             assert abs(m).nnz == m.nnz
 
-    for obj in _road_cases(np.random.default_rng(3)):
+    for obj in road_cases(np.random.default_rng(3)):
         check(part for k in (0, 1, 2) for part in _hodge_parts(obj, k))
         ops = list(sf.shift_operators(obj))
         if isinstance(obj, sf.SimplicialComplex):
@@ -399,7 +388,7 @@ def _assert_columns_bitwise(fn, block):
 @pytest.mark.parametrize("order", [0, 1, 2, 61])
 def test_small_side_recursions_match_edge_space_oracle(order):
     rng = np.random.default_rng(order)
-    for obj in _road_cases(rng):
+    for obj in road_cases(rng):
         low, up = sf.shift_operators(obj)
         n = low.shape[0]
         block = rng.standard_normal((n, 3))

@@ -416,3 +416,25 @@ def test_cli_bad_filter_file_exits_2(tmp_path, toy, capsys, command, name):
     assert run_cli(args) == 2
     assert "data error:" in capsys.readouterr().err
     assert not out_path.exists()
+
+
+BAD_RESPONSE_SPECS = {
+    # these used to end in a ValueError traceback (exit 1)
+    "text-g0": {"g0": "abc", "gradient": {"family": "constant", "value": 0.0, "max": 4.0}},
+    "text-logistic-k": {"g0": 0.5, "gradient": {"family": "logistic", "k": "x",
+                                                "lambda0": 1.0, "max": 4.0}},
+    # an IndexError traceback (exit 1)
+    "short-table-point": {"g0": 1.0, "gradient": {"family": "table",
+                                                  "points": [[0.0, 1.0], [2.0]]}},
+}
+
+
+@pytest.mark.parametrize("name", list(BAD_RESPONSE_SPECS))
+def test_cli_bad_response_spec_exits_2(tmp_path, capsys, name):
+    spec_path, out_path = tmp_path / "spec.json", tmp_path / "h.json"
+    spec_path.write_text(json.dumps(BAD_RESPONSE_SPECS[name]))
+    args = ["design", "--method", "cheb", "--order-lower", "5", "--spec", str(spec_path),
+            "--out", str(out_path)]
+    assert run_cli(args) == 2
+    assert "data error:" in capsys.readouterr().err
+    assert not out_path.exists()

@@ -1,3 +1,4 @@
+import tracemalloc
 from itertools import chain
 
 import numpy as np
@@ -5,9 +6,17 @@ import pytest
 
 import simplicial_filters as sf
 from simplicial_filters import DimensionMismatch, hodge_laplacian, hodge_spectrum
+from simplicial_filters.complexes import _hodge_parts
 from simplicial_filters.spectral import ZERO_TOL_FACTOR, _projector
 
-from conftest import degenerate_complexes, dense_b1, dense_b2, random_complex
+from conftest import (
+    complete_complex,
+    degenerate_complexes,
+    dense_b1,
+    dense_b2,
+    random_complex,
+    road_cases,
+)
 
 
 def test_laplacian_assembly(toy):
@@ -59,6 +68,89 @@ def test_spectrum_toy_values(toy):
     )
     np.testing.assert_allclose(spec.lambda_curl, [2.0, 3.0, 4.0], atol=1e-10)
     assert spec.zero_tol == pytest.approx(ZERO_TOL_FACTOR * spec.lambda_gradient[-1])
+
+
+def _oracle_frequencies(obj):
+    """Nonzero eigenvalues of the dense lower and upper edge Laplacians by
+    eigvalsh, under the relative zero threshold, with that threshold and the
+    largest eigenvalue."""
+    lap = hodge_laplacian(obj, 1)
+    w_low, w_up = np.linalg.eigvalsh(lap.lower), np.linalg.eigvalsh(lap.upper)
+    top = max(w_low.max(initial=0.0), w_up.max(initial=0.0))
+    tol = ZERO_TOL_FACTOR * top
+    return w_low[w_low > tol], w_up[w_up > tol], tol, top
+
+
+def test_spectrum_matches_dense_oracle():
+    # the frequencies come from the smaller Gram of each side: node and
+    # triangle Grams on road complexes, the edge side of the curl on a
+    # complete complex, whose triangles outnumber its edges
+    complete = complete_complex(12)
+    assert complete.n_triangles > complete.n_edges
+    road, reoriented, permuted, *degenerate = road_cases(np.random.default_rng(11))
+    # reorienting and relabeling are similarity transforms of both parts, so
+    # the three road complexes share one oracle
+    road_oracle = _oracle_frequencies(road)
+    cases = [(obj, road_oracle) for obj in (road, reoriented, permuted)]
+    cases += [(obj, _oracle_frequencies(obj)) for obj in degenerate + [complete]]
+    for obj, (grad, curl, tol, top) in cases:
+        spec = hodge_spectrum(obj)
+        n1 = sf.boundary_csr(obj, 1).shape[1]
+        assert (spec.n_gradient, spec.n_curl) == (len(grad), len(curl))
+        assert spec.n_harmonic == n1 - len(grad) - len(curl)
+        assert spec.zero_tol == pytest.approx(tol, rel=1e-12, abs=0.0)
+        np.testing.assert_allclose(spec.lambda_gradient, grad, rtol=0, atol=1e-12 * top)
+        np.testing.assert_allclose(spec.lambda_curl, curl, rtol=0, atol=1e-12 * top)
+        # the bases built on first access: orthonormal, and eigenvectors of
+        # their own part for the reported frequencies
+        lower, upper = _hodge_parts(obj, 1)
+        U = spec.basis
+        assert U.shape == (n1, n1)
+        np.testing.assert_allclose(U.T @ U, np.eye(n1), rtol=0, atol=1e-12)
+        for part, u, lam in ((lower, spec.u_gradient, spec.lambda_gradient),
+                             (upper, spec.u_curl, spec.lambda_curl),
+                             (lower + upper, spec.u_harmonic, np.zeros(spec.n_harmonic))):
+            assert np.abs(part @ u - u * lam).max(initial=0.0) <= 1e-12 * top
+
+
+def _gap_groups(values, tol):
+    return int(values.size and 1 + np.count_nonzero(np.diff(values) > tol))
+
+
+def test_distinct_frequencies_match_dense_oracle():
+    # gaps at or below zero_tol are eigensolver noise: grouped at tolerance 0,
+    # the 1088-edge complex had 157 curl frequencies from a dense eigh of the
+    # upper Laplacian, 181 from its eigvalsh and 188 from the triangle Gram,
+    # while its true gaps are all at least 2.8e-4
+    expect = {1088: (545, 97)}
+    for n0, n1 in ((546, 1088), (1100, 2176)):
+        sc = sf.generate_road_complex(n0, n1, 11)
+        grad, curl, tol, _ = _oracle_frequencies(sc)
+        dg, dc = sf.distinct_frequencies(hodge_spectrum(sc))
+        counts = (len(dg), len(dc))
+        assert counts == (_gap_groups(grad, tol), _gap_groups(curl, tol))
+        assert counts == expect.get(n1, counts)
+
+
+def _peak_traced_bytes(fn) -> int:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_frequencies_build_no_large_side_matrix():
+    # the frequencies of a road complex need no N1 x N1 matrix, and those of a
+    # complete complex no N2 x N2 one (the triangle Gram there is the larger side)
+    road = sf.generate_road_complex(1100, 2176, 11)
+    complete = complete_complex(40)
+    for sc, largest in ((road, road.n_edges), (complete, complete.n_triangles)):
+        sf.boundary_csr(sc, 1), sf.boundary_csr(sc, 2)
+        build = hodge_spectrum.__wrapped__  # past the cache
+        peak = _peak_traced_bytes(lambda: sf.distinct_frequencies(build(sc)))
+        assert peak < 8 * largest**2
 
 
 def test_basis_orthonormal(toy):
