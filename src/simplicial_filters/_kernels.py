@@ -4,26 +4,32 @@ The hot operation in this package is repeated sparse products with a
 Laplacian part (simplicial shifting). Each part is a product L = A B of two
 sparse factors, L_lower = B1^T B1 and L_upper = B2 B2^T (or diagonal scalings
 of them). One shift is two rounds of sparse products through the incidences,
-applied right to left: edge -> node -> edge or edge -> triangle -> edge.
+applied right to left: edge -> node -> edge or edge -> triangle -> edge. A
+shift runs on the rows and columns L touches only (for L_upper the edges on
+a triangle, for L_lower the nodes with an edge) and is padded back with
+zeros: every row sums the same entries in the same order as on the whole
+incidence, so the result is bitwise the same, and no intermediate has a row
+for a node or triangle that holds nothing (21800 edges, on a 2-CPU x86 VM:
+about 120 us against 170 us for an upper shift of one flow).
 
-The lower filter recursions run on the nodes instead. Every power L^l f with
-l >= 1 is A G^(l-1) B f with G = B A, here the node Gram B1 B1^T, which has
-the same nonzero spectrum as L (Lim, "Hodge Laplacians on graphs", SIAM
-Review 2020). So a recursion maps the flow onto the nodes once, steps there,
-and maps back once. A node step streams N0 + 2*N1 stored entries (N0 counting
-the nodes that have an edge), never more than the 4*N1 of an edge-space
-lower shift, on vectors of length N0 instead of N1.
-
-The upper recursions step on the edges, restricted to those on a triangle:
-L_upper is zero on every other edge, in its rows and columns alike. The
-triangle Gram B2^T B2 would store sum_e t_e^2 - 2*N2 entries, t_e being the
-number of triangles on edge e, against 6*N2 for the two incidence factors:
-fewer on sparse road complexes, but far more on clique-filled ones (a
-complete complex on n vertices has t_e = n - 2). Leaving out the edges
-without a triangle only shortens vectors and drops empty rows; on road
-complexes it is a third of the edges, and their empty rows of B2 cost more
-than the stored entries (at 21800 edges on a 2-CPU x86 VM, B2 y takes
-about 125 us with them and 55 us without).
+A filter recursion steps on whichever side of L = A B is cheaper. Every power
+L^l f with l >= 1 is A G^(l-1) B f with G = B A, which has the same nonzero
+spectrum as L (Lim, "Hodge Laplacians on graphs", SIAM Review 2020). So a
+recursion either maps the flow onto G's side once, steps there and maps back
+once, or steps with L itself on the rows and columns it touches. The side is
+fixed when the operator is built, from counts the factors already hold.
+When B has the sparsity pattern of A^T, as every Hodge part and its diagonal
+scalings do, G stores at most sum_e r_e^2 - nnz(A) + n_G entries, r_e being
+the entries in row e of A and n_G the columns of A that hold one. For an
+incidence pair that count is exact, since two simplices share at most one
+face. The recursions step on G when it is no more than nnz(A) + nnz(B), the
+entries of one step with L. For the lower parts that always holds (N0 + 2*N1 against 4*N1: the
+node Gram). For the upper parts it holds on road complexes (21800 edges:
+13,658 entries on the 6,116 triangles against 36,696 on 14,584 edges) and
+fails where cliques are filled, since a complete complex on n vertices has
+n - 2 triangles on every edge (a complete 60-vertex complex: 5,885,840
+against 205,320); there the recursions stay on the edges and G is never
+built.
 
 A single flow of shape ``(n,)`` runs as one CSR matvec per factor, a block
 of ``k`` flows of shape ``(n, k)`` as one SpMM per factor. Both accumulate
@@ -63,12 +69,14 @@ class ShiftMatrix:
     vector or an ``(n, k)`` block, ``n`` being the operator's column count.
 
     The filter recursions step on ``small`` and compute L^l x as
-    ``from_small(small^(l-1) to_small(x))``. Here ``small`` is L restricted to
-    the rows and columns it touches (the rows of A and the columns of B that
-    hold entries), built on first use, or L itself when that is all of them;
-    ``to_small`` applies it to x's entries there and ``from_small`` pads its
-    result back with zeros. `GramShift` steps on the other side of the
-    product instead.
+    ``from_small(small^(l-1) to_small(x))``. When ``on_gram`` is set, ``small``
+    is the one-factor operator G = B A over the inner indices both factors
+    use; ``to_small`` applies B and ``from_small`` applies A, once per series.
+    Otherwise ``small`` is L restricted to the rows and columns it touches, or
+    L itself when that is all of them; ``to_small`` applies L and keeps those
+    rows, and ``from_small`` pads them back with zeros. ``gram_bound`` is the
+    bound on G's stored entries that decides the side (None for one matrix).
+    ``small`` is built on first use and kept.
     """
 
     def __init__(self, *factors):
@@ -81,6 +89,27 @@ class ShiftMatrix:
             if left.shape[1] != right.shape[0]:
                 raise ValueError(f"factor shapes {left.shape} and {right.shape} do not chain")
         self.shape = (self.factors[0].shape[0], self.factors[-1].shape[1])
+        if self.shape[0] != self.shape[1]:
+            raise ValueError(f"a shift operator is square, not {self.shape}")
+        touched = np.diff(self.factors[0].indptr) > 0
+        touched[self.factors[-1].indices] = True
+        # the rows and columns L touches, None when that is all of them; the
+        # last factor's other columns are empty and cost nothing, so only the
+        # first factor's rows are cut
+        self._support = None if touched.all() else np.flatnonzero(touched)
+        self.gram_bound, self.on_gram = None, False
+        if len(self.factors) == 1:
+            self._on_support = (_restrict(self.factors[0], self._support, None),)
+            return
+        a, b = self.factors
+        # inner indices used by both factors; the others carry nothing
+        inner = (np.diff(b.indptr) > 0) & (np.bincount(a.indices, minlength=a.shape[1]) > 0)
+        inner = None if inner.all() else np.flatnonzero(inner)
+        a, b = _restrict(a, self._support, inner), _restrict(b, inner, None)
+        self._on_support = (a, b)
+        rows = np.diff(a.indptr).astype(np.int64)
+        self.gram_bound = int(rows @ rows) - a.nnz + a.shape[1]
+        self.on_gram = self.gram_bound <= a.nnz + b.nnz
 
     def matvec(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
@@ -88,66 +117,52 @@ class ShiftMatrix:
             raise ValueError(
                 f"operand shape {x.shape} does not match operator {self.shape}"
             )
-        for factor in reversed(self.factors):
-            x = factor @ x
-        return x
+        return self._pad(self._shift(x))
 
     def __matmul__(self, x):
         return self.matvec(x)
 
-    @functools.cached_property
-    def _support(self) -> np.ndarray:
-        touched = np.diff(self.factors[0].indptr) > 0
-        touched[self.factors[-1].indices] = True
-        return np.flatnonzero(touched)
+    def _shift(self, x: np.ndarray) -> np.ndarray:
+        # L x on the support
+        for factor in reversed(self._on_support):
+            x = factor @ x
+        return x
 
-    @functools.cached_property
-    def small(self) -> ShiftMatrix:
-        s = self._support
-        if s.size == self.shape[0]:
-            return self
-        if len(self.factors) == 1:
-            return ShiftMatrix(self.factors[0][s][:, s])
-        a, b = self.factors
-        return ShiftMatrix(a[s], b[:, s])
-
-    def to_small(self, x: np.ndarray) -> np.ndarray:
-        if self.small is self:
-            return self.matvec(x)
-        return self.small.matvec(x[self._support])
-
-    def from_small(self, y: np.ndarray) -> np.ndarray:
-        if self.small is self:
+    def _pad(self, y: np.ndarray) -> np.ndarray:
+        if self._support is None:
             return y
         out = np.zeros((self.shape[0],) + y.shape[1:])
         out[self._support] = y
         return out
 
-
-class GramShift(ShiftMatrix):
-    """Shift operator L = A B whose filter recursions step on G = B A.
-
-    ``small`` is the one-factor operator G, built on first use and kept;
-    ``to_small`` applies B and ``from_small`` applies A, once per series.
-    Rows of B without stored entries (nodes without an edge) and the matching
-    columns of A are left out: they carry nothing, and L is unchanged.
-    """
-
-    def __init__(self, a, b):
-        b = sp.csr_matrix(b)
-        used = np.flatnonzero(np.diff(b.indptr))
-        super().__init__(sp.csr_matrix(a)[:, used], b[used])
-
     @functools.cached_property
     def small(self) -> ShiftMatrix:
-        a, b = self.factors
-        return ShiftMatrix(b @ a)
+        *head, last = self._on_support
+        last = _restrict(last, None, self._support)
+        if self.on_gram:
+            return ShiftMatrix(last @ head[0])
+        return self if self._support is None else ShiftMatrix(*head, last)
 
     def to_small(self, x: np.ndarray) -> np.ndarray:
-        return self.factors[1] @ x
+        if self.on_gram:
+            return self._on_support[1] @ x
+        return self._shift(x)
 
     def from_small(self, y: np.ndarray) -> np.ndarray:
-        return self.factors[0] @ y
+        if self.on_gram:
+            y = self._on_support[0] @ y
+        return self._pad(y)
+
+
+def _restrict(m: sp.csr_matrix, rows, cols) -> sp.csr_matrix:
+    """m restricted to the given row and column indices (None keeps them all)."""
+    if rows is None and cols is None:
+        return m
+    if rows is not None:
+        m = m[rows]
+    if cols is not None:
+        m = m[:, cols]
+    return read_only(m)
 
 
 def identity_block(n: int, start: int) -> np.ndarray:

@@ -12,7 +12,7 @@ from typing import NamedTuple
 import numpy as np
 import scipy.sparse as sp
 
-from ._kernels import IDENTITY_CHUNK, GramShift, ShiftMatrix, identity_block
+from ._kernels import IDENTITY_CHUNK, ShiftMatrix, identity_block
 from .complexes import (
     SimplicialComplex,
     _hodge_parts,
@@ -422,16 +422,16 @@ def _normalized_split(sc: SimplicialComplex):
 @lru_cache(maxsize=32)
 def _normalized_operators(sc: SimplicialComplex) -> tuple[ShiftMatrix, ...]:
     """The normalized parts lower, upper, sym_lower, sym_upper as incidence
-    products, scaled by the diagonals of `_normalized_parts`; the lower two
-    step on nodes and the upper two on edges, as in `shift_operators`."""
+    products, scaled by the diagonals of `_normalized_parts`; each steps on
+    the side `ShiftMatrix` picks, as in `shift_operators`."""
     b1, b2 = boundary_csr(sc, 1), boundary_csr(sc, 2)
     d1, d2 = _normalized_degrees(sc)
     inv_d1, inv_d2 = sp.diags(1.0 / d1), sp.diags(1.0 / d2)
     root, inv_root = sp.diags(np.sqrt(d2)), sp.diags(1.0 / np.sqrt(d2))
     return (
-        GramShift(sp.diags(d2) @ b1.T @ inv_d1, b1),
+        ShiftMatrix(sp.diags(d2) @ b1.T @ inv_d1, b1),
         ShiftMatrix(b2 / 3.0, b2.T @ inv_d2),
-        GramShift(root @ b1.T @ inv_d1, b1 @ root),
+        ShiftMatrix(root @ b1.T @ inv_d1, b1 @ root),
         ShiftMatrix(inv_root @ b2 / 3.0, b2.T @ inv_root),
     )
 

@@ -151,8 +151,7 @@ def _cheb_bounds(spec, sc_path, power_steps, seed):
 @click.option("--sc", "sc_path", required=True, type=click.Path())
 @click.option("--filter", "filter_path", required=True, type=click.Path())
 @click.option("--out", "out_path", required=True, type=click.Path())
-@click.option("--group-tol", default=0.0, show_default=True)
-def response(sc_path, filter_path, out_path, group_tol):
+def response(sc_path, filter_path, out_path):
     """Evaluate a filter's frequency response on a complex's spectrum (CSV)."""
     sc = _load_sc(sc_path)
     filt = io.load_filter(filter_path)
@@ -165,8 +164,7 @@ def response(sc_path, filter_path, out_path, group_tol):
         for lam in spectrum_.lambda_curl:
             rows.append((float(lam), "C", design.chebyshev_response(filt, lam, "curl")))
     else:
-        resp = filters.frequency_response(filt, spectrum_)
-        rows.append((0.0, "H", resp.at_harmonic))
+        rows.append((0.0, "H", filt.h0))
         for lam in spectrum_.lambda_gradient:
             rows.append((float(lam), "G", filters.polynomial_response(filt, lam, "gradient")))
         for lam in spectrum_.lambda_curl:

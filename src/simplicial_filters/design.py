@@ -442,9 +442,10 @@ def _series_apply(
     op: ShiftMatrix, omega: float, coeffs: Sequence[float], flow: np.ndarray
 ) -> np.ndarray:
     """Sum the shifted-Chebyshev series of L = A B on a flow, stepping on the
-    operator's ``small`` side G = B A: the node Gram for the lower operators;
-    for the upper ones L itself on the edges that lie on a triangle (B applies
-    L there, A pads with zeros).
+    operator's ``small`` side G = B A: its Gram when ``op.on_gram`` (the node
+    Gram for the lower operators, the triangle Gram for the upper ones on road
+    complexes), else L itself on the edges it touches (B applies L there, A
+    pads with zeros).
 
     The edge-space terms w_0 = f, w_1 = (L/omega - I) f,
     w_{k+1} = 2 (L/omega - I) w_k - w_{k-1} are w_k = (-1)^k f + A v_k with

@@ -3,10 +3,11 @@
 A filter is the matrix polynomial h0*I + sum_l alpha_l * L_lower^l
 + sum_l beta_l * L_upper^l applied to edge flows. Application always runs as
 a per-step recursion over sparse shifts, on one flow or on a block of flows;
-dense polynomial matrices are never formed. The lower recursion steps on the
-nodes, L_lower^l f = B1^T (B1 B1^T)^(l-1) B1 f, one product with the node
-Gram per step; the upper recursion steps on the edges that lie on a triangle
-(see ``_kernels``).
+dense polynomial matrices are never formed. Each recursion steps on the
+cheaper side of its shift L = A B (see ``_kernels``): the lower one on the
+nodes, L_lower^l f = B1^T (B1 B1^T)^(l-1) B1 f, and the upper one on the
+triangles of road complexes, L_upper^l f = B2 (B2^T B2)^(l-1) B2^T f, or on
+the edges on a triangle where cliques are filled.
 """
 from __future__ import annotations
 
@@ -16,7 +17,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from ._kernels import GramShift, ShiftMatrix
+from ._kernels import ShiftMatrix
 from .complexes import (
     OrientedComplex,
     SimplicialComplex,
@@ -59,13 +60,14 @@ def shift_operators(
 ) -> tuple[ShiftMatrix, ShiftMatrix]:
     """Cached lower/upper Laplacian operators of a complex, as incidence products.
 
-    The lower one applies B1^T (B1 f) and its recursions step on the node Gram
-    B1 B1^T; the upper one applies B2 (B2^T f) and its recursions step on the
-    edges that lie on a triangle. Each takes an (N1,) flow or an (N1, k) block
-    of flows.
+    The lower one applies B1^T (B1 f), the upper one B2 (B2^T f); each takes an
+    (N1,) flow or an (N1, k) block of flows. Their recursions step on the side
+    `ShiftMatrix` picks: the node Gram B1 B1^T for the lower one, and for the
+    upper one the triangle Gram B2^T B2 where it stores no more entries than
+    B2 and B2^T, else the edges that lie on a triangle.
     """
     b1, b2 = boundary_csr(obj, 1), boundary_csr(obj, 2)
-    return GramShift(b1.T, b1), ShiftMatrix(b2, b2.T)
+    return ShiftMatrix(b1.T, b1), ShiftMatrix(b2, b2.T)
 
 
 def _check_edge_flow(obj: SimplicialComplex | OrientedComplex, flow) -> np.ndarray:
@@ -102,9 +104,9 @@ def apply_operators(
     """Run the filter recursion against explicit shift operators.
 
     ``flow`` is one flow (N1,) or a block (N1, k); a block runs as one SpMM
-    per step. Each side's powers run on that operator's ``small`` side (the
-    nodes for a `GramShift`, else the edges the operator touches), with one
-    map into it and one back.
+    per step. Each side's powers run on that operator's ``small`` side (its
+    Gram when ``on_gram``, else the edges the operator touches), with one map
+    into it and one back.
     """
     out = coeffs.h0 * flow
     for label, op, taps in (("lower", op_lower, coeffs.alpha),

@@ -74,6 +74,14 @@ def complete_complex(n):
     return build_complex(n, edges, infer_triangles(n, edges))
 
 
+def road_with_clique(n=25):
+    """The 1088-edge road complex with every edge among its first n vertices
+    added and every 3-clique filled: sparse roads around one crowded block."""
+    road = sf.generate_road_complex(546, 1088, 11)
+    edges = sorted(set(road.edges) | {(u, v) for u in range(n) for v in range(u + 1, n)})
+    return build_complex(road.vertex_count, edges, infer_triangles(road.vertex_count, edges))
+
+
 def dense_b1(sc):
     """Node-edge incidence built directly from the sign rule."""
     out = np.zeros((sc.vertex_count, sc.n_edges), dtype=np.int64)

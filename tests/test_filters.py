@@ -7,7 +7,13 @@ import simplicial_filters as sf
 from simplicial_filters import DataError, DimensionMismatch, FilterCoefficients
 from simplicial_filters.complexes import OrientationPlan, PermutationPlan
 
-from conftest import degenerate_complexes, random_complex, road_cases
+from conftest import (
+    complete_complex,
+    degenerate_complexes,
+    random_complex,
+    road_cases,
+    road_with_clique,
+)
 
 
 def dense_filter(sc, coeffs):
@@ -229,18 +235,17 @@ def test_shift_operators_cached_and_read_only(toy):
 
 
 def test_step_operators_are_built_on_first_use():
-    from simplicial_filters._kernels import GramShift
-
     # two triangles and a path of three edges on none, plus an isolated node
     sc = sf.build_complex(8, [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3), (3, 4), (4, 5), (5, 6)],
                           [(0, 1, 2), (1, 2, 3)])
     b1, b2 = sf.boundary_csr(sc, 1), sf.boundary_csr(sc, 2)
-    low, up = GramShift(b1.T, b1), sf.ShiftMatrix(b2, b2.T)
+    low, up = sf.ShiftMatrix(b1.T, b1), sf.ShiftMatrix(b2, b2.T)
     assert "small" not in vars(low) and "small" not in vars(up)
-    # the node Gram over the 7 nodes with an edge; the upper shift over the 5
-    # edges on a triangle
+    # the node Gram over the 7 nodes with an edge; the triangle Gram over the
+    # 2 triangles (4 entries, against 12 in B2 and B2^T on the 5 edges they span)
+    assert low.on_gram and up.on_gram
     assert low.small is low.small and low.small.shape == (7, 7)
-    assert up.small is up.small and up.small.shape == (5, 5)
+    assert up.small is up.small and up.small.shape == (2, 2)
     flow = np.arange(1.0, sc.n_edges + 1)
     np.testing.assert_array_equal(up.from_small(up.to_small(flow)), up @ flow)
     np.testing.assert_array_equal(low.from_small(low.to_small(flow)), low @ flow)
@@ -260,6 +265,99 @@ def test_recursions_step_on_no_more_entries_than_the_shift():
             step = op.small
             assert sum(f.nnz for f in step.factors) <= sum(f.nnz for f in op.factors)
             assert step.shape[0] <= 2 * sc.n_edges
+
+
+def _all_operators(sc):
+    return sf.shift_operators(sc) + sf.apps._normalized_operators(sc)
+
+
+def test_gram_bound_counts_the_gram_entries():
+    # two simplices share at most one face, so for every incidence pair the
+    # bound sum_e r_e^2 - nnz(A) + n_G is G's stored entry count, not just above it
+    cases = [sf.generate_road_complex(546, 1088, 11), sf.generate_road_complex(1100, 2176, 11),
+             complete_complex(5), complete_complex(12), road_with_clique()]
+    for sc in cases + degenerate_complexes():
+        for op in _all_operators(sc):
+            a, b = op.factors
+            assert op.gram_bound == (b @ a).nnz
+            assert op.on_gram == (op.gram_bound <= a.nnz + b.nnz)
+
+
+def test_upper_recursions_step_on_the_cheaper_side():
+    # road complexes: the triangle Gram, on vectors of length N2
+    for sc in (sf.generate_road_complex(546, 1088, 11), sf.generate_road_complex(1100, 2176, 11)):
+        for op in _all_operators(sc)[1::2]:
+            assert op.on_gram and op.small.shape == (sc.n_triangles, sc.n_triangles)
+    # clique-filled complexes: the edges on a triangle, and no Gram is built
+    for sc in (complete_complex(12), complete_complex(60), road_with_clique()):
+        on_triangle = np.count_nonzero(np.diff(sf.boundary_csr(sc, 2).indptr))
+        for op in _all_operators(sc)[1::2]:
+            assert not op.on_gram and op.gram_bound > sum(f.nnz for f in op.factors)
+            assert op.small.shape == (on_triangle, on_triangle)
+            assert len(op.small.factors) == 2
+    # the lower recursions stay on the node Gram everywhere
+    for sc in (complete_complex(12), road_with_clique()) + tuple(degenerate_complexes()):
+        assert all(op.on_gram for op in _all_operators(sc)[0::2])
+
+
+def test_clique_filled_operators_build_no_gram():
+    # a complete 60-vertex complex: the triangle Gram would hold 5,885,840
+    # entries (about 70 MB at 12 B each); operators and a two-sided filter
+    # stay on the edges and the node Gram, far below that
+    import tracemalloc
+
+    sc = complete_complex(60)
+    flow = np.random.default_rng(0).standard_normal(sc.n_edges)
+    # complexes compare by value, so another test may have built these
+    # operators and their step sides already; build them inside the trace
+    sf.shift_operators.cache_clear()
+    sf.apps._normalized_operators.cache_clear()
+    tracemalloc.start()
+    try:
+        up = sf.shift_operators(sc)[1]
+        sf.apps._normalized_operators(sc)
+        sf.apply(sc, FilterCoefficients(1.0, (0.5, 0.25), (0.5, 0.25)), flow)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert up.gram_bound == 5_885_840
+    assert peak < 12 * up.gram_bound
+
+
+def test_block_shift_has_no_row_for_an_isolated_node():
+    # 100,000 nodes without an edge: a 128-flow lower shift through B1 would
+    # hold a 100,546 x 128 block (about 100 MB); on the nodes with an edge it
+    # holds 546 x 128 besides the flows and the result (about 1 MB each)
+    import tracemalloc
+
+    road = sf.generate_road_complex(546, 1088, 11)
+    sc = sf.build_complex(road.vertex_count + 100_000, road.edges, road.triangles)
+    low = sf.shift_operators(sc)[0]
+    block = np.random.default_rng(0).standard_normal((sc.n_edges, 128))
+    tracemalloc.start()
+    try:
+        out = low @ block
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    b1 = sf.boundary_csr(sc, 1)
+    np.testing.assert_array_equal(out, b1.T @ (b1 @ block))
+    assert peak < 8 * block.size * 4
+
+
+def test_upper_shift_on_its_support_is_bitwise_the_full_product():
+    # the upper shift runs on the edges on a triangle only; every row sums the
+    # same entries in the same order as the product with the whole incidence
+    rng = np.random.default_rng(9)
+    for obj in road_cases(rng):
+        b2 = sf.boundary_csr(obj, 2)
+        pairs = [(sf.shift_operators(obj)[1], (b2, b2.T))]
+        if isinstance(obj, sf.SimplicialComplex):
+            pairs += [(op, op.factors) for op in sf.apps._normalized_operators(obj)[1::2]]
+        for flow in (rng.standard_normal(b2.shape[0]), rng.standard_normal((b2.shape[0], 4))):
+            for op, (a, b) in pairs:
+                np.testing.assert_array_equal(op @ flow, a @ (b @ flow))
+            np.testing.assert_array_equal(sf.shift_upper(obj, flow), b2 @ (b2.T @ flow))
 
 
 def test_distributed_shift_rejects_negative_rounds(toy):

@@ -288,6 +288,43 @@ def test_cli_response_csv(tmp_path, toy, capsys):
     capsys.readouterr()
 
 
+def test_cli_response_rows_for_both_filter_kinds(tmp_path, toy, capsys):
+    # one row per frequency, written with the same 17-digit format as any CSV
+    sc_path = tmp_path / "sc.json"
+    io.save_complex(toy, sc_path)
+    spec = sf.hodge_spectrum(toy)
+    curves = sf.ResponseSpec(10.0, sf.response_inverse_shift(0.1, 5.5),
+                             sf.response_inverse_shift(0.1, 4.0))
+    kinds = {
+        "poly": (sf.FilterCoefficients(1.0, (0.5, -0.1), (0.25,)), sf.polynomial_response),
+        "cheb": (sf.chebyshev_design(curves, 5.5, 4.0, 6, 5), sf.chebyshev_response),
+    }
+    for name, (filt, response) in kinds.items():
+        filt_path, got, expect = (tmp_path / f"{name}{ext}" for ext in (".json", ".csv", "-expect.csv"))
+        io.save_filter(filt, filt_path)
+        assert run_cli(["response", "--sc", str(sc_path), "--filter", str(filt_path),
+                        "--out", str(got)]) == 0
+        rows = [(0.0, "H", response(filt, 0.0, "harmonic"))]
+        rows += [(float(lam), "G", response(filt, lam, "gradient")) for lam in spec.lambda_gradient]
+        rows += [(float(lam), "C", response(filt, lam, "curl")) for lam in spec.lambda_curl]
+        io.save_response_csv(rows, expect)
+        assert got.read_bytes() == expect.read_bytes()
+    capsys.readouterr()
+
+
+def test_cli_response_has_no_group_tol(tmp_path, toy, capsys):
+    # the option was accepted and never read; it is now an unknown option
+    sc_path, filt_path = tmp_path / "sc.json", tmp_path / "h.json"
+    io.save_complex(toy, sc_path)
+    io.save_filter(sf.FilterCoefficients(1.0, (0.5,), (0.25,)), filt_path)
+    out_path = tmp_path / "resp.csv"
+    assert run_cli(["response", "--sc", str(sc_path), "--filter", str(filt_path),
+                    "--out", str(out_path), "--group-tol", "0"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error:") and "--group-tol" in err
+    assert not out_path.exists()
+
+
 @pytest.mark.parametrize("cell", ["abc", "nan", "inf"])
 def test_cli_decompose_bad_signal_cell_exits_2(tmp_path, toy, capsys, cell):
     sc_path = tmp_path / "sc.json"
