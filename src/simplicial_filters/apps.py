@@ -6,17 +6,15 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
 
-from ._kernels import IDENTITY_CHUNK, ShiftMatrix, identity_block
+from ._kernels import IDENTITY_CHUNK, identity_block
 from .complexes import (
     SimplicialComplex,
     _hodge_parts,
-    boundary_csr,
     build_complex,
     infer_triangles,
 )
@@ -46,7 +44,7 @@ from .spectral import (
     _check_flow,
     _factor,
     _normalized_degrees,
-    _normalized_parts,
+    _normalized_operators,
     _projector,
     distinct_frequencies,
     hodge_decompose,
@@ -245,8 +243,8 @@ def denoise(
     methods realize the response 1/(1 + mu*lambda): a two-sided design for the
     Hodge regularizer, a one-sided lower design for the edge regularizer.
     """
-    if mu <= 0:
-        raise DataError("mu must be positive")
+    if not 0 < mu < math.inf:
+        raise DataError("mu must be positive and finite")
     if regularizer not in ("edge_laplacian", "hodge_laplacian"):
         raise DataError(f"unknown regularizer {regularizer!r}")
     flow = _check_flow(sc.n_edges, flow)
@@ -346,6 +344,8 @@ def arbitrage_check(
     through j and k back to i; the reported gain is that product minus one
     (positive means free profit). Returned sorted by decreasing gain.
     """
+    if not math.isfinite(threshold):
+        raise DataError("threshold must be finite")
     sc = market_complex(market)
     hits = []
     for (i, j, k) in sc.triangles:
@@ -410,42 +410,14 @@ class PageRankResult:
     norms_rel: SubspaceNorms
 
 
-@lru_cache(maxsize=32)
-def _normalized_split(sc: SimplicialComplex):
-    """Projectors onto the images of the symmetrized normalized parts, and
-    sqrt(weight), for subspace norms."""
-    root_weight = np.sqrt(_normalized_parts(sc)[2])
-    root_weight.setflags(write=False)
-    return _projector(sc, "gradient", True), _projector(sc, "curl", True), root_weight
-
-
-@lru_cache(maxsize=32)
-def _normalized_operators(sc: SimplicialComplex) -> tuple[ShiftMatrix, ...]:
-    """The normalized parts lower, upper, sym_lower, sym_upper as incidence
-    products, scaled by the diagonals of `_normalized_parts`; each steps on
-    the side `ShiftMatrix` picks, as in `shift_operators`."""
-    b1, b2 = boundary_csr(sc, 1), boundary_csr(sc, 2)
-    d1, d2 = _normalized_degrees(sc)
-    inv_d1, inv_d2 = sp.diags(1.0 / d1), sp.diags(1.0 / d2)
-    root, inv_root = sp.diags(np.sqrt(d2)), sp.diags(1.0 / np.sqrt(d2))
-    return (
-        ShiftMatrix(sp.diags(d2) @ b1.T @ inv_d1, b1),
-        ShiftMatrix(b2 / 3.0, b2.T @ inv_d2),
-        ShiftMatrix(root @ b1.T @ inv_d1, b1 @ root),
-        ShiftMatrix(inv_root @ b2 / 3.0, b2.T @ inv_root),
-    )
-
-
 def _subspace_norms(
-    sc: SimplicialComplex, pi: np.ndarray
+    sc: SimplicialComplex, y: np.ndarray
 ) -> tuple[list[SubspaceNorms], list[SubspaceNorms]]:
-    """Absolute and relative subspace norms of every column of an (N1, k) block."""
-    project_gradient, project_curl, root_weight = _normalized_split(sc)
-    # weighted coordinates in which the normalized parts are symmetric and the
-    # gradient/curl/harmonic split is orthogonal
-    y = pi / root_weight[:, np.newaxis]
-    y_g = project_gradient(y)
-    y_c = project_curl(y)
+    """Absolute and relative subspace norms of every column of an (N1, k) block
+    in the coordinates y = R^-1 pi, where the normalized parts are symmetric and
+    the gradient/curl/harmonic split is orthogonal."""
+    y_g = _projector(sc, "gradient", True)(y)
+    y_c = _projector(sc, "curl", True)(y)
     y_h = y - y_g - y_c
     norms = np.array([np.linalg.norm(part, axis=0) for part in (y, y_h, y_g, y_c)])
     rel = norms / np.where(norms[0] > 0, norms[0], 1.0)
@@ -457,24 +429,28 @@ def _subspace_norms(
 
 
 def _ranker(sc, gamma, method, order, samples, seed, power_steps):
-    """The map from an (N1,) or (N1, k) right-hand side f to pi with
-    (gamma*I + L_n) pi = f: one sparse factorization (exact), or a grid/cheb
-    filter realizing 1/(gamma + lambda) over the normalized parts.
+    """The map from an (N1, k) right-hand side f to y = (gamma*I + S)^-1 R^-1 f,
+    and R's diagonal as an (N1, 1) column, so that pi = R y solves
+    (gamma*I + L_n) pi = f.
 
-    L_n = R S R^-1 with S = sym_lower + sym_upper and R = diag(sqrt(d2)), so the
-    exact pi is R (gamma*I + S)^-1 R^-1 f, and gamma*I + S is SPD."""
-    if gamma <= 0:
-        raise DataError("gamma must be positive")
+    L_n = R S R^-1 with S = S_lower + S_upper the symmetric parts of
+    `_normalized_operators` and R = diag(sqrt(d2)). The exact y comes from one
+    sparse factorization of the SPD gamma*I + S, grid/cheb y from a filter
+    realizing 1/(gamma + lambda) over S_lower and S_upper."""
+    if not 0 < gamma < math.inf:
+        raise DataError("gamma must be positive and finite")
+    ops = _normalized_operators(sc)
+    # R as a column: broadcasting scales a block's rows at a tenth of the cost
+    # of a product with sp.diags
+    root = np.sqrt(_normalized_degrees(sc)[1])[:, np.newaxis]
     if method == "exact":
-        _, _, d2, sym_lower, sym_upper = _normalized_parts(sc)
-        root = np.sqrt(d2)
-        scale, unscale = sp.diags(root), sp.diags(1.0 / root)
-        lu = _factor(gamma * sp.identity(sc.n_edges) + sym_lower + sym_upper)
-        return lambda f: scale @ lu.solve(unscale @ f)
-    low, up, sym_low, sym_up = _normalized_operators(sc)
-    tops = _interval_tops((sym_low, sym_up), power_steps, seed)
-    response = lambda lam: 1.0 / (gamma + lam)
-    return _realize(response, tops, method, order, samples, low, up, GRID_LAMBDA_MIN)
+        s_lower, s_upper = (a @ b for a, b in (op.factors for op in ops))
+        solve = _factor(gamma * sp.identity(sc.n_edges) + s_lower + s_upper).solve
+    else:
+        tops = _interval_tops(ops, power_steps, seed)
+        response = lambda lam: 1.0 / (gamma + lam)
+        solve = _realize(response, tops, method, order, samples, *ops, GRID_LAMBDA_MIN)
+    return (lambda f: solve(f / root)), root
 
 
 def edge_pagerank(
@@ -494,14 +470,14 @@ def edge_pagerank(
     """
     if not 0 <= edge_index < sc.n_edges:
         raise IndexOutOfRange(f"edge index {edge_index} outside [0, {sc.n_edges})")
-    rank = _ranker(sc, gamma, method, order, samples, seed, power_steps)
+    rank, root = _ranker(sc, gamma, method, order, samples, seed, power_steps)
     if method == "exact":  # LU solves round by block width, SpMM columns do not
         start = edge_index - edge_index % IDENTITY_CHUNK
-        pi = rank(identity_block(sc.n_edges, start))[:, [edge_index - start]]
+        y = rank(identity_block(sc.n_edges, start))[:, [edge_index - start]]
     else:
-        pi = rank(np.eye(sc.n_edges, 1, -edge_index))
-    norms, rel = _subspace_norms(sc, pi)
-    return PageRankResult(edge_index, pi[:, 0], norms[0], rel[0])
+        y = rank(np.eye(sc.n_edges, 1, -edge_index))
+    norms, rel = _subspace_norms(sc, y)
+    return PageRankResult(edge_index, (root * y)[:, 0], norms[0], rel[0])
 
 
 def edge_pagerank_all(
@@ -519,11 +495,12 @@ def edge_pagerank_all(
     solves against one sparse factorization, grid/cheb run one SpMM recursion
     per block.
     """
-    rank = _ranker(sc, gamma, method, order, samples, seed, power_steps)
+    rank, root = _ranker(sc, gamma, method, order, samples, seed, power_steps)
     out = []
     for start in range(0, sc.n_edges, IDENTITY_CHUNK):
-        pi = rank(identity_block(sc.n_edges, start))
-        norms, rel = _subspace_norms(sc, pi)
+        y = rank(identity_block(sc.n_edges, start))
+        norms, rel = _subspace_norms(sc, y)
+        pi = root * y
         out.extend(
             PageRankResult(start + j, pi[:, j].copy(), norms[j], rel[j])
             for j in range(pi.shape[1])

@@ -16,7 +16,7 @@ from typing import Callable, Sequence
 import numpy as np
 from numpy.polynomial import chebyshev as _cheb
 
-from ._kernels import IDENTITY_CHUNK, ShiftMatrix, identity_block
+from ._kernels import ShiftMatrix
 from .errors import DataError, DomainMismatch, EmptySpec, IllConditioned, NumericalError
 from .filters import FilterCoefficients
 
@@ -38,8 +38,8 @@ class ResponseCurve:
     lam_max: float
 
     def __post_init__(self):
-        if self.lam_min < 0 or self.lam_min > self.lam_max:
-            raise DataError("need 0 <= lam_min <= lam_max")
+        if not 0 <= self.lam_min <= self.lam_max < math.inf:
+            raise DataError("need 0 <= lam_min <= lam_max, both finite")
 
     def __call__(self, lam) -> np.ndarray:
         return np.asarray(self.fn(np.asarray(lam, dtype=np.float64)))
@@ -83,8 +83,8 @@ def response_inverse_shift(
 ) -> ResponseCurve:
     """1 / (gamma + lam): the ranking / regularization response."""
     gamma = float(gamma)
-    if gamma <= 0:
-        raise DataError("gamma must be positive")
+    if not 0 < gamma < math.inf:
+        raise DataError("gamma must be positive and finite")
     return ResponseCurve(
         "inverse-shift", (("gamma", gamma),),
         lambda lam: 1.0 / (gamma + lam),
@@ -564,34 +564,3 @@ def chebyshev_error_bound(
         resp = np.array([chebyshev_response(filt, l, "curl") for l in grid])
         worst = max(worst, float(np.max(np.abs(resp - spec.curl(grid)))))
     return worst
-
-
-def chebyshev_operator_error(filt: ChebyshevFilter, spec: ResponseSpec, sc) -> float:
-    """Dense spectral-norm distance between the assembled filter and the
-    exact operator realizing the target response on the given complex."""
-    from .spectral import hodge_spectrum
-
-    spectrum = hodge_spectrum(sc)
-    n = spectrum.basis.shape[0]
-    target = np.full(spectrum.n_harmonic, spec.g0)
-    g_grad = (
-        spec.gradient(spectrum.lambda_gradient)
-        if spec.gradient is not None
-        else np.full(spectrum.n_gradient, spec.g0)
-    )
-    g_curl = (
-        spec.curl(spectrum.lambda_curl)
-        if spec.curl is not None
-        else np.full(spectrum.n_curl, spec.g0)
-    )
-    exact = spectrum.basis @ np.diag(np.concatenate([target, g_grad, g_curl])) @ spectrum.basis.T
-    from .filters import shift_operators
-
-    low, up = shift_operators(sc)
-    dense = np.empty((n, n))
-    for start in range(0, n, IDENTITY_CHUNK):
-        block = identity_block(n, start)
-        dense[:, start : start + block.shape[1]] = chebyshev_apply_operators(
-            filt, low, up, block
-        )
-    return float(np.linalg.norm(exact - dense, 2))

@@ -172,17 +172,13 @@ def distributed_shift(
     trace: list[ShiftRound] = []
 
     def run(upper: bool, rounds: int) -> np.ndarray:
-        # CSR row i holds edge i's own weight and one weight per neighbor
+        # CSR row i holds edge i's own weight and one weight per neighbor, so
+        # one product is one round of every edge combining its messages
         part = _hodge_parts(sc, 1)[int(upper)]
-        ptr, idx, weights = part.indptr, part.indices, part.data
         counts = tuple(len(nbrs) for nbrs in _adjacency(sc, 1, upper))
         current = flow.copy()
         for _ in range(rounds):
-            nxt = np.empty_like(current)
-            for i in range(sc.n_edges):
-                row = slice(ptr[i], ptr[i + 1])
-                nxt[i] = weights[row] @ current[idx[row]]
-            current = nxt
+            current = part @ current
             trace.append(ShiftRound("upper" if upper else "lower", counts))
         return current
 

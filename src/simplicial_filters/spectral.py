@@ -14,7 +14,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 import scipy.sparse as sp
 
-from ._kernels import read_only
+from ._kernels import ShiftMatrix, read_only
 from .complexes import OrientedComplex, SimplicialComplex, _hodge_parts, boundary_csr
 from .errors import (
     DataError,
@@ -271,9 +271,9 @@ def _factor(matrix: sp.spmatrix):
 def _projector(sc: SimplicialComplex, side: str, weighted: bool = False):
     """Orthogonal projector onto im(G) as a map of an (N1,) flow or (N1, k) block.
 
-    G is B1^T (side "gradient") or B2 ("curl"); weighted, it is R B1^T or
-    R^-1 B2 with R = diag(sqrt(d2)), whose images are those of the symmetrized
-    normalized parts (see `NormalizedLaplacian`). y maps to G psi with
+    G is B1^T (side "gradient") or B2 ("curl"); weighted, it is the first
+    factor R B1^T or R^-1 B2 of that side's symmetric normalized part
+    (`_normalized_operators`), whose image it spans. y maps to G psi with
     (G^T G) psi = G^T y: no eigenbasis, one cached sparse factorization.
 
     The gradient Gram is a graph Laplacian whose kernel is the connected
@@ -287,10 +287,10 @@ def _projector(sc: SimplicialComplex, side: str, weighted: bool = False):
     so there the basis of im(G) comes from a column-pivoted QR of the dense
     edge-space Gram G G^T instead, with the rank cut of `hodge_spectrum`.
     """
-    g = boundary_csr(sc, 1).T if side == "gradient" else boundary_csr(sc, 2)
     if weighted:
-        root = np.sqrt(_normalized_parts(sc)[2])
-        g = sp.diags(root if side == "gradient" else 1.0 / root) @ g
+        g = _normalized_operators(sc)[side == "curl"].factors[0]
+    else:
+        g = boundary_csr(sc, 1).T if side == "gradient" else boundary_csr(sc, 2)
     g = sp.csr_matrix(g)
     gram = sp.csr_matrix(g.T @ g)
     if side == "gradient":
@@ -381,8 +381,8 @@ def distinct_frequencies(
     eigensolver, not distinct frequencies: a repeated eigenvalue comes out as
     several values a few ulps of the largest one apart.
     """
-    if grouping_tol < 0:
-        raise DataError("grouping_tol must be nonnegative")
+    if not 0 <= grouping_tol < np.inf:
+        raise DataError("grouping_tol must be nonnegative and finite")
     tol = max(grouping_tol, spectrum.zero_tol)
     return (
         _group_sorted(spectrum.lambda_gradient, tol),
@@ -415,7 +415,7 @@ class NormalizedLaplacian:
 
 
 def _normalized_degrees(sc: SimplicialComplex) -> tuple[np.ndarray, np.ndarray]:
-    """The diagonals (d1, d2) that scale B1^T B1 and B2 B2^T into the normalized parts."""
+    """The diagonals (d1, d2) of the normalized edge Laplacian."""
     b1 = boundary_csr(sc, 1)
     b2 = boundary_csr(sc, 2)
     # d2: triangle-degree weights per edge, floored at 1
@@ -428,40 +428,47 @@ def _normalized_degrees(sc: SimplicialComplex) -> tuple[np.ndarray, np.ndarray]:
 
 
 @lru_cache(maxsize=64)
-def _normalized_parts(sc: SimplicialComplex):
-    """Read-only sparse normalized parts: (lower, upper, weight, sym_lower, sym_upper).
+def _normalized_operators(sc: SimplicialComplex) -> tuple[ShiftMatrix, ShiftMatrix]:
+    """The symmetric normalized parts S_lower = G_l D1^-1 G_l^T and
+    S_upper = G_u G_u^T / 3 as incidence products, G_l = R B1^T and
+    G_u = R^-1 B2 with R = diag(sqrt(d2)); each steps on the side `ShiftMatrix`
+    picks, as in `shift_operators`.
 
-    Diagonal scalings of B1^T B1 and B2 B2^T; see `NormalizedLaplacian`.
+    The normalized edge Laplacian is L_n = R (S_lower + S_upper) R^-1 (Schaub
+    et al., "Random walks on simplicial complexes and the normalized Hodge
+    1-Laplacian", SIAM Review 2020), so ranking solves in y = R^-1 pi.
     """
-    b1 = boundary_csr(sc, 1)
-    b2 = boundary_csr(sc, 2)
+    b1, b2 = boundary_csr(sc, 1), boundary_csr(sc, 2)
     d1, d2 = _normalized_degrees(sc)
-    bt_scaled = b1.T @ sp.diags(1.0 / d1) @ b1
     root = np.sqrt(d2)
-    b2_scaled = sp.diags(1.0 / root) @ b2
-    lower = sp.diags(d2) @ bt_scaled
-    upper = (b2 / 3.0) @ (b2.T @ sp.diags(1.0 / d2))
-    sym_lower = sp.diags(root) @ bt_scaled @ sp.diags(root)
-    sym_upper = (b2_scaled @ b2_scaled.T) / 3.0
-    d2.setflags(write=False)
-    # read_only sorts each row's columns ascending, so each matvec row sums in
-    # the order of the dense matrix's row
-    lower, upper, sym_lower, sym_upper = (
-        read_only(sp.csr_matrix(m)) for m in (lower, upper, sym_lower, sym_upper)
+    g_lower = sp.diags(root) @ b1.T
+    g_upper = sp.diags(1.0 / root) @ b2
+    return (
+        ShiftMatrix(g_lower, sp.diags(1.0 / d1) @ g_lower.T),
+        ShiftMatrix(g_upper, g_upper.T / 3.0),
     )
-    return lower, upper, d2, sym_lower, sym_upper
+
+
+def _assembled_normalized(sc: SimplicialComplex):
+    """The weight d2, the symmetric parts [S_lower, S_upper] and the normalized
+    parts [R S_lower R^-1, R S_upper R^-1], sparse products of the factors of
+    `_normalized_operators`, for the dense views."""
+    _, d2 = _normalized_degrees(sc)
+    root = np.sqrt(d2)
+    sym = [a @ b for a, b in (op.factors for op in _normalized_operators(sc))]
+    return d2, sym, [sp.diags(root) @ s @ sp.diags(1.0 / root) for s in sym]
 
 
 def normalized_laplacian(sc: SimplicialComplex) -> NormalizedLaplacian:
     """Dense view of the normalized parts, O(N1^2) memory, built on each call:
     an oracle for tests and callers that ask for dense matrices."""
-    lower, upper, weight, sym_lower, sym_upper = _normalized_parts(sc)
+    d2, (sym_lower, sym_upper), (lower, upper) = _assembled_normalized(sc)
     return NormalizedLaplacian(
-        lower.toarray(), upper.toarray(), weight, sym_lower.toarray(), sym_upper.toarray()
+        lower.toarray(), upper.toarray(), d2, sym_lower.toarray(), sym_upper.toarray()
     )
 
 
 def normalized_hodge_laplacian(sc: SimplicialComplex) -> np.ndarray:
     """Normalized edge Laplacian L_n = D2 B1^T D1^{-1} B1 + B2 D3 B2^T D2^{-1}, dense."""
-    lower, upper = _normalized_parts(sc)[:2]
+    _, _, (lower, upper) = _assembled_normalized(sc)
     return (lower + upper).toarray()

@@ -263,9 +263,39 @@ def test_pagerank_gamma_guard(toy):
         sf.edge_pagerank(toy, 0.05, toy.n_edges, "exact")
 
 
-def _clear_projections():
-    spectral._projector.cache_clear()
-    apps._normalized_split.cache_clear()
+@pytest.mark.parametrize("method, order", [("grid", 3), ("cheb", 10)])
+def test_filter_ranking_builds_only_the_symmetric_pair(monkeypatch, method, order):
+    # grid and cheb ranking step on the two symmetric normalized operators; they
+    # used to step on a second, non-symmetric pair and assemble the normalized
+    # parts on the edges for the subspace norms
+    from simplicial_filters import _kernels
+
+    sc = sf.generate_road_complex(60, 130, 11)
+    n = sc.n_edges
+    operators, assembled = [], []
+    init, freeze = sf.ShiftMatrix.__init__, _kernels.read_only
+
+    def spy_init(self, *factors):
+        init(self, *factors)
+        if len(self.factors) == 2 and self.shape == (n, n):
+            operators.append(self)
+
+    def spy_freeze(csr):
+        if csr.shape == (n, n):
+            assembled.append(csr)
+        return freeze(csr)
+
+    monkeypatch.setattr(sf.ShiftMatrix, "__init__", spy_init)
+    for module in (_kernels, spectral, sf.complexes):
+        monkeypatch.setattr(module, "read_only", spy_freeze)
+    for module in (spectral, apps, sf.complexes, sf.filters):
+        for obj in vars(module).values():
+            if hasattr(obj, "cache_clear"):
+                obj.cache_clear()
+    sf.edge_pagerank_all(sc, 0.05, method, order=order)
+    sf.edge_pagerank(sc, 0.05, 3, method, order=order)
+    assert len(operators) == 2 and operators == list(spectral._normalized_operators(sc))
+    assert assembled == []
 
 
 @pytest.mark.parametrize("failure", ["factorization", "refinement"])
@@ -283,7 +313,7 @@ def test_projection_failure_is_numerical(toy, tmp_path, monkeypatch, failure):
         # at most half, too slow for the step cap
         monkeypatch.setattr(spectral, "CURL_SHIFT", 1.0)
     flow = np.linspace(-1.0, 1.0, toy.n_edges)
-    _clear_projections()
+    spectral._projector.cache_clear()
     try:
         with pytest.raises(sf.NumericalError):
             sf.hodge_decompose(toy, flow)
@@ -297,7 +327,7 @@ def test_projection_failure_is_numerical(toy, tmp_path, monkeypatch, failure):
         assert main(["decompose", "--sc", str(sc_path), "--signal", str(signal_path),
                      "--out", str(tmp_path / "out.json")]) == 3
     finally:
-        _clear_projections()
+        spectral._projector.cache_clear()
 
 
 def test_harmonic_cheb_extraction_on_edgeless_complex():
@@ -350,5 +380,5 @@ def test_chebyshev_callers_share_interval_tops(tmp_path, toy, capsys, monkeypatc
     seen.clear()
     sf.edge_pagerank(sc, 0.05, 0, "cheb", order=10)
     sf.edge_pagerank_all(sc, 0.05, "cheb", order=10)
-    assert seen == [rule(apps._normalized_operators(sc)[2:])] * 2
+    assert seen == [rule(spectral._normalized_operators(sc))] * 2
     capsys.readouterr()

@@ -132,7 +132,7 @@ def test_sparse_assembly_allocates_no_dense_matrix():
         cases[f"neighborhoods k={k}"] = lambda k=k: [
             f(sc, k, 0) for f in (lower_neighborhood, upper_neighborhood)
         ]
-    cases["normalized operators"] = lambda: sf.apps._normalized_operators(sc)
+    cases["normalized operators"] = lambda: sf.spectral._normalized_operators(sc)
     # decomposition and Chebyshev ranking used to eigendecompose dense Laplacians
     cases["hodge_decompose"] = lambda: sf.hodge_decompose(sc, flow)
     cases["cheb edge_pagerank"] = lambda: sf.edge_pagerank(sc, 0.05, 7, "cheb", order=20)

@@ -212,23 +212,20 @@ def test_non_finite_flow_rejected(toy):
 
 def test_shift_operators_cached_and_read_only(toy):
     from simplicial_filters.complexes import _hodge_parts
-    from simplicial_filters.spectral import _normalized_parts
 
     low, up = sf.shift_operators(toy)
     assert sf.shift_operators(toy)[0] is low
-    normalized = sf.apps._normalized_operators(toy)
-    assert sf.apps._normalized_operators(toy)[0] is normalized[0]
+    normalized = sf.spectral._normalized_operators(toy)
+    assert sf.spectral._normalized_operators(toy)[0] is normalized[0]
     # the edge-side factors, and those of the operators the recursions step on
     factors = [f for op in (low, up) + normalized for f in op.factors]
     steps = [f for op in (low, up) + normalized if op.small is not op for f in op.small.factors]
-    assert len(factors) == 12 and len(steps) >= 3
+    assert len(factors) == 8 and len(steps) >= 2
     # every shared sparse matrix the operators are assembled from, too
-    lower, upper, weight, sym_lower, sym_upper = _normalized_parts(toy)
-    matrices = factors + steps + [lower, upper, sym_lower, sym_upper]
-    matrices += [sf.incidence_matrix(toy, k).to_csr() for k in (1, 2)]
+    matrices = factors + steps + [sf.incidence_matrix(toy, k).to_csr() for k in (1, 2)]
     assert sf.incidence_matrix(toy, 1).to_csr() is matrices[-2]
     matrices += [part for k in (0, 1, 2) for part in _hodge_parts(toy, k)]
-    arrays = [weight] + [a for m in matrices for a in (m.data, m.indices, m.indptr)]
+    arrays = [a for m in matrices for a in (m.data, m.indices, m.indptr)]
     for array in arrays:
         with pytest.raises(ValueError):
             array[...] = 0
@@ -261,14 +258,14 @@ def test_recursions_step_on_no_more_entries_than_the_shift():
              random_complex(np.random.default_rng(5), edge_prob=0.8),
              sf.generate_road_complex(1100, 2176, 11)] + degenerate_complexes()
     for sc in cases:
-        for op in sf.shift_operators(sc) + sf.apps._normalized_operators(sc):
+        for op in sf.shift_operators(sc) + sf.spectral._normalized_operators(sc):
             step = op.small
             assert sum(f.nnz for f in step.factors) <= sum(f.nnz for f in op.factors)
             assert step.shape[0] <= 2 * sc.n_edges
 
 
 def _all_operators(sc):
-    return sf.shift_operators(sc) + sf.apps._normalized_operators(sc)
+    return sf.shift_operators(sc) + sf.spectral._normalized_operators(sc)
 
 
 def test_gram_bound_counts_the_gram_entries():
@@ -311,11 +308,11 @@ def test_clique_filled_operators_build_no_gram():
     # complexes compare by value, so another test may have built these
     # operators and their step sides already; build them inside the trace
     sf.shift_operators.cache_clear()
-    sf.apps._normalized_operators.cache_clear()
+    sf.spectral._normalized_operators.cache_clear()
     tracemalloc.start()
     try:
         up = sf.shift_operators(sc)[1]
-        sf.apps._normalized_operators(sc)
+        sf.spectral._normalized_operators(sc)
         sf.apply(sc, FilterCoefficients(1.0, (0.5, 0.25), (0.5, 0.25)), flow)
         _, peak = tracemalloc.get_traced_memory()
     finally:
@@ -353,7 +350,7 @@ def test_upper_shift_on_its_support_is_bitwise_the_full_product():
         b2 = sf.boundary_csr(obj, 2)
         pairs = [(sf.shift_operators(obj)[1], (b2, b2.T))]
         if isinstance(obj, sf.SimplicialComplex):
-            pairs += [(op, op.factors) for op in sf.apps._normalized_operators(obj)[1::2]]
+            pairs += [(op, op.factors) for op in sf.spectral._normalized_operators(obj)[1:]]
         for flow in (rng.standard_normal(b2.shape[0]), rng.standard_normal((b2.shape[0], 4))):
             for op, (a, b) in pairs:
                 np.testing.assert_array_equal(op @ flow, a @ (b @ flow))
@@ -370,17 +367,11 @@ def test_distributed_shift_rejects_negative_rounds(toy):
 def test_factored_operators_match_assembled_parts():
     from simplicial_filters._kernels import IDENTITY_CHUNK, identity_block
     from simplicial_filters.complexes import _hodge_parts
-    from simplicial_filters.spectral import _normalized_parts
 
     rng = np.random.default_rng(7)
     eps = np.finfo(np.float64).eps
     for obj in road_cases(rng):
         pairs = list(zip(sf.shift_operators(obj), _hodge_parts(obj, 1)))
-        # the normalized parts are defined on plain complexes only
-        if isinstance(obj, sf.SimplicialComplex):
-            lower, upper, _, sym_lower, sym_upper = _normalized_parts(obj)
-            pairs += zip(sf.apps._normalized_operators(obj),
-                         (lower, upper, sym_lower, sym_upper))
         n = pairs[0][1].shape[0]
         block = rng.standard_normal((n, 3))
         for op, part in pairs:
@@ -404,7 +395,6 @@ def test_shared_sparse_matrices_are_canonical():
     # place: abs() of the upper Hodge part raised "WRITEBACKIFCOPY base is
     # read-only"
     from simplicial_filters.complexes import _hodge_parts
-    from simplicial_filters.spectral import _normalized_parts
 
     def check(matrices):
         for m in matrices:
@@ -415,8 +405,7 @@ def test_shared_sparse_matrices_are_canonical():
         check(part for k in (0, 1, 2) for part in _hodge_parts(obj, k))
         ops = list(sf.shift_operators(obj))
         if isinstance(obj, sf.SimplicialComplex):
-            check(m for m in _normalized_parts(obj) if m.ndim == 2)
-            ops += sf.apps._normalized_operators(obj)
+            ops += sf.spectral._normalized_operators(obj)
         check(f for op in ops for f in op.factors + op.small.factors)
 
 
@@ -537,7 +526,10 @@ def test_ranking_matches_edge_space_oracle(monkeypatch, method, order):
         pi = np.column_stack([r.pi for r in got] or [np.zeros((sc.n_edges, 0))])
         pi_oracle = np.column_stack([r.pi for r in expect] or [np.zeros((sc.n_edges, 0))])
         bound = np.concatenate(bounds, axis=-1) if bounds else np.zeros(pi.shape[1])
+        # the filters run on y = pi / sqrt(d2), d2 the triangles per edge floored
+        # at 1; the bounds are on y
+        root = np.sqrt(np.maximum(np.diff(sf.boundary_csr(sc, 2).indptr), 1))
         if method == "grid":
-            assert_near_monomial_oracle(pi, pi_oracle, bound, order)
+            assert_near_monomial_oracle(pi, pi_oracle, root[:, None] * bound, order)
         else:
-            assert_near_chebyshev_oracle(pi, pi_oracle, bound, order)
+            assert_near_chebyshev_oracle(pi, pi_oracle, root.max(initial=0.0) * bound, order)

@@ -377,6 +377,15 @@ OUT_OF_RANGE = [
     ["design", "--method", "ls", "SC", "--order-lower", "-1"],
     ["extract", "SC", "SIG", "--method", "ls", "--order-lower", "-1"],
     ["design", "--method", "cheb", "--quadrature", "-5"],
+    # non-finite numbers used to exit 3 (a failed factorization), or exit 0
+    # with an all-zero table or a test that flags nothing
+    ["denoise", "SC", "SIG", "--mu", "nan"],
+    ["denoise", "SC", "SIG", "--mu", "inf"],
+    ["pagerank", "SC", "--edge", "0", "--gamma", "nan"],
+    ["pagerank", "SC", "--all", "--gamma", "inf"],
+    ["arbitrage", "check", "MARKET", "--threshold", "nan"],
+    ["info", "SC", "--group-tol", "nan"],
+    ["info", "SC", "--group-tol", "inf"],
 ]
 
 
@@ -393,7 +402,10 @@ def test_cli_out_of_range_numbers_exit_2(tmp_path, toy, capsys, argv):
         "gradient": {"family": "inverse-shift", "gamma": 1.0, "max": 5.5},
         "curl": {"family": "inverse-shift", "gamma": 1.0, "max": 4.0},
     }, spec_path)
-    expand = {"SC": ["--sc", str(sc_path)], "SIG": ["--signal", str(sig_path)]}
+    market_path = tmp_path / "market.csv"
+    io.save_market(sf.demo_market(), market_path)
+    expand = {"SC": ["--sc", str(sc_path)], "SIG": ["--signal", str(sig_path)],
+              "MARKET": ["--market", str(market_path)]}
     args = [part for arg in argv for part in expand.get(arg, [arg])]
     if args[0] == "design":
         args += ["--spec", str(spec_path)]
@@ -463,6 +475,11 @@ BAD_RESPONSE_SPECS = {
     # an IndexError traceback (exit 1)
     "short-table-point": {"g0": 1.0, "gradient": {"family": "table",
                                                   "points": [[0.0, 1.0], [2.0]]}},
+    # grid design: exit 3 ("frequency powers ... overflow"), and exit 0 with a
+    # filter fitted to a response that is zero everywhere
+    "nan-max": {"g0": 1.0, "gradient": {"family": "constant", "value": 1.0, "max": "nan"}},
+    "inf-gamma": {"g0": 0.0, "gradient": {"family": "inverse-shift", "gamma": "inf",
+                                          "max": 4.0}},
 }
 
 
@@ -470,8 +487,9 @@ BAD_RESPONSE_SPECS = {
 def test_cli_bad_response_spec_exits_2(tmp_path, capsys, name):
     spec_path, out_path = tmp_path / "spec.json", tmp_path / "h.json"
     spec_path.write_text(json.dumps(BAD_RESPONSE_SPECS[name]))
-    args = ["design", "--method", "cheb", "--order-lower", "5", "--spec", str(spec_path),
-            "--out", str(out_path)]
-    assert run_cli(args) == 2
-    assert "data error:" in capsys.readouterr().err
-    assert not out_path.exists()
+    for method in ("cheb", "grid"):
+        args = ["design", "--method", method, "--order-lower", "5", "--spec", str(spec_path),
+                "--out", str(out_path)]
+        assert run_cli(args) == 2
+        assert "data error:" in capsys.readouterr().err
+        assert not out_path.exists()

@@ -267,21 +267,33 @@ def test_distinct_frequencies_grouping():
                 assert g == pytest.approx(np.mean(chain))
 
 
-def test_normalized_laplacian_weights(toy):
-    norm = sf.normalized_laplacian(toy)
-    b1 = sf.incidence_matrix(toy, 1).to_dense().astype(float)
-    b2 = sf.incidence_matrix(toy, 2).to_dense().astype(float)
-    d2 = np.maximum(np.abs(b2).sum(axis=1), 1.0)
-    d1 = 2.0 * (np.abs(b1) @ d2)
-    d1[d1 == 0] = 1.0
-    expect_lower = (d2[:, None] * b1.T) @ (b1 / d1[:, None])
-    expect_upper = (b2 / 3.0) @ (b2.T / d2[None, :])
-    np.testing.assert_allclose(norm.lower, expect_lower, atol=1e-12)
-    np.testing.assert_allclose(norm.upper, expect_upper, atol=1e-12)
-    np.testing.assert_allclose(norm.weight, d2, atol=0)
-    np.testing.assert_allclose(
-        sf.normalized_hodge_laplacian(toy), norm.total, atol=0
-    )
+def test_normalized_laplacian_weights(toy, rng):
+    # the dense oracle and the symmetric operator pair it is built from, against
+    # the definition written out densely
+    for sc in [toy] + [random_complex(rng) for _ in range(3)] + degenerate_complexes():
+        norm = sf.normalized_laplacian(sc)
+        b1 = sf.incidence_matrix(sc, 1).to_dense().astype(float)
+        b2 = sf.incidence_matrix(sc, 2).to_dense().astype(float)
+        d2 = np.maximum(np.abs(b2).sum(axis=1), 1.0)
+        d1 = 2.0 * (np.abs(b1) @ d2)
+        d1[d1 == 0] = 1.0
+        root = np.sqrt(d2)
+        expect = {
+            "lower": (d2[:, None] * b1.T) @ (b1 / d1[:, None]),
+            "upper": (b2 / 3.0) @ (b2.T / d2[None, :]),
+            "sym_lower": (root[:, None] * b1.T) @ (b1 * root[None, :] / d1[:, None]),
+            "sym_upper": (b2 / root[:, None]) @ (b2.T / root[None, :]) / 3.0,
+        }
+        for name, matrix in expect.items():
+            np.testing.assert_allclose(getattr(norm, name), matrix, rtol=0, atol=1e-12)
+        pair = sf.spectral._normalized_operators(sc)
+        eye = np.eye(sc.n_edges)
+        for op, name in zip(pair, ("sym_lower", "sym_upper")):
+            np.testing.assert_allclose(op @ eye, expect[name], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(norm.weight, d2, atol=0)
+        np.testing.assert_allclose(
+            sf.normalized_hodge_laplacian(sc), norm.total, atol=0
+        )
 
 
 def test_normalized_spectrum_in_unit_interval(rng):
