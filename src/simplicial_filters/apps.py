@@ -21,7 +21,6 @@ from .complexes import (
 from .design import (
     ResponseSpec,
     _vandermonde,
-    chebyshev_apply_operators,
     chebyshev_design,
     estimate_lambda_max,
     grid_design,
@@ -81,10 +80,11 @@ def _realize(response, tops, method, order, samples, low, up, lam_min=0.0):
     )
     if method == "grid":
         design = grid_design(spec, samples, samples, order, order if two_sided else 0)
-        return lambda flow: apply_operators(low, up, design.coefficients, flow)
-    # a one-sided spec has no curl curve, so the upper top and order go unused
-    filt = chebyshev_design(spec, lam_g, lam_c, order, order)
-    return lambda flow: chebyshev_apply_operators(filt, low, up, flow)
+        filt = design.coefficients
+    else:
+        # a one-sided spec has no curl curve, so the upper top and order go unused
+        filt = chebyshev_design(spec, lam_g, lam_c, order, order)
+    return lambda flow: apply_operators(low, up, filt, flow)
 
 
 def nrmse(estimate, truth) -> float:
@@ -217,7 +217,7 @@ def extract_component(
         l1 = order_lower if order_lower is not None else 40
         l2 = order_upper if order_upper is not None else 40
         filt = chebyshev_design(spec, lam_g, lam_c, l1, l2)
-        return result(chebyshev_apply_operators(filt, low, up, flow))
+        return result(apply_operators(low, up, filt, flow))
 
     raise DataError(f"unknown extraction method {method!r}")
 
@@ -416,10 +416,15 @@ def _subspace_norms(
     """Absolute and relative subspace norms of every column of an (N1, k) block
     in the coordinates y = R^-1 pi, where the normalized parts are symmetric and
     the gradient/curl/harmonic split is orthogonal."""
+    # each column scaled exactly by the power of two at its largest magnitude,
+    # so no square underflows (gamma near 1e200) or overflows; the linear
+    # projections scale with it, bit for bit
+    _, exp = np.frexp(np.max(np.abs(y), axis=0, initial=0.0))
+    y = np.ldexp(y, -exp)
     y_g = _projector(sc, "gradient", True)(y)
     y_c = _projector(sc, "curl", True)(y)
     y_h = y - y_g - y_c
-    norms = np.array([np.linalg.norm(part, axis=0) for part in (y, y_h, y_g, y_c)])
+    norms = np.ldexp([np.linalg.norm(part, axis=0) for part in (y, y_h, y_g, y_c)], exp)
     rel = norms / np.where(norms[0] > 0, norms[0], 1.0)
     rel[0] = 1.0
     return (

@@ -12,7 +12,6 @@ import click
 import numpy as np
 
 from . import apps, design, filters, io, spectral
-from .design import ChebyshevFilter
 from .errors import DataError, NumericalError
 from .fixtures import generate_road_complex
 
@@ -104,35 +103,32 @@ def design_cmd(spec_path, method, sc_path, order_lower, order_upper, mode,
                samples, quadrature, group_tol, power_steps, seed, out_path):
     """Design a filter for a response spec and write it to JSON."""
     spec = io.load_response_spec(spec_path)
-    if method == "ls":
-        if not sc_path:
-            raise click.UsageError("--method ls needs --sc for its frequencies")
-        sc = _load_sc(sc_path)
-        freqs_g, freqs_c = spectral.distinct_frequencies(
-            spectral.hodge_spectrum(sc), group_tol
-        )
-        solver = design.ls_joint if mode == "joint" else design.ls_decoupled
-        result = solver(freqs_g, freqs_c, spec, order_lower, order_upper)
-        io.save_filter(result.coefficients, out_path)
-        click.echo(f"residual={io.format_float(result.residual)}")
-        click.echo(f"condition={io.format_float(result.condition)}")
-    elif method == "grid":
-        result = design.grid_design(
-            spec, samples, samples if spec.curl is not None else 0,
-            order_lower, order_upper if spec.curl is not None else 0, mode,
-        )
-        io.save_filter(result.coefficients, out_path)
-        click.echo(f"residual={io.format_float(result.residual)}")
-        click.echo(f"condition={io.format_float(result.condition)}")
-    else:
+    # a side without a response curve gets no taps and no samples
+    lower, upper = spec.gradient is not None, spec.curl is not None
+    if method == "cheb":
         lam_g, lam_c = _cheb_bounds(spec, sc_path, power_steps, seed)
         filt = design.chebyshev_design(
             spec, lam_g, lam_c,
-            order_lower if spec.gradient is not None else None,
-            order_upper if spec.curl is not None else None,
+            order_lower if lower else None, order_upper if upper else None,
             quadrature or None,
         )
-        io.save_filter(filt, out_path)
+    else:
+        if method == "ls":
+            if not sc_path:
+                raise click.UsageError("--method ls needs --sc for its frequencies")
+            spectrum_ = spectral.hodge_spectrum(_load_sc(sc_path))
+            freqs_g, freqs_c = spectral.distinct_frequencies(spectrum_, group_tol)
+            solver = design.ls_joint if mode == "joint" else design.ls_decoupled
+            result = solver(freqs_g, freqs_c, spec, order_lower, order_upper)
+        else:
+            result = design.grid_design(
+                spec, samples if lower else 0, samples if upper else 0,
+                order_lower if lower else 0, order_upper if upper else 0, mode,
+            )
+        filt = result.coefficients
+        click.echo(f"residual={io.format_float(result.residual)}")
+        click.echo(f"condition={io.format_float(result.condition)}")
+    io.save_filter(filt, out_path)
     click.echo(f"wrote {out_path}")
 
 
@@ -156,19 +152,11 @@ def response(sc_path, filter_path, out_path):
     sc = _load_sc(sc_path)
     filt = io.load_filter(filter_path)
     spectrum_ = spectral.hodge_spectrum(sc)
-    rows = []
-    if isinstance(filt, ChebyshevFilter):
-        rows.append((0.0, "H", design.chebyshev_response(filt, 0.0, "harmonic")))
-        for lam in spectrum_.lambda_gradient:
-            rows.append((float(lam), "G", design.chebyshev_response(filt, lam, "gradient")))
-        for lam in spectrum_.lambda_curl:
-            rows.append((float(lam), "C", design.chebyshev_response(filt, lam, "curl")))
-    else:
-        rows.append((0.0, "H", filt.h0))
-        for lam in spectrum_.lambda_gradient:
-            rows.append((float(lam), "G", filters.polynomial_response(filt, lam, "gradient")))
-        for lam in spectrum_.lambda_curl:
-            rows.append((float(lam), "C", filters.polynomial_response(filt, lam, "curl")))
+    rows = [(0.0, "H", filt.h0)]
+    for lam in spectrum_.lambda_gradient:
+        rows.append((float(lam), "G", filters.polynomial_response(filt, lam, "gradient")))
+    for lam in spectrum_.lambda_curl:
+        rows.append((float(lam), "C", filters.polynomial_response(filt, lam, "curl")))
     io.save_response_csv(rows, out_path)
     click.echo(f"wrote {out_path}")
 
@@ -183,11 +171,7 @@ def filter_cmd(sc_path, filter_path, signal_path, out_path):
     sc = _load_sc(sc_path)
     filt = io.load_filter(filter_path)
     flow = io.load_signal(signal_path, sc)
-    if isinstance(filt, ChebyshevFilter):
-        out = design.chebyshev_apply(filt, sc, flow)
-    else:
-        out = filters.apply(sc, filt, flow)
-    io.save_signal(out, out_path)
+    io.save_signal(filters.apply(sc, filt, flow), out_path)
     click.echo(f"wrote {out_path}")
 
 

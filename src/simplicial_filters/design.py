@@ -5,6 +5,9 @@ iteration used to bound spectra.
 All LS solves run on column-scaled systems to soften Vandermonde
 ill-conditioning; the condition number reported alongside the result is that
 of the raw, unscaled system.
+
+`ChebyshevFilter` holds only its basis (the three-term recursion and the series
+value); it runs through the driver and response that ``filters`` shares by kind.
 """
 from __future__ import annotations
 
@@ -18,7 +21,7 @@ from numpy.polynomial import chebyshev as _cheb
 
 from ._kernels import ShiftMatrix
 from .errors import DataError, DomainMismatch, EmptySpec, IllConditioned, NumericalError
-from .filters import FilterCoefficients
+from .filters import FilterCoefficients, apply, polynomial_response
 
 COND_WARN_THRESHOLD = 1e10
 
@@ -188,8 +191,10 @@ def _design_system(
 
 
 def _targets_at(
-    targets: ResponseSpec, freqs_gradient, freqs_curl
+    targets: ResponseSpec, freqs_gradient, freqs_curl, order_lower: int = 0, order_upper: int = 0
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Frequencies that carry a target and the targets there. Taps on a side
+    without frequencies are an EmptySpec; more taps than frequencies warn."""
     fg = np.asarray(freqs_gradient, dtype=np.float64)
     fc = np.asarray(freqs_curl, dtype=np.float64)
     gg = targets.gradient(fg) if (targets.gradient is not None and fg.size) else np.zeros(0)
@@ -198,7 +203,14 @@ def _targets_at(
         raise EmptySpec("gradient frequencies given but no gradient response curve")
     if fc.size and targets.curl is None:
         raise EmptySpec("curl frequencies given but no curl response curve")
-    return fg[: gg.size], fc[: gc.size], gg, gc
+    fg, fc = fg[: gg.size], fc[: gc.size]
+    if order_lower > 0 and fg.size == 0:
+        raise EmptySpec("lower taps requested but no gradient frequencies")
+    if order_upper > 0 and fc.size == 0:
+        raise EmptySpec("upper taps requested but no curl frequencies")
+    _warn_order(order_lower, fg.size, "lower")
+    _warn_order(order_upper, fc.size, "upper")
+    return fg, fc, gg, gc
 
 
 def _warn_order(order: int, n_freqs: int, label: str) -> None:
@@ -206,7 +218,7 @@ def _warn_order(order: int, n_freqs: int, label: str) -> None:
         warnings.warn(
             f"{label} order {order} exceeds the {n_freqs} distinct frequencies; "
             "higher powers are redundant",
-            stacklevel=3,
+            stacklevel=4,
         )
 
 
@@ -218,13 +230,7 @@ def ls_joint(
     order_upper: int,
 ) -> DesignResult:
     """Jointly fit h0, alpha, beta to targets at distinct frequencies."""
-    fg, fc, gg, gc = _targets_at(targets, freqs_gradient, freqs_curl)
-    if order_lower > 0 and fg.size == 0:
-        raise EmptySpec("lower taps requested but no gradient frequencies")
-    if order_upper > 0 and fc.size == 0:
-        raise EmptySpec("upper taps requested but no curl frequencies")
-    _warn_order(order_lower, fg.size, "lower")
-    _warn_order(order_upper, fc.size, "upper")
+    fg, fc, gg, gc = _targets_at(targets, freqs_gradient, freqs_curl, order_lower, order_upper)
     a, rhs = _design_system(fg, fc, gg, gc, targets.g0, order_lower, order_upper)
     x, residual, cond = _scaled_lstsq(a, rhs)
     coeffs = FilterCoefficients(
@@ -243,13 +249,7 @@ def ls_decoupled(
     order_upper: int,
 ) -> DesignResult:
     """Fix h0 = g0, then fit the lower and upper taps independently."""
-    fg, fc, gg, gc = _targets_at(targets, freqs_gradient, freqs_curl)
-    if order_lower > 0 and fg.size == 0:
-        raise EmptySpec("lower taps requested but no gradient frequencies")
-    if order_upper > 0 and fc.size == 0:
-        raise EmptySpec("upper taps requested but no curl frequencies")
-    _warn_order(order_lower, fg.size, "lower")
-    _warn_order(order_upper, fc.size, "upper")
+    fg, fc, gg, gc = _targets_at(targets, freqs_gradient, freqs_curl, order_lower, order_upper)
     h0 = float(targets.g0)
     conds = [1.0]
     alpha = np.zeros(0)
@@ -351,7 +351,8 @@ class ChebyshevFilter:
 
     Either side may be empty (one-sided filter). The assembled operator is
     H_lower + H_upper - g0*I when both sides are present, or the single
-    present side alone.
+    present side alone; its weight of I, ``h0``, is s_lower + s_upper - g0 or
+    the one s, s being a series' value at frequency 0.
     """
 
     c_lower: tuple[float, ...]
@@ -373,10 +374,57 @@ class ChebyshevFilter:
                                     ("upper", self.c_upper, self.omega_upper)):
             if series and not 0 < omega < math.inf:
                 raise DataError(f"omega_{side} must be finite and positive for a nonempty series")
+        # s per side, at Chebyshev argument -1: c_0/2 - c_1 + c_2 - ...; 0.0 if empty
+        at_zero = tuple(
+            math.fsum([0.5 * c[0], *c[2::2], *(-x for x in c[1::2])]) if c else 0.0
+            for c in (self.c_lower, self.c_upper)
+        )
+        object.__setattr__(self, "_at_zero", at_zero)
+        object.__setattr__(self, "h0", sum(at_zero) - (self.g0 if self.two_sided else 0.0))
 
     @property
     def two_sided(self) -> bool:
         return bool(self.c_lower) and bool(self.c_upper)
+
+    def _series(self, upper: bool) -> tuple[float, ...]:
+        return self.c_upper if upper else self.c_lower
+
+    def _side_sum(self, upper: bool, small: ShiftMatrix, b: np.ndarray) -> np.ndarray:
+        """One side's shifted-Chebyshev series of L = A B, summed from b = B f
+        on the operator's ``small`` side G = B A (see `ShiftMatrix`).
+
+        The edge-space terms w_0 = f, w_1 = (L/omega - I) f,
+        w_{k+1} = 2 (L/omega - I) w_k - w_{k-1} are w_k = (-1)^k f + A v_k with
+        v_1 = B f / omega and v_{k+1} = 2 ((G v_k + (-1)^k B f) / omega - v_k) - v_{k-1},
+        so the series is s f + A sum_k c_k v_k, s its value at frequency 0 (in
+        ``h0``). This returns sum_k c_k v_k, one product with G per step.
+        """
+        coeffs = self._series(upper)
+        omega = self.omega_upper if upper else self.omega_lower
+        if len(coeffs) == 1:
+            return np.zeros_like(b)
+        v_prev, v = 0.0, b / omega
+        acc = coeffs[1] * v
+        for k, c in enumerate(coeffs[2:], 1):
+            # v_{k+1} from v_k and v_{k-1}, in place
+            w = small.matvec(v)
+            if k % 2:
+                w -= b
+            else:
+                w += b
+            w /= omega
+            w -= v
+            w *= 2.0
+            w -= v_prev
+            acc += c * w
+            v_prev, v = v, w
+        return acc
+
+    def _side_value(self, upper: bool, lam: float) -> float:
+        coeffs = self._series(upper)
+        x = lam / (self.omega_upper if upper else self.omega_lower) - 1.0
+        series = np.array([0.5 * coeffs[0], *coeffs[1:]])
+        return float(_cheb.chebval(x, series)) - self._at_zero[upper]
 
 
 def chebyshev_coefficients(
@@ -438,109 +486,12 @@ def chebyshev_design(
     return ChebyshevFilter(c_lower, c_upper, omega_lower, omega_upper, float(spec.g0))
 
 
-def _series_apply(
-    op: ShiftMatrix, omega: float, coeffs: Sequence[float], flow: np.ndarray
-) -> np.ndarray:
-    """Sum the shifted-Chebyshev series of L = A B on a flow, stepping on the
-    operator's ``small`` side G = B A: its Gram when ``op.on_gram`` (the node
-    Gram for the lower operators, the triangle Gram for the upper ones on road
-    complexes), else L itself on the edges it touches (B applies L there, A
-    pads with zeros).
-
-    The edge-space terms w_0 = f, w_1 = (L/omega - I) f,
-    w_{k+1} = 2 (L/omega - I) w_k - w_{k-1} are w_k = (-1)^k f + A v_k with
-    v_1 = B f / omega and v_{k+1} = 2 ((G v_k + (-1)^k B f) / omega - v_k) - v_{k-1},
-    so the series is s f + A sum_k c_k v_k, s = c_0/2 + sum_k (-1)^k c_k being
-    its value at frequency 0. Each step is one product with G.
-    """
-    s = math.fsum([0.5 * coeffs[0], *coeffs[2::2], *(-c for c in coeffs[1::2])])
-    out = s * flow
-    if len(coeffs) == 1:
-        return out
-    b = op.to_small(flow)
-    v_prev, v = 0.0, b / omega
-    acc = coeffs[1] * v
-    for k, c in enumerate(coeffs[2:], 1):
-        # v_{k+1} from v_k and v_{k-1}, in place
-        w = op.small.matvec(v)
-        if k % 2:
-            w -= b
-        else:
-            w += b
-        w /= omega
-        w -= v
-        w *= 2.0
-        w -= v_prev
-        acc += c * w
-        v_prev, v = v, w
-    return out + op.from_small(acc)
-
-
-def chebyshev_apply_operators(
-    filt: ChebyshevFilter,
-    op_lower: ShiftMatrix | None,
-    op_upper: ShiftMatrix | None,
-    flow: np.ndarray,
-) -> np.ndarray:
-    """Run the Chebyshev recursion on an (N1,) flow or an (N1, k) block."""
-    parts = []
-    if filt.c_lower:
-        if op_lower is None:
-            raise ValueError("lower series present but no lower operator")
-        parts.append(_series_apply(op_lower, filt.omega_lower, filt.c_lower, flow))
-    if filt.c_upper:
-        if op_upper is None:
-            raise ValueError("upper series present but no upper operator")
-        parts.append(_series_apply(op_upper, filt.omega_upper, filt.c_upper, flow))
-    out = parts[0]
-    for p in parts[1:]:
-        out = out + p
-    if filt.two_sided:
-        out = out - filt.g0 * flow
-    return out
-
-
 def chebyshev_apply(filt: ChebyshevFilter, sc, flow) -> np.ndarray:
-    """Apply a Chebyshev filter to an edge flow by the three-term recursion.
-
-    ``flow`` has shape (N1,) or is a block (N1, k) of k flows; the result has
-    the same shape, and each column equals the filter applied to that column.
-    """
-    from .filters import _check_edge_flow, shift_operators
-
-    flow = _check_edge_flow(sc, flow)
-    low, up = shift_operators(sc)
-    return chebyshev_apply_operators(filt, low, up, flow)
+    """`filters.apply` with the filter argument first."""
+    return apply(sc, filt, flow)
 
 
-def _series_value(coeffs: Sequence[float], omega: float, lam: float) -> float:
-    x = lam / omega - 1.0
-    series = np.array([0.5 * coeffs[0], *coeffs[1:]])
-    return float(_cheb.chebval(x, series))
-
-
-def _identity_weight(coeffs: Sequence[float], omega: float) -> float:
-    # series value at frequency 0, i.e. at Chebyshev argument -1
-    return _series_value(coeffs, omega, 0.0) if coeffs else 0.0
-
-
-def chebyshev_response(filt: ChebyshevFilter, lam: float, block: str) -> float:
-    """Scalar frequency response of the assembled Chebyshev operator.
-
-    At a gradient frequency the upper series contributes only its value at 0
-    (and vice versa), because the other Laplacian annihilates that eigenvector.
-    """
-    if block not in ("harmonic", "gradient", "curl"):
-        raise ValueError(f"unknown block {block!r}")
-    p_lower0 = _identity_weight(filt.c_lower, filt.omega_lower)
-    p_upper0 = _identity_weight(filt.c_upper, filt.omega_upper)
-    correction = -filt.g0 if filt.two_sided else 0.0
-    if block == "gradient" and filt.c_lower:
-        return _series_value(filt.c_lower, filt.omega_lower, lam) + p_upper0 + correction
-    if block == "curl" and filt.c_upper:
-        return _series_value(filt.c_upper, filt.omega_upper, lam) + p_lower0 + correction
-    # harmonic, or the block the one-sided filter cannot see
-    return p_lower0 + p_upper0 + correction
+chebyshev_response = polynomial_response
 
 
 def chebyshev_error_bound(
@@ -555,12 +506,11 @@ def chebyshev_error_bound(
     if sample_count < 100:
         raise DataError("sample_count must be >= 100")
     worst = 0.0
-    if filt.c_lower and spec.gradient is not None:
-        grid = np.linspace(0.0, 2.0 * filt.omega_lower, sample_count)
-        resp = np.array([chebyshev_response(filt, l, "gradient") for l in grid])
-        worst = max(worst, float(np.max(np.abs(resp - spec.gradient(grid)))))
-    if filt.c_upper and spec.curl is not None:
-        grid = np.linspace(0.0, 2.0 * filt.omega_upper, sample_count)
-        resp = np.array([chebyshev_response(filt, l, "curl") for l in grid])
-        worst = max(worst, float(np.max(np.abs(resp - spec.curl(grid)))))
+    for upper, curve in ((False, spec.gradient), (True, spec.curl)):
+        if filt._series(upper) and curve is not None:
+            top = 2.0 * (filt.omega_upper if upper else filt.omega_lower)
+            grid = np.linspace(0.0, top, sample_count)
+            block = "curl" if upper else "gradient"
+            resp = np.array([polynomial_response(filt, l, block) for l in grid])
+            worst = max(worst, float(np.max(np.abs(resp - curve(grid)))))
     return worst

@@ -8,12 +8,17 @@ cheaper side of its shift L = A B (see ``_kernels``): the lower one on the
 nodes, L_lower^l f = B1^T (B1 B1^T)^(l-1) B1 f, and the upper one on the
 triangles of road complexes, L_upper^l f = B2 (B2^T B2)^(l-1) B2^T f, or on
 the edges on a triangle where cliques are filled.
+
+`FilterCoefficients` (monomial taps) and `design.ChebyshevFilter` write this
+polynomial in two bases. Each class holds its basis (``h0``, the weight of I,
+and per side the small-side sum and the value at lam less that at 0); the
+recursion driver `apply_operators` and `polynomial_response` serve both kinds.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping
 
 import numpy as np
 
@@ -27,6 +32,9 @@ from .complexes import (
 )
 from .errors import DataError
 from .spectral import HodgeSpectrum, _check_flow
+
+if TYPE_CHECKING:
+    from .design import ChebyshevFilter
 
 
 @dataclass(frozen=True)
@@ -52,6 +60,22 @@ class FilterCoefficients:
     @property
     def order_upper(self) -> int:
         return len(self.beta)
+
+    def _series(self, upper: bool) -> tuple[float, ...]:
+        return self.beta if upper else self.alpha
+
+    def _side_sum(self, upper: bool, small: ShiftMatrix, x: np.ndarray) -> np.ndarray:
+        # sum_l taps[l-1] L^l f = A (sum_l taps[l-1] G^(l-1) B f), summed on the small side
+        taps = self._series(upper)
+        acc = taps[0] * x
+        for a in taps[1:]:
+            x = small.matvec(x)
+            acc += a * x
+        return acc
+
+    def _side_value(self, upper: bool, lam: float) -> float:
+        taps = self._series(upper)
+        return float(np.dot(taps, lam ** np.arange(1, len(taps) + 1)))
 
 
 @lru_cache(maxsize=128)
@@ -85,45 +109,34 @@ def shift_upper(obj: SimplicialComplex | OrientedComplex, flow) -> np.ndarray:
     return shift_operators(obj)[1].matvec(_check_edge_flow(obj, flow))
 
 
-def _power_series(op: ShiftMatrix, taps: Sequence[float], flow: np.ndarray) -> np.ndarray:
-    # sum_l taps[l-1] L^l f = A (sum_l taps[l-1] G^(l-1) B f), summed on the small side
-    x = op.to_small(flow)
-    acc = taps[0] * x
-    for a in taps[1:]:
-        x = op.small.matvec(x)
-        acc += a * x
-    return op.from_small(acc)
-
-
 def apply_operators(
     op_lower: ShiftMatrix | None,
     op_upper: ShiftMatrix | None,
-    coeffs: FilterCoefficients,
+    coeffs: FilterCoefficients | ChebyshevFilter,
     flow: np.ndarray,
 ) -> np.ndarray:
     """Run the filter recursion against explicit shift operators.
 
-    ``flow`` is one flow (N1,) or a block (N1, k); a block runs as one SpMM
-    per step. Each side's powers run on that operator's ``small`` side (its
-    Gram when ``on_gram``, else the edges the operator touches), with one map
-    into it and one back.
+    ``coeffs`` is either filter kind; ``flow`` is one flow (N1,) or a block
+    (N1, k), and a block runs as one SpMM per step. Each side's recursion runs
+    on that operator's ``small`` side (its Gram when ``on_gram``, else the
+    edges the operator touches), with one map into it and one back.
     """
     out = coeffs.h0 * flow
-    for label, op, taps in (("lower", op_lower, coeffs.alpha),
-                            ("upper", op_upper, coeffs.beta)):
-        if taps:
+    for upper, op in ((False, op_lower), (True, op_upper)):
+        if coeffs._series(upper):
             if op is None:
+                label = "upper" if upper else "lower"
                 raise ValueError(f"{label} taps given but no {label} operator")
-            out += _power_series(op, taps, flow)
+            out += op.from_small(coeffs._side_sum(upper, op.small, op.to_small(flow)))
     return out
-
 
 def apply(
     obj: SimplicialComplex | OrientedComplex,
-    coeffs: FilterCoefficients,
+    coeffs: FilterCoefficients | ChebyshevFilter,
     flow,
 ) -> np.ndarray:
-    """Apply a filter to an edge flow by repeated shifting.
+    """Apply a filter of either kind to an edge flow by repeated shifting.
 
     ``flow`` has shape (N1,) or is a block (N1, k) of k flows; the result has
     the same shape, and each column equals the filter applied to that column.
@@ -196,31 +209,24 @@ class FrequencyResponse:
     at_curl: Mapping[float, float]
 
 
-def polynomial_response(coeffs: FilterCoefficients, lam: float, block: str) -> float:
-    """Scalar response of the filter at one frequency of the given block."""
-    lam = float(lam)
-    if block == "harmonic":
-        return coeffs.h0
-    if block == "gradient":
-        taps: Sequence[float] = coeffs.alpha
-    elif block == "curl":
-        taps = coeffs.beta
-    else:
+def polynomial_response(
+    coeffs: FilterCoefficients | ChebyshevFilter, lam: float, block: str
+) -> float:
+    """Scalar response of a filter of either kind at one frequency of a block:
+    ``h0``, which holds each side's value at 0, plus the block's own side."""
+    if block not in ("harmonic", "gradient", "curl"):
         raise ValueError(f"unknown block {block!r}")
-    powers = lam ** np.arange(1, len(taps) + 1)
-    return float(coeffs.h0 + np.dot(taps, powers)) if taps else coeffs.h0
+    upper = block == "curl"
+    if block == "harmonic" or not coeffs._series(upper):
+        return coeffs.h0
+    return coeffs.h0 + coeffs._side_value(upper, float(lam))
 
 
 def frequency_response(
-    coeffs: FilterCoefficients, spectrum: HodgeSpectrum
+    coeffs: FilterCoefficients | ChebyshevFilter, spectrum: HodgeSpectrum
 ) -> FrequencyResponse:
-    """Evaluate the filter response at every frequency of a spectrum."""
-    grad = {
-        float(l): polynomial_response(coeffs, l, "gradient")
-        for l in spectrum.lambda_gradient
-    }
-    cur = {
-        float(l): polynomial_response(coeffs, l, "curl")
-        for l in spectrum.lambda_curl
-    }
+    """Evaluate a filter of either kind at every frequency of a spectrum."""
+    grad = {float(l): polynomial_response(coeffs, l, "gradient")
+            for l in spectrum.lambda_gradient}
+    cur = {float(l): polynomial_response(coeffs, l, "curl") for l in spectrum.lambda_curl}
     return FrequencyResponse(at_harmonic=coeffs.h0, at_gradient=grad, at_curl=cur)

@@ -252,13 +252,17 @@ def inverse_sft(spectrum: HodgeSpectrum, emb: Embeddings) -> np.ndarray:
 
 def _factor(matrix: sp.spmatrix):
     """Sparse LU factorization of a symmetric positive definite matrix; a
-    failure is a NumericalError."""
+    failure, or a non-finite entry such as an overflowed mu * P, is a
+    NumericalError."""
     from scipy.sparse.linalg import splu
 
+    matrix = sp.csc_matrix(matrix)
+    if not np.all(np.isfinite(matrix.data)):
+        raise NumericalError("system matrix has a non-finite entry")
     try:
         # symmetric fill-reducing order, diagonal pivots: what SPD needs
         return splu(
-            sp.csc_matrix(matrix),
+            matrix,
             permc_spec="MMD_AT_PLUS_A",
             diag_pivot_thresh=0.0,
             options={"SymmetricMode": True},

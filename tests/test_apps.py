@@ -256,6 +256,15 @@ def test_pagerank_filter_methods_approach_exact(toy):
     assert err_cheb < err_grid
 
 
+@pytest.mark.parametrize("method, order", [("exact", None), ("grid", 4), ("cheb", 20)])
+def test_pagerank_norms_survive_huge_gamma(toy, method, order):
+    # pi is about 1/gamma, and its squares used to underflow to norms of 0
+    scaled = [gamma * np.array(sf.edge_pagerank(toy, gamma, 2, method, order=order).norms_abs)
+              for gamma in (1e100, 1e200)]
+    assert np.all(scaled[1] > 0)
+    np.testing.assert_allclose(scaled[1], scaled[0], rtol=0, atol=1e-12)
+
+
 def test_pagerank_gamma_guard(toy):
     with pytest.raises(sf.DataError):
         sf.edge_pagerank(toy, 0.0, 0, "exact")

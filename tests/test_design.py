@@ -118,6 +118,16 @@ def test_empty_spec_guards(toy_freqs):
     assert res.coefficients.h0 == pytest.approx(1.0)
 
 
+def test_order_warning_points_at_caller(toy_freqs):
+    dg, dc = toy_freqs
+    for solver in (sf.ls_joint, sf.ls_decoupled):
+        with pytest.warns(UserWarning, match="higher powers are redundant") as record:
+            warnings.simplefilter("ignore", IllConditioned)
+            solver(dg, dc, indicator_spec(dg, dc), len(dg) + 1, 1)
+        order_warnings = [w for w in record if "redundant" in str(w.message)]
+        assert {w.filename for w in order_warnings} == {__file__}
+
+
 def test_ill_conditioned_warning(toy_freqs):
     # more taps than equations leaves null directions in the system
     dg, dc = toy_freqs
@@ -250,6 +260,24 @@ def test_chebyshev_response_matches_operator(toy, rng):
     ])
     np.testing.assert_allclose(np.diag(Ht), expect, atol=1e-9)
     assert np.abs(Ht - np.diag(np.diag(Ht))).max() < 1e-9
+
+
+def test_apply_and_frequency_response_take_either_kind(toy, rng):
+    # a Chebyshev filter runs through the same apply and response as taps do
+    filt = sf.chebyshev_design(pagerank_spec(0.1, 5.5, 4.1), 5.5, 4.1, 12, 9)
+    spectrum = sf.hodge_spectrum(toy)
+    Ht = spectrum.basis.T @ dense_chebyshev(filt, toy) @ spectrum.basis
+    resp = sf.frequency_response(filt, spectrum)
+    expect = np.concatenate([
+        [resp.at_harmonic] * spectrum.n_harmonic,
+        [resp.at_gradient[float(lam)] for lam in spectrum.lambda_gradient],
+        [resp.at_curl[float(lam)] for lam in spectrum.lambda_curl],
+    ])
+    np.testing.assert_allclose(np.diag(Ht), expect, atol=1e-9)
+    flow = rng.standard_normal((toy.n_edges, 2))
+    np.testing.assert_array_equal(sf.apply(toy, filt, flow), sf.chebyshev_apply(filt, toy, flow))
+    np.testing.assert_allclose(sf.apply(toy, filt, flow), dense_chebyshev(filt, toy) @ flow,
+                               atol=1e-9)
 
 
 def test_chebyshev_domain_mismatch():

@@ -247,6 +247,41 @@ def test_cli_pagerank(tmp_path, toy, capsys):
     capsys.readouterr()
 
 
+def test_cli_denoise_overflowing_mu_exits_3(tmp_path, toy, capsys):
+    # mu * P overflows to inf; this used to write an all-zero flow and exit 0
+    sc_path, sig_path = tmp_path / "sc.json", tmp_path / "flow.csv"
+    io.save_complex(toy, sc_path)
+    io.save_signal(np.ones(toy.n_edges), sig_path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        code = run_cli(["denoise", "--sc", str(sc_path), "--signal", str(sig_path),
+                        "--mu", "1e308", "--out", str(tmp_path / "d.csv")])
+    assert code == 3
+    assert "non-finite" in capsys.readouterr().err
+
+
+def test_cli_grid_design_curl_only_spec(tmp_path, toy, rng, capsys):
+    # a spec without a gradient curve used to exit 2 ("lower taps requested
+    # but no gradient frequencies"); like a gradient-only spec it gets one side
+    sc_path, spec_path, filt_path = (tmp_path / n for n in ("sc.json", "spec.json", "h.json"))
+    io.save_complex(toy, sc_path)
+    io.dump_json({"g0": 1.0, "curl": {"family": "logistic", "k": -4.0, "lambda0": 1.0,
+                                      "max": 4.0}}, spec_path)
+    assert run_cli(["design", "--spec", str(spec_path), "--method", "grid",
+                    "--order-upper", "4", "--samples", "50", "--out", str(filt_path)]) == 0
+    filt = io.load_filter(filt_path)
+    spec = io.load_response_spec(spec_path)
+    assert filt == sf.grid_design(spec, 0, 50, 0, 4).coefficients
+    assert filt.alpha == () and len(filt.beta) == 4
+    sig_path, out_path = tmp_path / "flow.csv", tmp_path / "out.csv"
+    flow = rng.standard_normal(toy.n_edges)
+    io.save_signal(flow, sig_path)
+    assert run_cli(["filter", "--sc", str(sc_path), "--filter", str(filt_path),
+                    "--signal", str(sig_path), "--out", str(out_path)]) == 0
+    np.testing.assert_array_equal(io.load_signal(out_path), sf.apply(toy, filt, flow))
+    capsys.readouterr()
+
+
 def test_cli_arbitrage(tmp_path, capsys):
     market_path = tmp_path / "market.csv"
     io.save_market(sf.demo_market(), market_path)
