@@ -12,12 +12,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from ._kernels import IDENTITY_CHUNK, identity_block
-from .complexes import (
-    SimplicialComplex,
-    _hodge_parts,
-    build_complex,
-    infer_triangles,
-)
+from .complexes import SimplicialComplex, build_complex, infer_triangles
 from .design import (
     ResponseSpec,
     _vandermonde,
@@ -56,23 +51,42 @@ LAMBDA_MAX_MARGIN = 1.01
 GRID_LAMBDA_MIN = 1e-8
 
 
-def _interval_tops(ops, power_steps: int, seed: int) -> tuple[float, float]:
+def _interval_tops(ops, power_steps: int) -> tuple[float, float]:
     """Design interval tops of a (lower, upper) pair of parts: LAMBDA_MAX_MARGIN x
     a power-iteration estimate of each part's largest eigenvalue, 1.0 for a zero
-    part (no edges or no triangles)."""
-    tops = [LAMBDA_MAX_MARGIN * estimate_lambda_max(op, power_steps, seed) for op in ops]
+    or missing (None) part."""
+    tops = [
+        LAMBDA_MAX_MARGIN * estimate_lambda_max(op, power_steps) if op is not None else 0.0
+        for op in ops
+    ]
     return tuple(top if top > 0 else 1.0 for top in tops)
 
 
-def _realize(response, tops, method, order, samples, low, up, lam_min=0.0):
-    """Grid-LS or Chebyshev filter realizing ``response`` on [lam_min, top] per side
-    as a function of an (N1,) flow or (N1, k) block; one-sided if ``up`` is None."""
+def _resolvent(low, up, shift, scale, method, order, samples, power_steps, lam_min=0.0):
+    """The map f -> (shift*I + scale*L)^-1 f of an (N1,) flow or (N1, k) block,
+    L = low + up, or low alone when ``up`` is None; the one solver behind
+    denoising and ranking.
+
+    "exact" factors the sparse system assembled from the parts' factors once;
+    "grid" and "cheb" realize the response 1/(shift + scale*lambda) on
+    [lam_min, top] per side with a grid-LS or Chebyshev filter of ``order``,
+    the tops from `_interval_tops`.
+    """
+    two_sided = up is not None
+    if method == "exact":
+        system = shift * sp.identity(low.shape[0])
+        # an overflowing scale leaves a non-finite entry, which _factor rejects
+        with np.errstate(over="ignore", invalid="ignore"):
+            for op in (low, up) if two_sided else (low,):
+                a, b = op.factors
+                system = system + scale * (a @ b)
+        return _factor(system).solve
     if method not in ("grid", "cheb"):
         raise DataError(f"unknown filter method {method!r}")
     if order is None:
         raise DataError(f"method {method!r} needs a filter order")
-    two_sided = up is not None
-    lam_g, lam_c = tops
+    lam_g, lam_c = _interval_tops((low, up), power_steps)
+    response = lambda lam: 1.0 / (shift + scale * lam)
     spec = ResponseSpec(
         g0=float(response(0.0)),
         gradient=response_custom(response, lam_g, lam_min),
@@ -139,7 +153,6 @@ def extract_component(
     order_upper: int | None = None,
     tied: bool = False,
     grouping_tol: float = 0.0,
-    seed: int = 0,
     power_steps: int = 50,
 ) -> ExtractionResult:
     """Extract one Hodge component of an edge flow.
@@ -193,7 +206,7 @@ def extract_component(
 
     if method == "filter_cheb":
         low, up = shift_operators(sc)
-        lam_g, lam_c = _interval_tops((low, up), power_steps, seed)
+        lam_g, lam_c = _interval_tops((low, up), power_steps)
         own_freqs = freqs_g if which == "gradient" else freqs_c
         others = np.concatenate([freqs_g, freqs_c])
         if which == "harmonic":
@@ -234,32 +247,24 @@ def denoise(
     method: str = "exact",
     order: int | None = None,
     samples: int = 10,
-    seed: int = 0,
     power_steps: int = 50,
 ) -> np.ndarray:
     """Solve (I + mu*P) f_hat = f exactly or via a filter approximation.
 
-    P is the full Hodge Laplacian or the lower (edge) Laplacian alone. Filter
-    methods realize the response 1/(1 + mu*lambda): a two-sided design for the
-    Hodge regularizer, a one-sided lower design for the edge regularizer.
+    P is the full Hodge Laplacian or the lower (edge) Laplacian alone; the
+    solve is `_resolvent` with shift 1 and scale mu on the shift operators.
+    Filter methods realize the response 1/(1 + mu*lambda): a two-sided design
+    for the Hodge regularizer, a one-sided lower design for the edge regularizer.
     """
     if not 0 < mu < math.inf:
         raise DataError("mu must be positive and finite")
     if regularizer not in ("edge_laplacian", "hodge_laplacian"):
         raise DataError(f"unknown regularizer {regularizer!r}")
     flow = _check_flow(sc.n_edges, flow)
-    two_sided = regularizer == "hodge_laplacian"
-
-    if method == "exact":
-        lower, upper = _hodge_parts(sc, 1)
-        penalty = lower + upper if two_sided else lower
-        return _factor(sp.identity(sc.n_edges) + mu * penalty).solve(flow)
-
     low, up = shift_operators(sc)
-    tops = _interval_tops((low, up), power_steps, seed)
-    response = lambda lam: 1.0 / (1.0 + mu * lam)
-    filt = _realize(response, tops, method, order, samples, low, up if two_sided else None)
-    return filt(flow)
+    if regularizer == "edge_laplacian":
+        up = None
+    return _resolvent(low, up, 1.0, mu, method, order, samples, power_steps)(flow)
 
 
 # ---------------------------------------------------------------------------
@@ -366,8 +371,9 @@ def arbitrage_correct(market: ExchangeMarket) -> ExchangeMarket:
 
     For a complete market the projector is the single-tap filter
     (1/N0) * L_lower applied to the log flow. An incomplete market falls back
-    to the spectral gradient projection of its quoted-pair complex (with an
-    IncompleteMarket warning). Corrected rates are reciprocal-consistent.
+    to the orthogonal gradient projection of its quoted-pair complex (with an
+    IncompleteMarket warning); no curl projection is built. Corrected rates
+    are reciprocal-consistent.
     """
     sc = market_complex(market)
     flow = _log_flow(market, sc)
@@ -381,7 +387,7 @@ def arbitrage_correct(market: ExchangeMarket) -> ExchangeMarket:
                 "projector of the quoted-pair complex"
             )
         )
-        corrected, _, _ = hodge_decompose(sc, flow)
+        corrected = _projector(sc, "gradient")(flow)
     n = market.n_currencies
     rate = np.full((n, n), np.nan)
     np.fill_diagonal(rate, 1.0)
@@ -433,28 +439,23 @@ def _subspace_norms(
     )
 
 
-def _ranker(sc, gamma, method, order, samples, seed, power_steps):
+def _ranker(sc, gamma, method, order, samples, power_steps):
     """The map from an (N1, k) right-hand side f to y = (gamma*I + S)^-1 R^-1 f,
     and R's diagonal as an (N1, 1) column, so that pi = R y solves
     (gamma*I + L_n) pi = f.
 
     L_n = R S R^-1 with S = S_lower + S_upper the symmetric parts of
-    `_normalized_operators` and R = diag(sqrt(d2)). The exact y comes from one
-    sparse factorization of the SPD gamma*I + S, grid/cheb y from a filter
-    realizing 1/(gamma + lambda) over S_lower and S_upper."""
+    `_normalized_operators` and R = diag(sqrt(d2)). The solve is `_resolvent`
+    with shift gamma and scale 1 on S_lower and S_upper: one sparse
+    factorization of the SPD gamma*I + S (exact), or a filter realizing
+    1/(gamma + lambda) from GRID_LAMBDA_MIN up (grid/cheb)."""
     if not 0 < gamma < math.inf:
         raise DataError("gamma must be positive and finite")
-    ops = _normalized_operators(sc)
     # R as a column: broadcasting scales a block's rows at a tenth of the cost
     # of a product with sp.diags
     root = np.sqrt(_normalized_degrees(sc)[1])[:, np.newaxis]
-    if method == "exact":
-        s_lower, s_upper = (a @ b for a, b in (op.factors for op in ops))
-        solve = _factor(gamma * sp.identity(sc.n_edges) + s_lower + s_upper).solve
-    else:
-        tops = _interval_tops(ops, power_steps, seed)
-        response = lambda lam: 1.0 / (gamma + lam)
-        solve = _realize(response, tops, method, order, samples, *ops, GRID_LAMBDA_MIN)
+    solve = _resolvent(*_normalized_operators(sc), gamma, 1.0, method, order, samples,
+                       power_steps, GRID_LAMBDA_MIN)
     return (lambda f: solve(f / root)), root
 
 
@@ -465,7 +466,6 @@ def edge_pagerank(
     method: str = "exact",
     order: int | None = None,
     samples: int = 200,
-    seed: int = 0,
     power_steps: int = 50,
 ) -> PageRankResult:
     """Influence of one edge: solve (gamma*I + L_n) pi = indicator(edge).
@@ -475,7 +475,7 @@ def edge_pagerank(
     """
     if not 0 <= edge_index < sc.n_edges:
         raise IndexOutOfRange(f"edge index {edge_index} outside [0, {sc.n_edges})")
-    rank, root = _ranker(sc, gamma, method, order, samples, seed, power_steps)
+    rank, root = _ranker(sc, gamma, method, order, samples, power_steps)
     if method == "exact":  # LU solves round by block width, SpMM columns do not
         start = edge_index - edge_index % IDENTITY_CHUNK
         y = rank(identity_block(sc.n_edges, start))[:, [edge_index - start]]
@@ -491,7 +491,6 @@ def edge_pagerank_all(
     method: str = "exact",
     order: int | None = None,
     samples: int = 200,
-    seed: int = 0,
     power_steps: int = 50,
 ) -> list[PageRankResult]:
     """PageRank for every edge.
@@ -500,7 +499,7 @@ def edge_pagerank_all(
     solves against one sparse factorization, grid/cheb run one SpMM recursion
     per block.
     """
-    rank, root = _ranker(sc, gamma, method, order, samples, seed, power_steps)
+    rank, root = _ranker(sc, gamma, method, order, samples, power_steps)
     out = []
     for start in range(0, sc.n_edges, IDENTITY_CHUNK):
         y = rank(identity_block(sc.n_edges, start))

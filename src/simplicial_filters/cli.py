@@ -97,16 +97,15 @@ def decompose(sc_path, signal_path, out_path):
               help="Chebyshev quadrature nodes (0 = automatic).")
 @click.option("--group-tol", default=0.0, show_default=True, help=GROUP_TOL_HELP)
 @click.option("--power-steps", default=50, show_default=True)
-@click.option("--seed", default=0, show_default=True)
 @click.option("--out", "out_path", required=True, type=click.Path())
 def design_cmd(spec_path, method, sc_path, order_lower, order_upper, mode,
-               samples, quadrature, group_tol, power_steps, seed, out_path):
+               samples, quadrature, group_tol, power_steps, out_path):
     """Design a filter for a response spec and write it to JSON."""
     spec = io.load_response_spec(spec_path)
-    # a side without a response curve gets no taps and no samples
+    # a side without a response curve gets no taps, frequencies or samples
     lower, upper = spec.gradient is not None, spec.curl is not None
     if method == "cheb":
-        lam_g, lam_c = _cheb_bounds(spec, sc_path, power_steps, seed)
+        lam_g, lam_c = _cheb_bounds(spec, sc_path, power_steps)
         filt = design.chebyshev_design(
             spec, lam_g, lam_c,
             order_lower if lower else None, order_upper if upper else None,
@@ -119,7 +118,10 @@ def design_cmd(spec_path, method, sc_path, order_lower, order_upper, mode,
             spectrum_ = spectral.hodge_spectrum(_load_sc(sc_path))
             freqs_g, freqs_c = spectral.distinct_frequencies(spectrum_, group_tol)
             solver = design.ls_joint if mode == "joint" else design.ls_decoupled
-            result = solver(freqs_g, freqs_c, spec, order_lower, order_upper)
+            result = solver(
+                freqs_g if lower else (), freqs_c if upper else (), spec,
+                order_lower if lower else 0, order_upper if upper else 0,
+            )
         else:
             result = design.grid_design(
                 spec, samples if lower else 0, samples if upper else 0,
@@ -132,12 +134,12 @@ def design_cmd(spec_path, method, sc_path, order_lower, order_upper, mode,
     click.echo(f"wrote {out_path}")
 
 
-def _cheb_bounds(spec, sc_path, power_steps, seed):
+def _cheb_bounds(spec, sc_path, power_steps):
     """Chebyshev interval tops: the library's rule on the complex's Laplacians
     when a complex is given, else the spec domains."""
     if sc_path:
         ops = filters.shift_operators(_load_sc(sc_path))
-        return apps._interval_tops(ops, power_steps, seed)
+        return apps._interval_tops(ops, power_steps)
     lam_g = spec.gradient.lam_max if spec.gradient is not None else None
     lam_c = spec.curl.lam_max if spec.curl is not None else None
     return lam_g, lam_c
@@ -186,11 +188,10 @@ def filter_cmd(sc_path, filter_path, signal_path, out_path):
 @click.option("--order-lower", type=int, default=None)
 @click.option("--order-upper", type=int, default=None)
 @click.option("--group-tol", default=0.0, show_default=True, help=GROUP_TOL_HELP)
-@click.option("--seed", default=0, show_default=True)
 @click.option("--power-steps", default=50, show_default=True)
 @click.option("--out", "out_path", required=True, type=click.Path())
 def extract(sc_path, signal_path, which, method, order_lower, order_upper,
-            group_tol, seed, power_steps, out_path):
+            group_tol, power_steps, out_path):
     """Extract one Hodge component of a flow; prints its error vs projection."""
     sc = _load_sc(sc_path)
     flow = io.load_signal(signal_path, sc)
@@ -199,7 +200,7 @@ def extract(sc_path, signal_path, which, method, order_lower, order_upper,
     result = apps.extract_component(
         sc, flow, which, method_name,
         order_lower=order_lower, order_upper=order_upper,
-        grouping_tol=group_tol, seed=seed, power_steps=power_steps,
+        grouping_tol=group_tol, power_steps=power_steps,
     )
     io.save_signal(result.flow, out_path)
     if result.nrmse is None:
@@ -219,17 +220,16 @@ def extract(sc_path, signal_path, which, method, order_lower, order_upper,
               default="exact", show_default=True)
 @click.option("--order", type=int, default=None)
 @click.option("--samples", default=10, show_default=True)
-@click.option("--seed", default=0, show_default=True)
 @click.option("--power-steps", default=50, show_default=True)
 @click.option("--out", "out_path", required=True, type=click.Path())
 def denoise(sc_path, signal_path, mu, regularizer, method, order, samples,
-            seed, power_steps, out_path):
+            power_steps, out_path):
     """Regularized denoising of an edge flow."""
     sc = _load_sc(sc_path)
     flow = io.load_signal(signal_path, sc)
     regname = "edge_laplacian" if regularizer == "edge" else "hodge_laplacian"
     out = apps.denoise(sc, flow, mu, regname, method, order=order,
-                       samples=samples, seed=seed, power_steps=power_steps)
+                       samples=samples, power_steps=power_steps)
     io.save_signal(out, out_path)
     click.echo(f"wrote {out_path}")
 
@@ -244,12 +244,11 @@ def denoise(sc_path, signal_path, mu, regularizer, method, order, samples,
               default="exact", show_default=True)
 @click.option("--order", type=int, default=None)
 @click.option("--samples", default=200, show_default=True)
-@click.option("--seed", default=0, show_default=True)
 @click.option("--power-steps", default=50, show_default=True)
 @click.option("--out", "out_path", type=click.Path(), default=None,
               help="Required with --all (CSV); optional JSON for a single edge.")
 def pagerank(sc_path, gamma, edge_index, rank_all, method, order, samples,
-             seed, power_steps, out_path):
+             power_steps, out_path):
     """Edge influence scores via the normalized edge Laplacian."""
     sc = _load_sc(sc_path)
     if rank_all == (edge_index is not None):
@@ -258,8 +257,7 @@ def pagerank(sc_path, gamma, edge_index, rank_all, method, order, samples,
         if not out_path:
             raise click.UsageError("--all needs --out for the CSV table")
         results = apps.edge_pagerank_all(
-            sc, gamma, method, order=order, samples=samples, seed=seed,
-            power_steps=power_steps,
+            sc, gamma, method, order=order, samples=samples, power_steps=power_steps,
         )
         rows = []
         for r in results:
@@ -271,7 +269,7 @@ def pagerank(sc_path, gamma, edge_index, rank_all, method, order, samples,
         click.echo(f"wrote {out_path}")
         return
     result = apps.edge_pagerank(
-        sc, gamma, edge_index, method, order=order, samples=samples, seed=seed,
+        sc, gamma, edge_index, method, order=order, samples=samples,
         power_steps=power_steps,
     )
     u, v = sc.edges[result.edge_index]

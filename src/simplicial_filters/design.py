@@ -35,7 +35,6 @@ class ResponseCurve:
     """A desired frequency response over one block, defined on [lam_min, lam_max]."""
 
     family: str
-    params: tuple[tuple[str, float], ...]
     fn: Callable[[np.ndarray], np.ndarray]
     lam_min: float
     lam_max: float
@@ -51,8 +50,7 @@ class ResponseCurve:
 def response_constant(value: float, lam_max: float, lam_min: float = 0.0) -> ResponseCurve:
     value = float(value)
     return ResponseCurve(
-        "constant", (("value", value),), lambda lam: np.full_like(lam, value),
-        float(lam_min), float(lam_max),
+        "constant", lambda lam: np.full_like(lam, value), float(lam_min), float(lam_max)
     )
 
 
@@ -62,9 +60,7 @@ def response_step(
     """Ideal step: `low` below the cutoff frequency, `high` at and above it."""
     cutoff, low, high = float(cutoff), float(low), float(high)
     return ResponseCurve(
-        "ideal-step",
-        (("cutoff", cutoff), ("low", low), ("high", high)),
-        lambda lam: np.where(lam < cutoff, low, high),
+        "ideal-step", lambda lam: np.where(lam < cutoff, low, high),
         float(lam_min), float(lam_max),
     )
 
@@ -75,8 +71,7 @@ def response_logistic(
     """Smooth step 1 / (1 + exp(-k (lam - lam0))); negative k flips it."""
     k, lam0 = float(k), float(lam0)
     return ResponseCurve(
-        "logistic", (("k", k), ("lambda0", lam0)),
-        lambda lam: 1.0 / (1.0 + np.exp(-k * (lam - lam0))),
+        "logistic", lambda lam: 1.0 / (1.0 + np.exp(-k * (lam - lam0))),
         float(lam_min), float(lam_max),
     )
 
@@ -89,9 +84,7 @@ def response_inverse_shift(
     if not 0 < gamma < math.inf:
         raise DataError("gamma must be positive and finite")
     return ResponseCurve(
-        "inverse-shift", (("gamma", gamma),),
-        lambda lam: 1.0 / (gamma + lam),
-        float(lam_min), float(lam_max),
+        "inverse-shift", lambda lam: 1.0 / (gamma + lam), float(lam_min), float(lam_max)
     )
 
 
@@ -102,21 +95,15 @@ def response_table(points: Sequence[tuple[float, float]]) -> ResponseCurve:
         raise EmptySpec("response table is empty")
     lams = np.array([p[0] for p in pts])
     vals = np.array([p[1] for p in pts])
-    params = tuple(
-        (name, value)
-        for i, (l, g) in enumerate(pts)
-        for name, value in ((f"lambda{i}", l), (f"g{i}", g))
-    )
     return ResponseCurve(
-        "table", params, lambda lam: np.interp(lam, lams, vals),
-        float(lams[0]), float(lams[-1]),
+        "table", lambda lam: np.interp(lam, lams, vals), float(lams[0]), float(lams[-1])
     )
 
 
 def response_custom(
     fn: Callable, lam_max: float, lam_min: float = 0.0, family: str = "custom"
 ) -> ResponseCurve:
-    return ResponseCurve(family, (), fn, float(lam_min), float(lam_max))
+    return ResponseCurve(family, fn, float(lam_min), float(lam_max))
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -95,6 +96,26 @@ def test_denoise_filter_methods_near_exact(toy, rng):
     assert np.abs(edge_cheb - edge_exact).max() < 1e-3
 
 
+@pytest.mark.parametrize("method, order", [("grid", 6), ("cheb", 20)])
+def test_onesided_denoise_bounds_one_part(monkeypatch, toy, rng, method, order):
+    # the edge regularizer designs on the lower part alone; its upper part used
+    # to get a power iteration whose result was thrown away
+    calls = []
+    estimate = apps.estimate_lambda_max
+
+    def spy(op, *args):
+        calls.append(op)
+        return estimate(op, *args)
+
+    monkeypatch.setattr(apps, "estimate_lambda_max", spy)
+    flow = rng.standard_normal(toy.n_edges)
+    sf.denoise(toy, flow, 0.5, "edge_laplacian", method, order=order)
+    assert calls == [sf.shift_operators(toy)[0]]
+    calls.clear()
+    sf.denoise(toy, flow, 0.5, "hodge_laplacian", method, order=order)
+    assert calls == list(sf.shift_operators(toy))
+
+
 def test_market_validation():
     with pytest.raises(NonPositiveRate):
         ExchangeMarket(("A", "B"), np.array([[1.0, -2.0], [0.5, 1.0]]))
@@ -163,6 +184,31 @@ def test_arbitrage_correct_is_log_projection():
     corrected = sf.arbitrage_correct(market)
     got = np.array([np.log(corrected.rate[u, v]) for u, v in sc.edges])
     np.testing.assert_allclose(got, fg, atol=1e-10)
+
+
+def test_arbitrage_incomplete_market_builds_no_curl_projector(monkeypatch):
+    # the correction keeps the gradient part only; it used to project onto
+    # the curl space too (hodge_decompose) and throw that part away
+    rate = np.array(sf.demo_market().rate)
+    rate[0, -1] = rate[-1, 0] = np.nan
+    market = ExchangeMarket(sf.demo_market().currency_names, rate)
+    sc = sf.market_complex(market)
+    flow = np.array([np.log(market.directed_rate(u, v)) for u, v in sc.edges])
+    sides = []
+    projector = spectral._projector
+
+    def spy(sc, side, *args):
+        sides.append(side)
+        return projector(sc, side, *args)
+
+    monkeypatch.setattr(spectral, "_projector", spy)
+    monkeypatch.setattr(apps, "_projector", spy)
+    with pytest.warns(IncompleteMarket):
+        corrected = sf.arbitrage_correct(market)
+    assert sc.n_triangles > 0 and sides == ["gradient"]
+    expect = [math.exp(x) for x in projector(sc, "gradient")(flow)]
+    got = np.array([corrected.rate[u, v] for u, v in sc.edges])
+    np.testing.assert_array_equal(got, expect)
 
 
 def test_arbitrage_consistent_market_unchanged():

@@ -248,12 +248,13 @@ def test_cli_pagerank(tmp_path, toy, capsys):
 
 
 def test_cli_denoise_overflowing_mu_exits_3(tmp_path, toy, capsys):
-    # mu * P overflows to inf; this used to write an all-zero flow and exit 0
+    # mu * P overflows to inf; this used to write an all-zero flow and exit 0,
+    # and then to print scipy's overflow RuntimeWarning before the error
     sc_path, sig_path = tmp_path / "sc.json", tmp_path / "flow.csv"
     io.save_complex(toy, sc_path)
     io.save_signal(np.ones(toy.n_edges), sig_path)
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
+        warnings.simplefilter("error", RuntimeWarning)
         code = run_cli(["denoise", "--sc", str(sc_path), "--signal", str(sig_path),
                         "--mu", "1e308", "--out", str(tmp_path / "d.csv")])
     assert code == 3
@@ -279,6 +280,25 @@ def test_cli_grid_design_curl_only_spec(tmp_path, toy, rng, capsys):
     assert run_cli(["filter", "--sc", str(sc_path), "--filter", str(filt_path),
                     "--signal", str(sig_path), "--out", str(out_path)]) == 0
     np.testing.assert_array_equal(io.load_signal(out_path), sf.apply(toy, filt, flow))
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("mode", ["joint", "decoupled"])
+def test_cli_ls_design_curl_only_spec(tmp_path, toy, capsys, mode):
+    # a spec without a gradient curve used to exit 2 ("gradient frequencies
+    # given but no gradient response curve"), even with --order-lower 0
+    sc_path, spec_path, filt_path = (tmp_path / n for n in ("sc.json", "spec.json", "h.json"))
+    io.save_complex(toy, sc_path)
+    io.dump_json({"g0": 1.0, "curl": {"family": "logistic", "k": -4.0, "lambda0": 1.0,
+                                      "max": 4.0}}, spec_path)
+    assert run_cli(["design", "--spec", str(spec_path), "--method", "ls", "--sc", str(sc_path),
+                    "--order-upper", "2", "--mode", mode, "--out", str(filt_path)]) == 0
+    _, freqs_c = sf.distinct_frequencies(sf.hodge_spectrum(toy))
+    solver = sf.ls_joint if mode == "joint" else sf.ls_decoupled
+    spec = io.load_response_spec(spec_path)
+    filt = io.load_filter(filt_path)
+    assert filt == solver((), freqs_c, spec, 0, 2).coefficients
+    assert filt.alpha == () and len(filt.beta) == 2
     capsys.readouterr()
 
 
