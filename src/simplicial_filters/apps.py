@@ -45,21 +45,24 @@ from .spectral import (
     hodge_spectrum,
 )
 
-# safety margin applied to power-iteration spectral bounds before designing
+# safety margin applied to a part's largest eigenvalue before designing on it
 LAMBDA_MAX_MARGIN = 1.01
 # lower end of sampled frequency intervals; keeps 1/lambda-type targets finite
 GRID_LAMBDA_MIN = 1e-8
 
 
+def _top(lam_max: float) -> float:
+    """The design interval top of a part with largest eigenvalue ``lam_max`` (1.0 if zero)."""
+    return LAMBDA_MAX_MARGIN * lam_max if lam_max > 0 else 1.0
+
+
 def _interval_tops(ops, power_steps: int) -> tuple[float, float]:
-    """Design interval tops of a (lower, upper) pair of parts: LAMBDA_MAX_MARGIN x
-    a power-iteration estimate of each part's largest eigenvalue, 1.0 for a zero
-    or missing (None) part."""
-    tops = [
-        LAMBDA_MAX_MARGIN * estimate_lambda_max(op, power_steps) if op is not None else 0.0
-        for op in ops
-    ]
-    return tuple(top if top > 0 else 1.0 for top in tops)
+    """Design interval tops of a (lower, upper) pair of parts without a spectrum:
+    `_top` of a power-iteration estimate of each part's largest eigenvalue, 1.0
+    for a missing (None) part. The estimate approaches lambda_max from below."""
+    return tuple(
+        _top(estimate_lambda_max(op, power_steps)) if op is not None else 1.0 for op in ops
+    )
 
 
 def _resolvent(low, up, shift, scale, method, order, samples, power_steps, lam_min=0.0):
@@ -123,15 +126,6 @@ class ExtractionResult:
     nrmse: float | None  # vs the spectral projection; None if that is zero
 
 
-def _indicator_spec(which: str, lam_max_g: float, lam_max_c: float) -> ResponseSpec:
-    g0 = 1.0 if which == "harmonic" else 0.0
-    return ResponseSpec(
-        g0=g0,
-        gradient=response_constant(1.0 if which == "gradient" else 0.0, lam_max_g),
-        curl=response_constant(1.0 if which == "curl" else 0.0, lam_max_c),
-    )
-
-
 def _onesided_taps(freqs: np.ndarray, order: int) -> tuple[float, ...]:
     # solve Phi a = 1 with Phi the pure Vandermonde block (no constant column)
     phi = _vandermonde(freqs, order)
@@ -153,86 +147,80 @@ def extract_component(
     order_upper: int | None = None,
     tied: bool = False,
     grouping_tol: float = 0.0,
-    power_steps: int = 50,
 ) -> ExtractionResult:
     """Extract one Hodge component of an edge flow.
 
     Methods: exact spectral projection, least-squares filter with indicator
     targets (optionally tap-tied), a one-sided design without constant term,
-    or a Chebyshev filter with a smooth step response.
+    or a Chebyshev filter with a smooth step response. Every design takes its
+    domain on a side up to `_top` of that side's largest frequency, so the
+    Chebyshev intervals contain the spectrum.
     """
     if which not in _BLOCKS:
         raise DataError(f"unknown component {which!r}")
     flow = _check_flow(sc.n_edges, flow)
     f_g, f_c, f_h = hodge_decompose(sc, flow)
     reference = {"gradient": f_g, "curl": f_c, "harmonic": f_h}[which]
-
-    def result(estimate: np.ndarray) -> ExtractionResult:
-        if np.linalg.norm(reference) == 0.0:
-            return ExtractionResult(estimate, None)
-        return ExtractionResult(estimate, nrmse(estimate, reference))
-
+    norm = np.linalg.norm(reference)
     if method == "spectral":
-        return ExtractionResult(reference, 0.0 if np.linalg.norm(reference) else None)
+        return ExtractionResult(reference, 0.0 if norm else None)
 
-    freqs_g, freqs_c = distinct_frequencies(hodge_spectrum(sc), grouping_tol)
+    spectrum = hodge_spectrum(sc)
+    lam_g, lam_c = (
+        _top(float(np.max(lams, initial=0.0)))
+        for lams in (spectrum.lambda_gradient, spectrum.lambda_curl)
+    )
+    freqs_g, freqs_c = distinct_frequencies(spectrum, grouping_tol)
     freqs_g, freqs_c = np.asarray(freqs_g), np.asarray(freqs_c)
     # LS and one-sided designs default to one tap per distinct frequency
     l1 = order_lower if order_lower is not None else len(freqs_g)
     l2 = order_upper if order_upper is not None else len(freqs_c)
 
     if method == "filter_ls":
-        spec = _indicator_spec(
-            which,
-            float(freqs_g[-1]) if freqs_g.size else 1.0,
-            float(freqs_c[-1]) if freqs_c.size else 1.0,
+        spec = ResponseSpec(
+            1.0 if which == "harmonic" else 0.0,
+            response_constant(1.0 if which == "gradient" else 0.0, lam_g),
+            response_constant(1.0 if which == "curl" else 0.0, lam_c),
         )
         if tied:
-            design = ls_tied(freqs_g, freqs_c, spec, l1)
+            filt = ls_tied(freqs_g, freqs_c, spec, l1).coefficients
         else:
-            design = ls_joint(freqs_g, freqs_c, spec, l1, l2)
-        return result(apply(sc, design.coefficients, flow))
-
-    if method == "filter_onesided":
+            filt = ls_joint(freqs_g, freqs_c, spec, l1, l2).coefficients
+    elif method == "filter_onesided":
         if which == "harmonic":
             raise UnsupportedCombination(
                 "a one-sided design cannot isolate the harmonic component"
             )
         if which == "gradient":
-            coeffs = FilterCoefficients(0.0, _onesided_taps(freqs_g, l1), ())
+            filt = FilterCoefficients(0.0, _onesided_taps(freqs_g, l1), ())
         else:
-            coeffs = FilterCoefficients(0.0, (), _onesided_taps(freqs_c, l2))
-        return result(apply(sc, coeffs, flow))
-
-    if method == "filter_cheb":
-        low, up = shift_operators(sc)
-        lam_g, lam_c = _interval_tops((low, up), power_steps)
-        own_freqs = freqs_g if which == "gradient" else freqs_c
-        others = np.concatenate([freqs_g, freqs_c])
+            filt = FilterCoefficients(0.0, (), _onesided_taps(freqs_c, l2))
+    elif method == "filter_cheb":
+        # a logistic step at half the lowest frequency it separates: falling on
+        # both sides for harmonic, else rising on the extracted side, flat on the other
         if which == "harmonic":
-            if others.size == 0:
-                raise DataError("complex has no gradient or curl frequencies to filter out")
-            lam0 = 0.5 * float(np.min(others))
-            k = 40.0 / lam0
-            curve_g = response_logistic(-k, lam0, lam_g)
-            curve_c = response_logistic(-k, lam0, lam_c)
+            cut = np.concatenate([freqs_g, freqs_c])
+            missing = "complex has no gradient or curl frequencies to filter out"
         else:
-            if own_freqs.size == 0:
-                raise DataError(f"complex has no {which} frequencies to extract")
-            lam0 = 0.5 * float(np.min(own_freqs))
-            k = 40.0 / lam0
-            rising = response_logistic(k, lam0, lam_g if which == "gradient" else lam_c)
-            flat = response_constant(
-                float(rising(0.0)), lam_c if which == "gradient" else lam_g
-            )
-            curve_g, curve_c = (rising, flat) if which == "gradient" else (flat, rising)
-        spec = ResponseSpec(float(curve_g(0.0)), curve_g, curve_c)
+            cut = freqs_g if which == "gradient" else freqs_c
+            missing = f"complex has no {which} frequencies to extract"
+        if cut.size == 0:
+            raise DataError(missing)
+        lam0 = 0.5 * float(np.min(cut))
+        k = (-40.0 if which == "harmonic" else 40.0) / lam0
+        g0 = float(response_logistic(k, lam0, 1.0)(0.0))
+        curve_g, curve_c = (
+            response_logistic(k, lam0, top) if which in (side, "harmonic")
+            else response_constant(g0, top)
+            for side, top in (("gradient", lam_g), ("curl", lam_c))
+        )
         l1 = order_lower if order_lower is not None else 40
         l2 = order_upper if order_upper is not None else 40
-        filt = chebyshev_design(spec, lam_g, lam_c, l1, l2)
-        return result(apply_operators(low, up, filt, flow))
-
-    raise DataError(f"unknown extraction method {method!r}")
+        filt = chebyshev_design(ResponseSpec(g0, curve_g, curve_c), lam_g, lam_c, l1, l2)
+    else:
+        raise DataError(f"unknown extraction method {method!r}")
+    estimate = apply(sc, filt, flow)
+    return ExtractionResult(estimate, nrmse(estimate, reference) if norm else None)
 
 
 # ---------------------------------------------------------------------------

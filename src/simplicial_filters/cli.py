@@ -86,7 +86,7 @@ def decompose(sc_path, signal_path, out_path):
 @click.option("--spec", "spec_path", required=True, type=click.Path())
 @click.option("--method", type=click.Choice(["ls", "grid", "cheb"]), required=True)
 @click.option("--sc", "sc_path", type=click.Path(),
-              help="Complex supplying frequencies (ls) or spectral bounds (grid/cheb).")
+              help="Complex supplying frequencies (ls) or spectral bounds (cheb).")
 @click.option("--order-lower", default=1, show_default=True)
 @click.option("--order-upper", default=1, show_default=True)
 @click.option("--mode", type=click.Choice(["joint", "decoupled"]), default="joint",
@@ -101,6 +101,8 @@ def decompose(sc_path, signal_path, out_path):
 def design_cmd(spec_path, method, sc_path, order_lower, order_upper, mode,
                samples, quadrature, group_tol, power_steps, out_path):
     """Design a filter for a response spec and write it to JSON."""
+    if method == "grid" and sc_path:
+        raise click.UsageError("--method grid takes no --sc (it samples the spec domains)")
     spec = io.load_response_spec(spec_path)
     # a side without a response curve gets no taps, frequencies or samples
     lower, upper = spec.gradient is not None, spec.curl is not None
@@ -188,10 +190,9 @@ def filter_cmd(sc_path, filter_path, signal_path, out_path):
 @click.option("--order-lower", type=int, default=None)
 @click.option("--order-upper", type=int, default=None)
 @click.option("--group-tol", default=0.0, show_default=True, help=GROUP_TOL_HELP)
-@click.option("--power-steps", default=50, show_default=True)
 @click.option("--out", "out_path", required=True, type=click.Path())
 def extract(sc_path, signal_path, which, method, order_lower, order_upper,
-            group_tol, power_steps, out_path):
+            group_tol, out_path):
     """Extract one Hodge component of a flow; prints its error vs projection."""
     sc = _load_sc(sc_path)
     flow = io.load_signal(signal_path, sc)
@@ -199,8 +200,7 @@ def extract(sc_path, signal_path, which, method, order_lower, order_upper,
                    "onesided": "filter_onesided", "cheb": "filter_cheb"}[method]
     result = apps.extract_component(
         sc, flow, which, method_name,
-        order_lower=order_lower, order_upper=order_upper,
-        grouping_tol=group_tol, power_steps=power_steps,
+        order_lower=order_lower, order_upper=order_upper, grouping_tol=group_tol,
     )
     io.save_signal(result.flow, out_path)
     if result.nrmse is None:

@@ -76,8 +76,15 @@ def _edge_index(sc: SimplicialComplex) -> Mapping[Edge, int]:
     return MappingProxyType({e: i for i, e in enumerate(sc.edges)})
 
 
+def _vertex(value) -> int:
+    """A vertex id or count; int() would silently truncate a float or a bool."""
+    if type(value) is int or isinstance(value, np.integer):  # type(True) is bool
+        return int(value)
+    raise DataError(f"vertex ids and counts must be integers, got {value!r}")
+
+
 def _normalize_simplex(raw, vertex_count: int, size: int) -> tuple[int, ...]:
-    t = tuple(sorted(int(v) for v in raw))
+    t = tuple(sorted(map(_vertex, raw)))
     if len(t) != size:
         raise DataError(f"expected a {size}-vertex simplex, got {raw!r}")
     if len(set(t)) != size:
@@ -101,7 +108,7 @@ def build_complex(
     triangle must have all three of its edges present (raises MissingFace
     otherwise).
     """
-    vertex_count = int(vertex_count)
+    vertex_count = _vertex(vertex_count)
     if vertex_count <= 0:
         raise DataError("vertex_count must be positive")
     es = sorted({_normalize_simplex(e, vertex_count, 2) for e in edges})
@@ -116,7 +123,7 @@ def build_complex(
 
 def infer_triangles(vertex_count: int, edges: Iterable[Iterable[int]]) -> list[Triangle]:
     """Return every 3-clique of the edge list as a triangle, lexicographically."""
-    es = sorted({_normalize_simplex(e, int(vertex_count), 2) for e in edges})
+    es = sorted({_normalize_simplex(e, _vertex(vertex_count), 2) for e in edges})
     adjacency: dict[int, set[int]] = {}
     for u, v in es:
         adjacency.setdefault(u, set()).add(v)

@@ -70,10 +70,9 @@ def response_logistic(
 ) -> ResponseCurve:
     """Smooth step 1 / (1 + exp(-k (lam - lam0))); negative k flips it."""
     k, lam0 = float(k), float(lam0)
-    return ResponseCurve(
-        "logistic", lambda lam: 1.0 / (1.0 + np.exp(-k * (lam - lam0))),
-        float(lam_min), float(lam_max),
-    )
+    # far past a steep step exp overflows to inf; 1 / (1 + inf) = 0 is the limit there
+    curve = np.errstate(over="ignore")(lambda lam: 1.0 / (1.0 + np.exp(-k * (lam - lam0))))
+    return ResponseCurve("logistic", curve, float(lam_min), float(lam_max))
 
 
 def response_inverse_shift(

@@ -144,24 +144,27 @@ def load_signal(path, sc: SimplicialComplex | None = None) -> np.ndarray:
     if not np.all(np.isfinite(values)):
         raise DataError(f"signal file {path} holds a non-finite value")
     if width == 2:
-        indices = [_parse(r[0], int, path) for r in rows]
-        n = sc.n_edges if sc is not None else max(indices) + 1
-        flow = np.zeros(n)
-        for i, val in zip(indices, values):
+        slots = [_parse(r[0], int, path) for r in rows]
+        n = sc.n_edges if sc is not None else max(slots) + 1
+        for i in slots:
             if not 0 <= i < n:
                 raise DataError(f"signal index {i} outside [0, {n})")
-            flow[i] = val
-        return flow
-    if sc is None:
+    elif sc is None:
         raise DataError("edge-pair signal files need the complex to resolve edges")
-    index = sc.edge_index
-    flow = np.zeros(sc.n_edges)
-    for r, val in zip(rows, values):
-        u, v = _parse(r[0], int, path), _parse(r[1], int, path)
-        key = (min(u, v), max(u, v))
-        if key not in index:
-            raise DataError(f"unknown edge {key} in signal file {path}")
-        flow[index[key]] = val if u < v else -val
+    else:
+        n, slots, index = sc.n_edges, [], sc.edge_index
+        for row, r in enumerate(rows):
+            u, v = _parse(r[0], int, path), _parse(r[1], int, path)
+            key = (min(u, v), max(u, v))
+            if key not in index:
+                raise DataError(f"unknown edge {key} in signal file {path}")
+            slots.append(index[key])
+            if u > v:
+                values[row] = -values[row]
+    if len(set(slots)) != len(slots):
+        raise DataError(f"signal file {path} lists an edge more than once")
+    flow = np.zeros(n)
+    flow[slots] = values
     return flow
 
 

@@ -64,6 +64,46 @@ def test_extract_cheb(toy, flat_flow):
     assert result.nrmse < 0.05
 
 
+def test_cheb_extraction_designs_on_exact_tops(monkeypatch):
+    # the tops used to be margin x a 50-step power iteration, which stops short
+    # of lambda_max here (the upper top was 0.9846 lambda_max), so the
+    # Chebyshev interval missed the top of the spectrum
+    sc = sf.generate_road_complex(1088, 2176, 11)
+
+    def forbidden(*args):
+        raise AssertionError("extraction designs on its spectrum, not an estimate")
+
+    seen = []
+
+    def spy(spec, lam_g, lam_c, *args):
+        seen.append((lam_g, lam_c))
+        return chebyshev_design(spec, lam_g, lam_c, *args)
+
+    chebyshev_design = apps.chebyshev_design
+    monkeypatch.setattr(apps, "estimate_lambda_max", forbidden)
+    monkeypatch.setattr(apps, "_interval_tops", forbidden)
+    monkeypatch.setattr(apps, "chebyshev_design", spy)
+    flow = np.random.default_rng(0).standard_normal(sc.n_edges)
+    for which in ("gradient", "curl", "harmonic"):
+        sf.extract_component(sc, flow, which, "filter_cheb")
+    for op, tops in zip(sf.shift_operators(sc), zip(*seen)):
+        a, b = op.factors
+        lam_max = scipy.sparse.linalg.eigsh(a @ b, k=1, which="LA",
+                                            return_eigenvectors=False)[0]
+        assert min(tops) >= lam_max
+
+
+def test_harmonic_cheb_extraction_warns_nothing():
+    # the falling logistic step overflowed exp far above its cut and printed
+    # "RuntimeWarning: overflow encountered in exp"
+    sc = sf.generate_road_complex(546, 1088, 11)
+    flow = np.random.default_rng(0).standard_normal(sc.n_edges)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = sf.extract_component(sc, flow, "harmonic", "filter_cheb")
+    assert np.all(np.isfinite(result.flow)) and result.nrmse < 1.0
+
+
 def test_extract_tied_is_worse(toy, flat_flow):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
@@ -394,9 +434,10 @@ def test_harmonic_cheb_extraction_on_edgeless_complex():
 @pytest.mark.parametrize("triangles", [True, False], ids=["toy", "no-triangles"])
 def test_chebyshev_callers_share_interval_tops(tmp_path, toy, capsys, monkeypatch,
                                                triangles):
-    # every Chebyshev design takes its interval tops from one rule: margin x a
-    # 50-step power iteration, [0, 1] for a zero part; the CLI used to exit 2
-    # on a complex without triangles
+    # a Chebyshev design without a spectrum takes its interval tops from one
+    # rule: margin x a 50-step power iteration, [0, 1] for a zero part; the CLI
+    # used to exit 2 on a complex without triangles. Extraction, which has the
+    # spectrum, takes margin x each side's largest eigenvalue instead
     sc = toy if triangles else degenerate_complexes()[1]
 
     def rule(ops):
@@ -427,7 +468,10 @@ def test_chebyshev_callers_share_interval_tops(tmp_path, toy, capsys, monkeypatc
                  "--sc", str(sc_path), "--order-lower", "12", "--order-upper", "12",
                  "--out", str(filt_path)]) == 0
     tops = rule(sf.shift_operators(sc))
-    assert seen == [tops] * 3
+    spectrum = sf.hodge_spectrum(sc)
+    exact = tuple(apps.LAMBDA_MAX_MARGIN * lams[-1] if lams.size else 1.0
+                  for lams in (spectrum.lambda_gradient, spectrum.lambda_curl))
+    assert seen == [exact, tops, tops]
     io.save_filter(chebyshev_design(io.load_response_spec(spec_path), *tops, 12, 12),
                    tmp_path / "expect.json")
     assert filt_path.read_bytes() == (tmp_path / "expect.json").read_bytes()

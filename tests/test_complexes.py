@@ -1,3 +1,4 @@
+import json
 import sys
 import tracemalloc
 
@@ -22,6 +23,7 @@ from simplicial_filters.complexes import (
     boundary_dense,
     permutation_signs,
 )
+from simplicial_filters.cli import main
 
 from conftest import degenerate_complexes, dense_b1, dense_b2, random_complex
 
@@ -43,6 +45,30 @@ def test_build_rejects_bad_input():
         build_complex(3, [(1, 1)])
     with pytest.raises(DataError):
         build_complex(0, [])
+
+
+@pytest.mark.parametrize("count, edges", [
+    (4, [(0, 1.7), (1, 2)]),
+    (4.9, [(0, 1)]),
+    (4, [(True, 2)]),
+    (True, []),
+    (4, [("1", 2)]),
+], ids=["float-vertex", "float-count", "bool-vertex", "bool-count", "text-vertex"])
+def test_build_rejects_non_integral_vertices(tmp_path, count, edges):
+    # int() used to truncate these: (0, 1.7) became edge (0, 1), a count of 4.9
+    # became 4 and true became 1, and `scfilter info` exited 0 on such a file
+    with pytest.raises(DataError):
+        build_complex(count, edges)
+    path = tmp_path / "sc.json"
+    path.write_text(json.dumps({"vertex_count": count, "edges": edges}))
+    assert main(["info", "--sc", str(path)]) == 2
+
+
+def test_build_accepts_numpy_integers():
+    got = build_complex(np.int64(4), [(np.int32(2), np.int64(1)), np.array([0, 1]), (0, 2)],
+                        [np.arange(3)])
+    assert got == build_complex(4, [(1, 2), (0, 1), (0, 2)], [(0, 1, 2)])
+    assert all(type(v) is int for e in got.edges for v in e)
 
 
 def test_edge_index_lookup(toy):

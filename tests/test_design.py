@@ -290,6 +290,19 @@ def test_chebyshev_domain_mismatch():
         sf.chebyshev_design(bad, 5.5, 4.1, 8, 8)
 
 
+def test_steep_logistic_reaches_its_limit_silently():
+    # exp(k (lam - lam0)) overflows far past a steep falling step; the curve
+    # used to print an overflow RuntimeWarning there instead of taking its limit
+    lam = np.linspace(0.0, 12.0, 7)
+    curve = sf.response_logistic(-800.0, 0.5, 12.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        values = curve(lam)
+    with np.errstate(over="ignore"):
+        assert np.array_equal(values, 1.0 / (1.0 + np.exp(800.0 * (lam - 0.5))))
+    assert values[0] == 1.0 and np.all(values[1:] == 0.0)
+
+
 def test_chebyshev_one_sided(toy, rng):
     # lower-only series: no -g0 correction, upper block passes through zero
     curve = sf.response_logistic(10.0, 1.0, 5.5)

@@ -228,6 +228,21 @@ def test_cli_extract_denoise(tmp_path, toy, capsys):
     capsys.readouterr()
 
 
+def test_extract_takes_no_power_steps(tmp_path, toy, capsys):
+    # extraction designs on the spectrum it computes, so the power-iteration
+    # step count it used to take is gone from the library and the CLI
+    sc_path, sig_path, out_path = (tmp_path / n for n in ("sc.json", "flow.csv", "g.csv"))
+    io.save_complex(toy, sc_path)
+    io.save_signal(np.ones(toy.n_edges), sig_path)
+    assert run_cli(["extract", "--sc", str(sc_path), "--signal", str(sig_path),
+                    "--method", "cheb", "--power-steps", "1", "--out", str(out_path)]) == 1
+    assert "usage error:" in capsys.readouterr().err
+    assert not out_path.exists()
+    with pytest.raises(TypeError):
+        sf.extract_component(toy, np.ones(toy.n_edges), "gradient", "filter_cheb",
+                             power_steps=50)
+
+
 def test_cli_pagerank(tmp_path, toy, capsys):
     sc_path = tmp_path / "sc.json"
     io.save_complex(toy, sc_path)
@@ -408,6 +423,39 @@ def test_malformed_complex_and_index_cells(tmp_path, toy):
         io.load_signal(sig, toy)
 
 
+@pytest.mark.parametrize("rows", [
+    ["index,value", "0,1.0", "2,3.0", "0,5.0"],
+    ["u,v,value", "EDGE,5", "REVERSED,3"],
+], ids=["index", "pair"])
+def test_repeated_signal_rows_exit_2(tmp_path, toy, capsys, rows):
+    # the last row used to win silently: index 0 loaded 5.0, and the pair rows
+    # loaded -3 for the edge
+    (u, v) = toy.edges[0]
+    text = "\n".join(rows).replace("EDGE", f"{u},{v}").replace("REVERSED", f"{v},{u}")
+    sig_path, sc_path = tmp_path / "flow.csv", tmp_path / "sc.json"
+    sig_path.write_text(text + "\n")
+    io.save_complex(toy, sc_path)
+    with pytest.raises(sf.DataError, match="more than once"):
+        io.load_signal(sig_path, toy)
+    assert run_cli(["decompose", "--sc", str(sc_path), "--signal", str(sig_path),
+                    "--out", str(tmp_path / "dec.json")]) == 2
+    assert not (tmp_path / "dec.json").exists()
+    capsys.readouterr()
+
+
+def test_cli_grid_design_rejects_sc(tmp_path, capsys):
+    # grid design samples the spec domains; it used to ignore --sc and exit 0
+    # even for a path that does not exist
+    spec_path, out_path = tmp_path / "spec.json", tmp_path / "h.json"
+    io.dump_json({"g0": 1.0, "gradient": {"family": "inverse-shift", "gamma": 1.0,
+                                          "max": 5.5}}, spec_path)
+    assert run_cli(["design", "--spec", str(spec_path), "--method", "grid",
+                    "--sc", str(tmp_path / "nope.json"), "--order-lower", "3",
+                    "--out", str(out_path)]) == 1
+    assert "usage error:" in capsys.readouterr().err
+    assert not out_path.exists()
+
+
 def test_market_missing_quotes_stay_legal(tmp_path):
     path = tmp_path / "m.csv"
     path.write_text(",A,B,C\nA,1,2,\nB,0.5,1,4\nC,,0.25,1\n")
@@ -420,7 +468,6 @@ def test_market_missing_quotes_stay_legal(tmp_path):
 
 OUT_OF_RANGE = [
     ["design", "--method", "cheb", "SC", "--power-steps", "0"],
-    ["extract", "SC", "SIG", "--method", "cheb", "--power-steps", "0"],
     ["denoise", "SC", "SIG", "--method", "cheb", "--order", "5", "--power-steps", "0"],
     ["pagerank", "SC", "--edge", "0", "--method", "cheb", "--order", "5",
      "--power-steps", "0"],
