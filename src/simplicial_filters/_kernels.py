@@ -31,6 +31,14 @@ n - 2 triangles on every edge (a complete 60-vertex complex: 5,885,840
 against 205,320); there the recursions stay on the edges and G is never
 built.
 
+`spectral.hodge_spectrum` eigendecomposes the same small side densely, so
+this one rule also sizes that O(N^3) step. It counts entries, not
+dimensions: the node Gram can have up to twice as many rows as the edges (a
+perfect matching), and the edges on a triangle up to three times as many as
+the triangles (E' <= 3*N2: a book of many triangles on one edge beside
+triangles that share no edge). Where the triangle Gram is picked,
+sum_e r_e^2 <= 8*N2, so N2 <= 8*E'/9 by Cauchy-Schwarz: never the larger side.
+
 A single flow of shape ``(n,)`` runs as one CSR matvec per factor, a block
 of ``k`` flows of shape ``(n, k)`` as one SpMM per factor. Both accumulate
 every row in stored order, so each column of a block result is bitwise

@@ -263,9 +263,9 @@ def denoise(
 class ExchangeMarket:
     """Pairwise exchange-rate matrix with unit diagonal.
 
-    rate[i, j] is how much of currency j one unit of currency i buys. NaN
-    marks a missing quote. Quotes may be asymmetric (rounded data); logs are
-    read directly from the stored direction.
+    rate[i, j] is how much of currency j one unit of currency i buys: finite
+    and positive, or NaN for a missing quote. Quotes may be asymmetric
+    (rounded data); logs are read directly from the stored direction.
     """
 
     currency_names: tuple[str, ...]
@@ -276,11 +276,14 @@ class ExchangeMarket:
         n = len(self.currency_names)
         if rate.shape != (n, n):
             raise DataError(f"rate matrix shape {rate.shape} != ({n}, {n})")
-        if np.any(np.abs(np.diag(rate) - 1.0) > 1e-12):
+        # written so that a NaN fails each test
+        if not np.all(np.abs(np.diag(rate) - 1.0) <= 1e-12):
             raise DataError("rate matrix must have a unit diagonal")
         off = rate[~np.eye(n, dtype=bool)]
-        finite = off[np.isfinite(off)]
-        if np.any(finite <= 0.0):
+        quoted = off[~np.isnan(off)]
+        if not np.all(np.isfinite(quoted)):
+            raise DataError("exchange rates must be finite; NaN marks a missing quote")
+        if np.any(quoted <= 0.0):
             raise NonPositiveRate("exchange rates must be positive")
         rate.setflags(write=False)
         object.__setattr__(self, "rate", rate)

@@ -59,6 +59,10 @@ def response_step(
 ) -> ResponseCurve:
     """Ideal step: `low` below the cutoff frequency, `high` at and above it."""
     cutoff, low, high = float(cutoff), float(low), float(high)
+    # lam < NaN is False everywhere, so a NaN cutoff would give a constant target
+    for name, value in (("cutoff", cutoff), ("low", low), ("high", high)):
+        if not math.isfinite(value):
+            raise DataError(f"ideal-step {name} must be finite, got {value}")
     return ResponseCurve(
         "ideal-step", lambda lam: np.where(lam < cutoff, low, high),
         float(lam_min), float(lam_max),

@@ -4,10 +4,11 @@ A filter is the matrix polynomial h0*I + sum_l alpha_l * L_lower^l
 + sum_l beta_l * L_upper^l applied to edge flows. Application always runs as
 a per-step recursion over sparse shifts, on one flow or on a block of flows;
 dense polynomial matrices are never formed. Each recursion steps on the
-cheaper side of its shift L = A B (see ``_kernels``): the lower one on the
-nodes, L_lower^l f = B1^T (B1 B1^T)^(l-1) B1 f, and the upper one on the
-triangles of road complexes, L_upper^l f = B2 (B2^T B2)^(l-1) B2^T f, or on
-the edges on a triangle where cliques are filled.
+cheaper side of its shift L = A B (`spectral.shift_operators`, see
+``_kernels``): the lower one on the nodes,
+L_lower^l f = B1^T (B1 B1^T)^(l-1) B1 f, and the upper one on the triangles
+of road complexes, L_upper^l f = B2 (B2^T B2)^(l-1) B2^T f, or on the edges
+on a triangle where cliques are filled.
 
 `FilterCoefficients` (monomial taps) and `design.ChebyshevFilter` write this
 polynomial in two bases. Each class holds its basis (``h0``, the weight of I,
@@ -17,7 +18,6 @@ recursion driver `apply_operators` and `polynomial_response` serve both kinds.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import TYPE_CHECKING, Mapping
 
 import numpy as np
@@ -28,10 +28,9 @@ from .complexes import (
     SimplicialComplex,
     _adjacency,
     _hodge_parts,
-    boundary_csr,
 )
 from .errors import DataError
-from .spectral import HodgeSpectrum, _check_flow
+from .spectral import HodgeSpectrum, _check_flow, shift_operators
 
 if TYPE_CHECKING:
     from .design import ChebyshevFilter
@@ -76,22 +75,6 @@ class FilterCoefficients:
     def _side_value(self, upper: bool, lam: float) -> float:
         taps = self._series(upper)
         return float(np.dot(taps, lam ** np.arange(1, len(taps) + 1)))
-
-
-@lru_cache(maxsize=128)
-def shift_operators(
-    obj: SimplicialComplex | OrientedComplex,
-) -> tuple[ShiftMatrix, ShiftMatrix]:
-    """Cached lower/upper Laplacian operators of a complex, as incidence products.
-
-    The lower one applies B1^T (B1 f), the upper one B2 (B2^T f); each takes an
-    (N1,) flow or an (N1, k) block of flows. Their recursions step on the side
-    `ShiftMatrix` picks: the node Gram B1 B1^T for the lower one, and for the
-    upper one the triangle Gram B2^T B2 where it stores no more entries than
-    B2 and B2^T, else the edges that lie on a triangle.
-    """
-    b1, b2 = boundary_csr(obj, 1), boundary_csr(obj, 2)
-    return ShiftMatrix(b1.T, b1), ShiftMatrix(b2, b2.T)
 
 
 def _check_edge_flow(obj: SimplicialComplex | OrientedComplex, flow) -> np.ndarray:

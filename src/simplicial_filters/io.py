@@ -193,7 +193,8 @@ def save_market(market: ExchangeMarket, path) -> None:
 
 
 def load_market(path) -> ExchangeMarket:
-    """Read a rate matrix CSV, with or without the leading label column."""
+    """Read a rate matrix CSV, with or without the leading label column; an
+    empty cell is a missing quote."""
     try:
         text = Path(path).read_text()
     except OSError as exc:
@@ -221,6 +222,8 @@ def load_market(path) -> ExchangeMarket:
         for j, cell in enumerate(cells):
             if cell:
                 rate[i, j] = _parse(cell, float, path)
+                if not math.isfinite(rate[i, j]):
+                    raise DataError(f"{path}: rate {cell!r} is not finite")
     return ExchangeMarket(tuple(names), rate)
 
 

@@ -1,10 +1,12 @@
 """Hodge Laplacians and their spectral machinery.
 
-Frequencies of the gradient and curl blocks from the small Grams of the
-incidences, eigenbases of the harmonic/gradient/curl split on demand, the
-simplicial Fourier transform, divergence/curl operators, the eigen-free Hodge
-decomposition of edge flows by sparse least squares, and the normalized edge
-Laplacian used for ranking.
+The lower and upper Laplacian operators (`shift_operators`) and their
+degree-normalized symmetric forms (`_normalized_operators`) as incidence
+products; the gradient and curl frequencies, from each operator's small side
+(`ShiftMatrix.small`, chosen by counting stored entries), with eigenbases of
+the harmonic/gradient/curl split on demand; the simplicial Fourier transform,
+divergence/curl operators, the eigen-free Hodge decomposition of edge flows by
+sparse least squares, and the normalized edge Laplacian used for ranking.
 """
 from __future__ import annotations
 
@@ -160,53 +162,43 @@ def _eigh(matrix: np.ndarray, vectors: bool = True):
         raise EigenFailure(f"symmetric eigensolver failed: {exc}") from exc
 
 
-def _side_gram(obj: SimplicialComplex | OrientedComplex, side: str):
-    """The smaller Gram of one side's incidence G, dense.
-
-    G is B1^T (side "gradient") or B2 ("curl"), restricted to its nonempty rows
-    (edges) and columns (nodes with an edge, triangles). G G^T is the edge-space
-    Laplacian part there and G^T G the node or triangle Gram; both have the
-    same nonzero eigenvalues (Lim, "Hodge Laplacians on graphs", SIAM Review
-    2020), so the one with fewer rows is built. Returns (rows, G, on_edges,
-    gram): the edge indices of G's rows, G itself, whether the Gram is G G^T,
-    and the Gram.
-    """
-    g = sp.csr_matrix(boundary_csr(obj, 1).T if side == "gradient" else boundary_csr(obj, 2))
-    rows = np.flatnonzero(np.diff(g.indptr))
-    cols = np.flatnonzero(np.bincount(g.indices, minlength=g.shape[1]))
-    g = g[rows][:, cols]
-    on_edges = g.shape[0] <= g.shape[1]
-    gram = g @ g.T if on_edges else g.T @ g
-    return rows, g, on_edges, gram.toarray()
+def _small_dense(op: ShiftMatrix) -> np.ndarray:
+    """``op.small`` as one dense matrix, Fortran-ordered as LAPACK reads it."""
+    small = op.small.factors[0]
+    for factor in op.small.factors[1:]:
+        small = small @ factor
+    return small.toarray(order="F")
 
 
 def _side_basis(obj: SimplicialComplex | OrientedComplex, side: str, count: int) -> np.ndarray:
     """Orthonormal eigenvectors of one side's edge-space part for its ``count``
-    largest eigenvalues, from the eigenvectors of the Gram of `_side_gram`:
-    u = G v / sqrt(lambda) when that Gram is G^T G."""
-    rows, g, on_edges, gram = _side_gram(obj, side)
-    w, v = _eigh(gram)
+    largest eigenvalues, from the eigenvectors v of that side's ``small``
+    matrix mapped back by ``from_small``: u = A v / sqrt(lambda) when it is the
+    Gram G = B A of the part L = A B."""
+    op = shift_operators(obj)[side == "curl"]
+    w, v = _eigh(_small_dense(op))
     w, v = w[w.size - count :], v[:, w.size - count :]
-    out = np.zeros((boundary_csr(obj, 1).shape[1], count))
-    out[rows] = v if on_edges else (g @ v) / np.sqrt(w)
-    return _read_only(_fix_signs(out))
+    out = op.from_small(v)
+    return _read_only(_fix_signs(out / np.sqrt(w) if op.on_gram else out))
 
 
 @lru_cache(maxsize=64)
 def hodge_spectrum(sc: SimplicialComplex | OrientedComplex) -> HodgeSpectrum:
     """Gradient and curl frequencies of the edge space, eigenbases on demand.
 
-    The eigenvalues come from one dense `eigvalsh` per side, of the smaller
-    Gram of its incidence (`_side_gram`): on road complexes the node Gram
-    B1 B1^T and the triangle Gram B2^T B2, on a complete clique complex the
-    node Gram and the upper Laplacian on the edges. No N1 x N1 matrix is built
-    unless the edges are the smaller side. ``zero_tol`` is ZERO_TOL_FACTOR
-    times the largest eigenvalue of either side, which is the largest of the
-    total Laplacian, and the harmonic count is N1 minus the other two.
+    The eigenvalues come from one dense `eigvalsh` per side, of the ``small``
+    matrix of that side's operator in `shift_operators`: the matrix the filter
+    recursions step on, built once and cached with the operator. `ShiftMatrix`
+    picks it by counting stored entries (see `_kernels`): the node Gram
+    B1 B1^T on the lower side, and on the upper side the triangle Gram B2^T B2
+    on road complexes or the upper Laplacian on the edges on a triangle where
+    cliques are filled. Both Grams of an incidence have the same nonzero
+    eigenvalues (Lim, "Hodge Laplacians on graphs", SIAM Review 2020).
+    ``zero_tol`` is ZERO_TOL_FACTOR times the largest eigenvalue of either
+    side, which is the largest of the total Laplacian, and the harmonic count
+    is N1 minus the other two.
     """
-    w_grad, w_curl = (
-        _eigh(_side_gram(sc, side)[3], vectors=False) for side in ("gradient", "curl")
-    )
+    w_grad, w_curl = (_eigh(_small_dense(op), vectors=False) for op in shift_operators(sc))
     zero_tol = ZERO_TOL_FACTOR * float(max(w_grad.max(initial=0.0), w_curl.max(initial=0.0)))
     return HodgeSpectrum(
         sc=sc,
@@ -275,10 +267,11 @@ def _factor(matrix: sp.spmatrix):
 def _projector(sc: SimplicialComplex, side: str, weighted: bool = False):
     """Orthogonal projector onto im(G) as a map of an (N1,) flow or (N1, k) block.
 
-    G is B1^T (side "gradient") or B2 ("curl"); weighted, it is the first
-    factor R B1^T or R^-1 B2 of that side's symmetric normalized part
-    (`_normalized_operators`), whose image it spans. y maps to G psi with
-    (G^T G) psi = G^T y: no eigenbasis, one cached sparse factorization.
+    G is the first factor of that side's operator: B1^T (side "gradient") or
+    B2 ("curl") from `shift_operators`; weighted, R B1^T or R^-1 B2 from
+    `_normalized_operators`, whose image is that of the symmetric normalized
+    part. y maps to G psi with (G^T G) psi = G^T y: no eigenbasis, one cached
+    sparse factorization.
 
     The gradient Gram is a graph Laplacian whose kernel is the connected
     components' indicators, so one node per component is grounded and the rest
@@ -291,11 +284,7 @@ def _projector(sc: SimplicialComplex, side: str, weighted: bool = False):
     so there the basis of im(G) comes from a column-pivoted QR of the dense
     edge-space Gram G G^T instead, with the rank cut of `hodge_spectrum`.
     """
-    if weighted:
-        g = _normalized_operators(sc)[side == "curl"].factors[0]
-    else:
-        g = boundary_csr(sc, 1).T if side == "gradient" else boundary_csr(sc, 2)
-    g = sp.csr_matrix(g)
+    g = (_normalized_operators if weighted else shift_operators)(sc)[side == "curl"].factors[0]
     gram = sp.csr_matrix(g.T @ g)
     if side == "gradient":
         from scipy.sparse.csgraph import connected_components
@@ -429,6 +418,23 @@ def _normalized_degrees(sc: SimplicialComplex) -> tuple[np.ndarray, np.ndarray]:
     d1 = 2.0 * (abs(b1) @ d2)
     d1[d1 == 0.0] = 1.0
     return d1, d2
+
+
+@lru_cache(maxsize=128)
+def shift_operators(
+    obj: SimplicialComplex | OrientedComplex,
+) -> tuple[ShiftMatrix, ShiftMatrix]:
+    """Cached lower/upper Laplacian operators of a complex, as incidence products.
+
+    The lower one applies B1^T (B1 f), the upper one B2 (B2^T f); each takes an
+    (N1,) flow or an (N1, k) block of flows. Their ``small`` sides, which the
+    filter recursions step on and `hodge_spectrum` eigendecomposes, are the
+    ones `ShiftMatrix` picks: the node Gram B1 B1^T for the lower one, and for
+    the upper one the triangle Gram B2^T B2 where it stores no more entries
+    than B2 and B2^T, else the upper Laplacian on the edges on a triangle.
+    """
+    b1, b2 = boundary_csr(obj, 1), boundary_csr(obj, 2)
+    return ShiftMatrix(b1.T, b1), ShiftMatrix(b2, b2.T)
 
 
 @lru_cache(maxsize=64)

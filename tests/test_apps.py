@@ -159,8 +159,11 @@ def test_onesided_denoise_bounds_one_part(monkeypatch, toy, rng, method, order):
 def test_market_validation():
     with pytest.raises(NonPositiveRate):
         ExchangeMarket(("A", "B"), np.array([[1.0, -2.0], [0.5, 1.0]]))
-    with pytest.raises(sf.DataError):
-        ExchangeMarket(("A", "B"), np.array([[2.0, 2.0], [0.5, 1.0]]))
+    # a unit diagonal, and NaN (missing) or finite positive quotes off it
+    for bad in ([[2.0, 2.0], [0.5, 1.0]], [[np.nan, 2.0], [0.5, 1.0]],
+                [[1.0, np.inf], [0.5, 1.0]], [[1.0, 2.0], [-np.inf, 1.0]]):
+        with pytest.raises(sf.DataError):
+            ExchangeMarket(("A", "B"), np.array(bad))
     m = ExchangeMarket(("A", "B"), np.array([[1.0, 2.0], [np.nan, 1.0]]))
     assert m.directed_rate(0, 1) == 2.0
     assert m.directed_rate(1, 0) == pytest.approx(0.5)  # reciprocal fallback

@@ -343,6 +343,13 @@ def test_error_bound_dominates_response_error(toy):
 def test_response_curve_families():
     step = sf.response_step(2.0, 1.0, 0.25, 6.0)
     assert step(1.9) == 1.0 and step(2.1) == 0.25
+    # lam < NaN is False everywhere: a NaN cutoff used to give the constant `high`
+    for i, name in enumerate(("cutoff", "low", "high")):
+        for bad in (np.nan, np.inf):
+            args = [2.0, 1.0, 0.25]
+            args[i] = bad
+            with pytest.raises(sf.DataError, match=name):
+                sf.response_step(*args, 6.0)
     table = sf.response_table([(0.0, 1.0), (2.0, 3.0), (4.0, 5.0)])
     assert table(1.0) == pytest.approx(2.0)
     inv = sf.response_inverse_shift(0.5, 8.0)

@@ -330,6 +330,23 @@ def test_cli_arbitrage(tmp_path, capsys):
     assert "flagged=0" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("cell", ["diagonal nan", "quote inf"])
+@pytest.mark.parametrize("command", ["check", "correct"])
+def test_cli_non_finite_market_cell_exits_2(tmp_path, capsys, command, cell):
+    # both used to exit 0, the cell read as a missing quote
+    market_path, out_path = tmp_path / "market.csv", tmp_path / "fixed.csv"
+    io.save_market(sf.demo_market(), market_path)
+    lines = market_path.read_text().splitlines()
+    usd = lines[1].split(",")
+    usd[1 if cell == "diagonal nan" else 2] = cell.split()[1]
+    lines[1] = ",".join(usd)
+    market_path.write_text("\n".join(lines) + "\n")
+    args = ["arbitrage", command, "--market", str(market_path)]
+    assert run_cli(args + (["--out", str(out_path)] if command == "correct" else [])) == 2
+    assert "data error:" in capsys.readouterr().err
+    assert not out_path.exists()
+
+
 def test_cli_fixtures_generate(tmp_path, capsys):
     out_path = tmp_path / "road.json"
     assert run_cli(["fixtures", "generate", "--nodes", "30", "--edges", "45",
@@ -461,9 +478,12 @@ def test_market_missing_quotes_stay_legal(tmp_path):
     path.write_text(",A,B,C\nA,1,2,\nB,0.5,1,4\nC,,0.25,1\n")
     market = io.load_market(path)
     assert np.isnan(market.rate[0, 2]) and np.isnan(market.rate[2, 0])
-    path.write_text(",A,B\nA,1,abc\nB,0.5,1\n")
-    with pytest.raises(sf.DataError):
-        io.load_market(path)
+    # only an empty cell is a missing quote: a NaN diagonal or a non-finite
+    # quote used to load, and check and correct then treated it as missing
+    for row in ("A,1,abc", "A,nan,2", "A,1,inf", "A,1,-inf", "A,1,nan"):
+        path.write_text(f",A,B\n{row}\nB,0.5,1\n")
+        with pytest.raises(sf.DataError):
+            io.load_market(path)
 
 
 OUT_OF_RANGE = [
@@ -582,6 +602,9 @@ BAD_RESPONSE_SPECS = {
     "nan-max": {"g0": 1.0, "gradient": {"family": "constant", "value": 1.0, "max": "nan"}},
     "inf-gamma": {"g0": 0.0, "gradient": {"family": "inverse-shift", "gamma": "inf",
                                           "max": 4.0}},
+    # grid design: exit 0 with a filter fitted to the constant `high`
+    "nan-step-cutoff": {"g0": 1.0, "gradient": {"family": "ideal-step", "cutoff": float("nan"),
+                                                "low": 1.0, "high": 0.0, "max": 5.0}},
 }
 
 

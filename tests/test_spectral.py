@@ -81,18 +81,47 @@ def _oracle_frequencies(obj):
     return w_low[w_low > tol], w_up[w_up > tol], tol, top
 
 
+def _larger_side_complexes():
+    """Complexes whose small side (by stored entries) has at least as many rows
+    as the other side: a path and a perfect matching (more nodes than edges), a
+    triangle beside isolated vertices (three nodes, three edges), and a book of
+    10 triangles on one edge (21 edges on a triangle, 10 triangles whose Gram
+    stores 100 entries against 60 in B2 and B2^T)."""
+    book = [(0, 1)] + [(v, p) for p in range(2, 12) for v in (0, 1)]
+    return [
+        sf.build_complex(6, [(i, i + 1) for i in range(5)]),
+        sf.build_complex(8, [(2 * i, 2 * i + 1) for i in range(4)]),
+        sf.build_complex(5, [(0, 1), (0, 2), (1, 2)], [(0, 1, 2)]),
+        sf.build_complex(12, book, [(0, 1, p) for p in range(2, 12)]),
+    ]
+
+
+def _small_rows_at_least_other(obj) -> bool:
+    # on one side, the small matrix has at least as many rows as the other
+    # matrix with the same nonzero spectrum: the node Gram against the edges,
+    # the edges on a triangle against the triangles
+    low, up = sf.shift_operators(obj)
+    b1, b2 = sf.boundary_csr(obj, 1), sf.boundary_csr(obj, 2)
+    on_triangle = np.count_nonzero(np.diff(b2.indptr))
+    upper_other = on_triangle if up.on_gram else b2.shape[1]
+    return low.small.shape[0] >= b1.shape[1] or up.small.shape[0] >= upper_other
+
+
 def test_spectrum_matches_dense_oracle():
-    # the frequencies come from the smaller Gram of each side: node and
+    # the frequencies come from the small side of each operator: node and
     # triangle Grams on road complexes, the edge side of the curl on a
-    # complete complex, whose triangles outnumber its edges
+    # complete complex, whose triangles outnumber its edges, and the larger
+    # side where it stores fewer entries
     complete = complete_complex(12)
     assert complete.n_triangles > complete.n_edges
+    larger = _larger_side_complexes()
+    assert all(_small_rows_at_least_other(obj) for obj in larger)
     road, reoriented, permuted, *degenerate = road_cases(np.random.default_rng(11))
     # reorienting and relabeling are similarity transforms of both parts, so
     # the three road complexes share one oracle
     road_oracle = _oracle_frequencies(road)
     cases = [(obj, road_oracle) for obj in (road, reoriented, permuted)]
-    cases += [(obj, _oracle_frequencies(obj)) for obj in degenerate + [complete]]
+    cases += [(obj, _oracle_frequencies(obj)) for obj in degenerate + [complete] + larger]
     for obj, (grad, curl, tol, top) in cases:
         spec = hodge_spectrum(obj)
         n1 = sf.boundary_csr(obj, 1).shape[1]
@@ -111,6 +140,35 @@ def test_spectrum_matches_dense_oracle():
                              (upper, spec.u_curl, spec.lambda_curl),
                              (lower + upper, spec.u_harmonic, np.zeros(spec.n_harmonic))):
             assert np.abs(part @ u - u * lam).max(initial=0.0) <= 1e-12 * top
+
+
+def test_spectrum_reads_the_operators_the_filters_step_on(toy, monkeypatch):
+    # hodge_spectrum eigendecomposes op.small of the cached shift operators,
+    # so a later filter steps on the very matrices the frequencies came from
+    built = []
+    init = sf.ShiftMatrix.__init__
+
+    def counting_init(self, *factors):
+        built.append(self)
+        init(self, *factors)
+
+    monkeypatch.setattr(sf.ShiftMatrix, "__init__", counting_init)
+    for sc in (toy, sf.generate_road_complex(546, 1088, 11)):
+        sf.shift_operators.cache_clear()
+        hodge_spectrum.cache_clear()
+        built.clear()
+        spec = hodge_spectrum(sc)
+        ops = sf.shift_operators(sc)
+        assert all(op.on_gram and "small" in vars(op) for op in ops)
+        assert [id(op) for op in built] == [id(op) for op in ops + tuple(op.small for op in ops)]
+        for op, lam in zip(ops, (spec.lambda_gradient, spec.lambda_curl)):
+            w = np.linalg.eigvalsh(op.small.factors[0].toarray(order="F"))
+            np.testing.assert_array_equal(w[w > spec.zero_tol], lam)
+        # a filter and the eigenbases build no further operator
+        sf.apply(sc, sf.FilterCoefficients(1.0, (0.5, 0.25), (0.5, 0.25)), np.ones(sc.n_edges))
+        assert spec.u_gradient.shape == (sc.n_edges, spec.n_gradient)
+        assert spec.u_curl.shape == (sc.n_edges, spec.n_curl)
+        assert len(built) == 4
 
 
 def _gap_groups(values, tol):
