@@ -6,6 +6,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -56,10 +57,19 @@ def _top(lam_max: float) -> float:
     return LAMBDA_MAX_MARGIN * lam_max if lam_max > 0 else 1.0
 
 
+@lru_cache(maxsize=64)
 def _interval_tops(ops, power_steps: int) -> tuple[float, float]:
     """Design interval tops of a (lower, upper) pair of parts without a spectrum:
     `_top` of a power-iteration estimate of each part's largest eigenvalue, 1.0
-    for a missing (None) part. The estimate approaches lambda_max from below."""
+    for a missing (None) part. The estimate approaches lambda_max from below.
+
+    The operators come from the cached `shift_operators` and
+    `_normalized_operators`, so the tops are cached per (operator pair,
+    ``power_steps``): denoising, ranking and ``design --sc`` run the power
+    iterations once per operator and step count. At 1088 edges two 1000-step
+    iterations take about 53 ms, a tenth of a Chebyshev ranking of every edge.
+    The cached floats are those of the iteration, bit for bit.
+    """
     return tuple(
         _top(estimate_lambda_max(op, power_steps)) if op is not None else 1.0 for op in ops
     )

@@ -14,9 +14,11 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
+import scipy.sparse as sp
 from numpy.polynomial import chebyshev as _cheb
 
 from ._kernels import ShiftMatrix
@@ -381,32 +383,35 @@ class ChebyshevFilter:
 
     def _side_sum(self, upper: bool, small: ShiftMatrix, b: np.ndarray) -> np.ndarray:
         """One side's shifted-Chebyshev series of L = A B, summed from b = B f
-        on the operator's ``small`` side G = B A (see `ShiftMatrix`).
+        on the operator's ``small`` side S (see `ShiftMatrix`).
 
         The edge-space terms w_0 = f, w_1 = (L/omega - I) f,
         w_{k+1} = 2 (L/omega - I) w_k - w_{k-1} are w_k = (-1)^k f + A v_k with
-        v_1 = B f / omega and v_{k+1} = 2 ((G v_k + (-1)^k B f) / omega - v_k) - v_{k-1},
-        so the series is s f + A sum_k c_k v_k, s its value at frequency 0 (in
-        ``h0``). This returns sum_k c_k v_k, one product with G per step.
+        v_0 = 0, v_1 = b / omega and v_{k+1} = M v_k - v_{k-1} - (-1)^k b2, where
+        M = (2/omega) S - 2I is `_step_matrix` and b2 = (2/omega) b is formed
+        once. So the series is s f + A sum_k c_k v_k, s its value at frequency 0
+        (in ``h0``). This returns sum_k c_k v_k: per step one product with M and
+        four numpy passes into arrays it already holds. Each rounds per element,
+        with no fused multiply-add, so every column of a block is bitwise the
+        single-flow result.
         """
         coeffs = self._series(upper)
         omega = self.omega_upper if upper else self.omega_lower
         if len(coeffs) == 1:
             return np.zeros_like(b)
-        v_prev, v = 0.0, b / omega
+        step = _step_matrix(small, omega)
+        b2 = (2.0 / omega) * b
+        v_prev, v = np.zeros_like(b), b / omega
         acc = coeffs[1] * v
         for k, c in enumerate(coeffs[2:], 1):
-            # v_{k+1} from v_k and v_{k-1}, in place
-            w = small.matvec(v)
-            if k % 2:
-                w -= b
-            else:
-                w += b
-            w /= omega
-            w -= v
-            w *= 2.0
+            w = step.matvec(v)
             w -= v_prev
-            acc += c * w
+            if k % 2:
+                w -= b2
+            else:
+                w += b2
+            # v_{k-1} is spent: its array takes c * w, with no new allocation
+            acc += np.multiply(c, w, out=v_prev)
             v_prev, v = v, w
         return acc
 
@@ -417,15 +422,36 @@ class ChebyshevFilter:
         return float(_cheb.chebval(x, series)) - self._at_zero[upper]
 
 
+@lru_cache(maxsize=32)
+def _step_matrix(small: ShiftMatrix, omega: float) -> ShiftMatrix:
+    """M = (2/omega) S - 2I for S = ``small.as_csr()``: one Chebyshev step on
+    an operator's small side, built once per (small, omega) and kept."""
+    s = small.as_csr()
+    return ShiftMatrix((2.0 / omega) * s - 2.0 * sp.identity(s.shape[0], format="csr"))
+
+
 def chebyshev_coefficients(
     fn: Callable, omega: float, order: int, quadrature_points: int
 ) -> np.ndarray:
-    """Chebyshev coefficients of fn(omega*(cos(phi)+1)) by midpoint quadrature."""
-    j = np.arange(quadrature_points)
-    phi = np.pi * (j + 0.5) / quadrature_points
+    """Chebyshev coefficients of fn(omega*(cos(phi)+1)) by midpoint quadrature.
+
+    With q points phi_j = pi (j + 1/2) / q and samples y_j, coefficient l is
+    (2/q) sum_j cos(l phi_j) y_j: a DCT-II of the samples, taken as one FFT of
+    their even extension, O(q log q) time and O(q + order) memory. Orders past
+    q alias: the sum is -1 times itself at 2q - l and has period 4q in l.
+    """
+    q = quadrature_points
+    phi = np.pi * (np.arange(q) + 0.5) / q
     values = np.asarray(fn(omega * (np.cos(phi) + 1.0)), dtype=np.float64)
-    ls = np.arange(order + 1)
-    return (2.0 / quadrature_points) * (np.cos(np.outer(ls, phi)) @ values)
+    m = np.arange(q + 1)
+    spectrum = np.fft.rfft(np.concatenate([values, values[::-1]]))
+    # sum_j cos(m phi_j) y_j for m = 0 .. q
+    dct = 0.5 * (np.exp(-0.5j * np.pi * m / q) * spectrum).real
+    ls = np.arange(order + 1) % (4 * q)
+    sign = np.where(ls < 2 * q, 1.0, -1.0)
+    ls %= 2 * q
+    sign[ls > q] *= -1.0
+    return (2.0 / q) * sign * dct[np.minimum(ls, 2 * q - ls)]
 
 
 def default_quadrature_points(order: int) -> int:

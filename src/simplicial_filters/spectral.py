@@ -164,10 +164,7 @@ def _eigh(matrix: np.ndarray, vectors: bool = True):
 
 def _small_dense(op: ShiftMatrix) -> np.ndarray:
     """``op.small`` as one dense matrix, Fortran-ordered as LAPACK reads it."""
-    small = op.small.factors[0]
-    for factor in op.small.factors[1:]:
-        small = small @ factor
-    return small.toarray(order="F")
+    return op.small.as_csr().toarray(order="F")
 
 
 def _side_basis(obj: SimplicialComplex | OrientedComplex, side: str, count: int) -> np.ndarray:

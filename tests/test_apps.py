@@ -148,12 +148,20 @@ def test_onesided_denoise_bounds_one_part(monkeypatch, toy, rng, method, order):
         return estimate(op, *args)
 
     monkeypatch.setattr(apps, "estimate_lambda_max", spy)
+    apps._interval_tops.cache_clear()
     flow = rng.standard_normal(toy.n_edges)
     sf.denoise(toy, flow, 0.5, "edge_laplacian", method, order=order)
     assert calls == [sf.shift_operators(toy)[0]]
     calls.clear()
     sf.denoise(toy, flow, 0.5, "hodge_laplacian", method, order=order)
     assert calls == list(sf.shift_operators(toy))
+    # the tops are cached per operator pair and step count
+    calls.clear()
+    sf.denoise(toy, flow, 0.5, "hodge_laplacian", method, order=order)
+    sf.denoise(toy, flow, 0.5, "edge_laplacian", method, order=order)
+    assert calls == []
+    sf.denoise(toy, flow, 0.5, "edge_laplacian", method, order=order, power_steps=60)
+    assert calls == [sf.shift_operators(toy)[0]]
 
 
 def test_market_validation():

@@ -6,6 +6,7 @@ import pytest
 import simplicial_filters as sf
 from simplicial_filters import DataError, DimensionMismatch, FilterCoefficients
 from simplicial_filters.complexes import OrientationPlan, PermutationPlan
+from simplicial_filters.filters import apply_operators
 
 from conftest import (
     complete_complex,
@@ -505,6 +506,36 @@ def test_small_side_recursions_match_edge_space_oracle(order):
             got = sf.chebyshev_apply(filt, obj, block)
             assert_near_chebyshev_oracle(got, expect, scale, order)
             _assert_columns_bitwise(lambda f: sf.chebyshev_apply(filt, obj, f), block)
+
+
+@pytest.mark.parametrize("order", [2, 61])
+def test_folded_chebyshev_step_on_two_factor_small_sides(order):
+    # where cliques are filled the upper small side is the product of two
+    # factors, and a Chebyshev step is one product with M = (2/omega) S - 2I,
+    # S that product as one CSR
+    from simplicial_filters.design import _step_matrix
+
+    rng = np.random.default_rng(order)
+    for sc in (complete_complex(12), road_with_clique()):
+        for low, up in (sf.shift_operators(sc), sf.spectral._normalized_operators(sc)):
+            assert not up.on_gram and len(up.small.factors) == 2
+            block = rng.standard_normal((low.shape[0], 3))
+            c_l = tuple(rng.standard_normal(order + 1) / np.arange(1, order + 2))
+            c_u = tuple(rng.standard_normal(order + 1) / np.arange(1, order + 2))
+            omegas = (_gershgorin_half(low), _gershgorin_half(up))
+            filt = sf.ChebyshevFilter(c_l, c_u, *omegas, g0=0.4)
+            run = lambda f: apply_operators(low, up, filt, f)
+            _step_matrix.cache_clear()
+            expect, scale = edge_space_chebyshev(filt, low, up, block)
+            assert_near_chebyshev_oracle(run(block), expect, scale, order)
+            _assert_columns_bitwise(run, block)
+            # one M per side, built on the first call and reused by the others
+            assert _step_matrix.cache_info().misses == 2
+            step = _step_matrix(up.small, omegas[1])
+            (m,) = step.factors
+            assert not any(x.flags.writeable for x in (m.data, m.indices, m.indptr))
+            a, b = up.small.factors
+            assert m.nnz == a.shape[0] + a.nnz + b.nnz
 
 
 @pytest.mark.parametrize("method, order", [("grid", 1), ("grid", 9), ("cheb", 2), ("cheb", 61)])

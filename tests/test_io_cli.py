@@ -262,6 +262,20 @@ def test_cli_pagerank(tmp_path, toy, capsys):
     capsys.readouterr()
 
 
+def test_cli_large_chebyshev_order_exits_0(tmp_path, capsys):
+    # the quadrature for order 100000 used to build an (order + 1) x 8 order
+    # cosine matrix (596 GiB) and exit 1 with a raw MemoryError
+    sc_path = tmp_path / "sc.json"
+    io.save_complex(sf.generate_road_complex(60, 120, 11), sc_path)
+    norms = {}
+    for method in ("cheb", "exact"):
+        assert run_cli(["pagerank", "--sc", str(sc_path), "--edge", "0", "--method", method,
+                        "--order", "100000"]) == 0
+        out = capsys.readouterr().out
+        norms[method] = float(out.split("norm_total=")[1].split()[0])
+    assert norms["cheb"] == pytest.approx(norms["exact"], rel=1e-9)
+
+
 def test_cli_denoise_overflowing_mu_exits_3(tmp_path, toy, capsys):
     # mu * P overflows to inf; this used to write an all-zero flow and exit 0,
     # and then to print scipy's overflow RuntimeWarning before the error
