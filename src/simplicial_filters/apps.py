@@ -18,7 +18,6 @@ from .design import (
     ResponseSpec,
     _vandermonde,
     chebyshev_design,
-    estimate_lambda_max,
     grid_design,
     ls_joint,
     ls_tied,
@@ -38,6 +37,7 @@ from .filters import FilterCoefficients, apply, apply_operators, shift_operators
 from .spectral import (
     _check_flow,
     _factor,
+    _lambda_max,
     _normalized_degrees,
     _normalized_operators,
     _projector,
@@ -58,24 +58,17 @@ def _top(lam_max: float) -> float:
 
 
 @lru_cache(maxsize=64)
-def _interval_tops(ops, power_steps: int) -> tuple[float, float]:
-    """Design interval tops of a (lower, upper) pair of parts without a spectrum:
-    `_top` of a power-iteration estimate of each part's largest eigenvalue, 1.0
-    for a missing (None) part. The estimate approaches lambda_max from below.
-
-    The operators come from the cached `shift_operators` and
-    `_normalized_operators`, so the tops are cached per (operator pair,
-    ``power_steps``): denoising, ranking and ``design --sc`` run the power
-    iterations once per operator and step count. At 1088 edges two 1000-step
-    iterations take about 53 ms, a tenth of a Chebyshev ranking of every edge.
-    The cached floats are those of the iteration, bit for bit.
+def _interval_tops(ops) -> tuple[float, float]:
+    """Design interval tops of a (lower, upper) pair of parts: `_top` of each
+    part's `_lambda_max`, 1.0 for a missing (None) part; every Chebyshev and
+    grid design in the package takes its tops here. The operators come from the
+    cached `shift_operators` and `_normalized_operators`, so the tops are
+    cached per operator pair.
     """
-    return tuple(
-        _top(estimate_lambda_max(op, power_steps)) if op is not None else 1.0 for op in ops
-    )
+    return tuple(_top(_lambda_max(op)) if op is not None else 1.0 for op in ops)
 
 
-def _resolvent(low, up, shift, scale, method, order, samples, power_steps, lam_min=0.0):
+def _resolvent(low, up, shift, scale, method, order, samples, lam_min=0.0):
     """The map f -> (shift*I + scale*L)^-1 f of an (N1,) flow or (N1, k) block,
     L = low + up, or low alone when ``up`` is None; the one solver behind
     denoising and ranking.
@@ -98,7 +91,7 @@ def _resolvent(low, up, shift, scale, method, order, samples, power_steps, lam_m
         raise DataError(f"unknown filter method {method!r}")
     if order is None:
         raise DataError(f"method {method!r} needs a filter order")
-    lam_g, lam_c = _interval_tops((low, up), power_steps)
+    lam_g, lam_c = _interval_tops((low, up))
     response = lambda lam: 1.0 / (shift + scale * lam)
     spec = ResponseSpec(
         g0=float(response(0.0)),
@@ -163,8 +156,8 @@ def extract_component(
     Methods: exact spectral projection, least-squares filter with indicator
     targets (optionally tap-tied), a one-sided design without constant term,
     or a Chebyshev filter with a smooth step response. Every design takes its
-    domain on a side up to `_top` of that side's largest frequency, so the
-    Chebyshev intervals contain the spectrum.
+    domain on a side up to that side's `_interval_tops` top, so the Chebyshev
+    intervals contain the spectrum.
     """
     if which not in _BLOCKS:
         raise DataError(f"unknown component {which!r}")
@@ -175,13 +168,8 @@ def extract_component(
     if method == "spectral":
         return ExtractionResult(reference, 0.0 if norm else None)
 
-    spectrum = hodge_spectrum(sc)
-    lam_g, lam_c = (
-        _top(float(np.max(lams, initial=0.0)))
-        for lams in (spectrum.lambda_gradient, spectrum.lambda_curl)
-    )
-    freqs_g, freqs_c = distinct_frequencies(spectrum, grouping_tol)
-    freqs_g, freqs_c = np.asarray(freqs_g), np.asarray(freqs_c)
+    lam_g, lam_c = _interval_tops(shift_operators(sc))
+    freqs_g, freqs_c = map(np.asarray, distinct_frequencies(hodge_spectrum(sc), grouping_tol))
     # LS and one-sided designs default to one tap per distinct frequency
     l1 = order_lower if order_lower is not None else len(freqs_g)
     l2 = order_upper if order_upper is not None else len(freqs_c)
@@ -245,7 +233,6 @@ def denoise(
     method: str = "exact",
     order: int | None = None,
     samples: int = 10,
-    power_steps: int = 50,
 ) -> np.ndarray:
     """Solve (I + mu*P) f_hat = f exactly or via a filter approximation.
 
@@ -262,7 +249,7 @@ def denoise(
     low, up = shift_operators(sc)
     if regularizer == "edge_laplacian":
         up = None
-    return _resolvent(low, up, 1.0, mu, method, order, samples, power_steps)(flow)
+    return _resolvent(low, up, 1.0, mu, method, order, samples)(flow)
 
 
 # ---------------------------------------------------------------------------
@@ -440,7 +427,7 @@ def _subspace_norms(
     )
 
 
-def _ranker(sc, gamma, method, order, samples, power_steps):
+def _ranker(sc, gamma, method, order, samples):
     """The map from an (N1, k) right-hand side f to y = (gamma*I + S)^-1 R^-1 f,
     and R's diagonal as an (N1, 1) column, so that pi = R y solves
     (gamma*I + L_n) pi = f.
@@ -456,7 +443,7 @@ def _ranker(sc, gamma, method, order, samples, power_steps):
     # of a product with sp.diags
     root = np.sqrt(_normalized_degrees(sc)[1])[:, np.newaxis]
     solve = _resolvent(*_normalized_operators(sc), gamma, 1.0, method, order, samples,
-                       power_steps, GRID_LAMBDA_MIN)
+                       GRID_LAMBDA_MIN)
     return (lambda f: solve(f / root)), root
 
 
@@ -467,7 +454,6 @@ def edge_pagerank(
     method: str = "exact",
     order: int | None = None,
     samples: int = 200,
-    power_steps: int = 50,
 ) -> PageRankResult:
     """Influence of one edge: solve (gamma*I + L_n) pi = indicator(edge).
 
@@ -476,7 +462,7 @@ def edge_pagerank(
     """
     if not 0 <= edge_index < sc.n_edges:
         raise IndexOutOfRange(f"edge index {edge_index} outside [0, {sc.n_edges})")
-    rank, root = _ranker(sc, gamma, method, order, samples, power_steps)
+    rank, root = _ranker(sc, gamma, method, order, samples)
     if method == "exact":  # LU solves round by block width, SpMM columns do not
         start = edge_index - edge_index % IDENTITY_CHUNK
         y = rank(identity_block(sc.n_edges, start))[:, [edge_index - start]]
@@ -492,15 +478,16 @@ def edge_pagerank_all(
     method: str = "exact",
     order: int | None = None,
     samples: int = 200,
-    power_steps: int = 50,
+    power_steps: int | None = None,
 ) -> list[PageRankResult]:
     """PageRank for every edge.
 
     The identity runs through the method in column blocks: the exact path
     solves against one sparse factorization, grid/cheb run one SpMM recursion
-    per block.
+    per block. ``power_steps`` is ignored: callers written when the interval
+    tops were a power iteration still pass it, and the tops are `_interval_tops`.
     """
-    rank, root = _ranker(sc, gamma, method, order, samples, power_steps)
+    rank, root = _ranker(sc, gamma, method, order, samples)
     out = []
     for start in range(0, sc.n_edges, IDENTITY_CHUNK):
         y = rank(identity_block(sc.n_edges, start))

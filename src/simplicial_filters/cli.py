@@ -96,10 +96,9 @@ def decompose(sc_path, signal_path, out_path):
 @click.option("--quadrature", default=0, show_default=True,
               help="Chebyshev quadrature nodes (0 = automatic).")
 @click.option("--group-tol", default=0.0, show_default=True, help=GROUP_TOL_HELP)
-@click.option("--power-steps", default=50, show_default=True)
 @click.option("--out", "out_path", required=True, type=click.Path())
 def design_cmd(spec_path, method, sc_path, order_lower, order_upper, mode,
-               samples, quadrature, group_tol, power_steps, out_path):
+               samples, quadrature, group_tol, out_path):
     """Design a filter for a response spec and write it to JSON."""
     if method == "grid" and sc_path:
         raise click.UsageError("--method grid takes no --sc (it samples the spec domains)")
@@ -107,7 +106,7 @@ def design_cmd(spec_path, method, sc_path, order_lower, order_upper, mode,
     # a side without a response curve gets no taps, frequencies or samples
     lower, upper = spec.gradient is not None, spec.curl is not None
     if method == "cheb":
-        lam_g, lam_c = _cheb_bounds(spec, sc_path, power_steps)
+        lam_g, lam_c = _cheb_bounds(spec, sc_path)
         filt = design.chebyshev_design(
             spec, lam_g, lam_c,
             order_lower if lower else None, order_upper if upper else None,
@@ -136,12 +135,12 @@ def design_cmd(spec_path, method, sc_path, order_lower, order_upper, mode,
     click.echo(f"wrote {out_path}")
 
 
-def _cheb_bounds(spec, sc_path, power_steps):
+def _cheb_bounds(spec, sc_path):
     """Chebyshev interval tops: the library's rule on the complex's Laplacians
     when a complex is given, else the spec domains."""
     if sc_path:
         ops = filters.shift_operators(_load_sc(sc_path))
-        return apps._interval_tops(ops, power_steps)
+        return apps._interval_tops(ops)
     lam_g = spec.gradient.lam_max if spec.gradient is not None else None
     lam_c = spec.curl.lam_max if spec.curl is not None else None
     return lam_g, lam_c
@@ -220,16 +219,13 @@ def extract(sc_path, signal_path, which, method, order_lower, order_upper,
               default="exact", show_default=True)
 @click.option("--order", type=int, default=None)
 @click.option("--samples", default=10, show_default=True)
-@click.option("--power-steps", default=50, show_default=True)
 @click.option("--out", "out_path", required=True, type=click.Path())
-def denoise(sc_path, signal_path, mu, regularizer, method, order, samples,
-            power_steps, out_path):
+def denoise(sc_path, signal_path, mu, regularizer, method, order, samples, out_path):
     """Regularized denoising of an edge flow."""
     sc = _load_sc(sc_path)
     flow = io.load_signal(signal_path, sc)
     regname = "edge_laplacian" if regularizer == "edge" else "hodge_laplacian"
-    out = apps.denoise(sc, flow, mu, regname, method, order=order,
-                       samples=samples, power_steps=power_steps)
+    out = apps.denoise(sc, flow, mu, regname, method, order=order, samples=samples)
     io.save_signal(out, out_path)
     click.echo(f"wrote {out_path}")
 
@@ -244,11 +240,9 @@ def denoise(sc_path, signal_path, mu, regularizer, method, order, samples,
               default="exact", show_default=True)
 @click.option("--order", type=int, default=None)
 @click.option("--samples", default=200, show_default=True)
-@click.option("--power-steps", default=50, show_default=True)
 @click.option("--out", "out_path", type=click.Path(), default=None,
               help="Required with --all (CSV); optional JSON for a single edge.")
-def pagerank(sc_path, gamma, edge_index, rank_all, method, order, samples,
-             power_steps, out_path):
+def pagerank(sc_path, gamma, edge_index, rank_all, method, order, samples, out_path):
     """Edge influence scores via the normalized edge Laplacian."""
     sc = _load_sc(sc_path)
     if rank_all == (edge_index is not None):
@@ -256,9 +250,7 @@ def pagerank(sc_path, gamma, edge_index, rank_all, method, order, samples,
     if rank_all:
         if not out_path:
             raise click.UsageError("--all needs --out for the CSV table")
-        results = apps.edge_pagerank_all(
-            sc, gamma, method, order=order, samples=samples, power_steps=power_steps,
-        )
+        results = apps.edge_pagerank_all(sc, gamma, method, order=order, samples=samples)
         rows = []
         for r in results:
             u, v = sc.edges[r.edge_index]
@@ -268,10 +260,7 @@ def pagerank(sc_path, gamma, edge_index, rank_all, method, order, samples,
         io.save_pagerank_csv(rows, out_path)
         click.echo(f"wrote {out_path}")
         return
-    result = apps.edge_pagerank(
-        sc, gamma, edge_index, method, order=order, samples=samples,
-        power_steps=power_steps,
-    )
+    result = apps.edge_pagerank(sc, gamma, edge_index, method, order=order, samples=samples)
     u, v = sc.edges[result.edge_index]
     payload = {
         "edge_index": result.edge_index,

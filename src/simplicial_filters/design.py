@@ -1,6 +1,6 @@
 """Filter design: least-squares (joint, decoupled, tied), grid-based, and
-shifted-Chebyshev procedures, plus the response-curve library and the power
-iteration used to bound spectra.
+shifted-Chebyshev procedures, plus the response-curve library and a power
+iteration estimate of lambda_max that no design interval of the package uses.
 
 All LS solves run on column-scaled systems to soften Vandermonde
 ill-conditioning; the condition number reported alongside the result is that
@@ -156,7 +156,8 @@ def _vandermonde(freqs: np.ndarray, order: int) -> np.ndarray:
     """The shift-power block of an LS design: columns freqs**1 .. freqs**order."""
     if order < 0:
         raise DataError(f"filter order must be nonnegative, got {order}")
-    powers = freqs[:, None] ** np.arange(1, order + 1)
+    with np.errstate(over="ignore"):  # an overflow is inf, rejected below
+        powers = freqs[:, None] ** np.arange(1, order + 1)
     if not np.all(np.isfinite(powers)):
         raise NumericalError(f"frequency powers up to order {order} overflow float64")
     return powers
@@ -287,8 +288,9 @@ def estimate_lambda_max(matrix, iterations: int = 50, seed: int = 0) -> float:
     """Power-iteration estimate of the dominant eigenvalue (Rayleigh quotient).
 
     ``matrix`` is anything with ``shape`` and ``@``: a ShiftMatrix, a scipy
-    sparse matrix or a dense array. Deterministic for a fixed seed. Returns
-    0.0 for the zero matrix.
+    sparse matrix or a dense array. Deterministic for a fixed seed; 0.0 for
+    the zero matrix. It can stop short of lambda_max: no design interval of the
+    package rests on it (those are `apps._interval_tops`).
     """
     if iterations < 1:
         raise DataError("iterations must be >= 1")

@@ -36,6 +36,8 @@ REFINE_STEPS = 10
 # a refinement step has converged once it moves the projection of every column
 # by at most this many ulps of that column's norm
 REFINE_ULPS = 8
+# parts with fewer rows get a dense eigvalsh: ARPACK takes no 1 x 1 matrix
+LANCZOS_MIN_SIZE = 2
 
 
 def _check_flow(n_edges: int, flow) -> np.ndarray:
@@ -160,6 +162,25 @@ def _eigh(matrix: np.ndarray, vectors: bool = True):
         return np.linalg.eigh(matrix) if vectors else np.linalg.eigvalsh(matrix)
     except np.linalg.LinAlgError as exc:
         raise EigenFailure(f"symmetric eigensolver failed: {exc}") from exc
+
+
+def _lambda_max(op: ShiftMatrix) -> float:
+    """Largest eigenvalue of a symmetric edge-space part: 0.0 if a factor is zero
+    (a Hodge part is zero exactly then), dense below LANCZOS_MIN_SIZE rows, else
+    Lanczos (``eigsh``) on the factored operator, converged to rounding (Parlett,
+    *The Symmetric Eigenvalue Problem*) from a fixed start vector: bitwise repeatable."""
+    if not all(f.data.any() for f in op.factors):
+        return 0.0
+    if op.shape[0] < LANCZOS_MIN_SIZE:
+        return float(_eigh(op.as_csr().toarray(), vectors=False)[-1])
+    from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
+
+    part = LinearOperator(op.shape, matvec=op.matvec, dtype=np.float64)
+    v0 = np.random.default_rng(0).standard_normal(op.shape[0])
+    try:
+        return float(eigsh(part, k=1, which="LA", v0=v0, return_eigenvectors=False)[0])
+    except ArpackError as exc:  # no convergence, among others
+        raise EigenFailure(f"Lanczos found no largest eigenvalue: {exc}") from exc
 
 
 def _small_dense(op: ShiftMatrix) -> np.ndarray:

@@ -64,25 +64,25 @@ def test_extract_cheb(toy, flat_flow):
     assert result.nrmse < 0.05
 
 
-def test_cheb_extraction_designs_on_exact_tops(monkeypatch):
-    # the tops used to be margin x a 50-step power iteration, which stops short
-    # of lambda_max here (the upper top was 0.9846 lambda_max), so the
-    # Chebyshev interval missed the top of the spectrum
-    sc = sf.generate_road_complex(1088, 2176, 11)
-
-    def forbidden(*args):
-        raise AssertionError("extraction designs on its spectrum, not an estimate")
-
+def _design_tops(monkeypatch):
+    """The (lower, upper) tops of every Chebyshev design made while it is in use."""
     seen = []
+    chebyshev_design = apps.chebyshev_design
 
     def spy(spec, lam_g, lam_c, *args):
         seen.append((lam_g, lam_c))
         return chebyshev_design(spec, lam_g, lam_c, *args)
 
-    chebyshev_design = apps.chebyshev_design
-    monkeypatch.setattr(apps, "estimate_lambda_max", forbidden)
-    monkeypatch.setattr(apps, "_interval_tops", forbidden)
     monkeypatch.setattr(apps, "chebyshev_design", spy)
+    return seen
+
+
+def test_cheb_extraction_designs_on_exact_tops(monkeypatch):
+    # the tops used to be margin x a 50-step power iteration, which stops short
+    # of lambda_max here (the upper top was 0.9846 lambda_max), so the
+    # Chebyshev interval missed the top of the spectrum
+    sc = sf.generate_road_complex(1088, 2176, 11)
+    seen = _design_tops(monkeypatch)
     flow = np.random.default_rng(0).standard_normal(sc.n_edges)
     for which in ("gradient", "curl", "harmonic"):
         sf.extract_component(sc, flow, which, "filter_cheb")
@@ -141,13 +141,13 @@ def test_onesided_denoise_bounds_one_part(monkeypatch, toy, rng, method, order):
     # the edge regularizer designs on the lower part alone; its upper part used
     # to get a power iteration whose result was thrown away
     calls = []
-    estimate = apps.estimate_lambda_max
+    lambda_max = apps._lambda_max
 
-    def spy(op, *args):
+    def spy(op):
         calls.append(op)
-        return estimate(op, *args)
+        return lambda_max(op)
 
-    monkeypatch.setattr(apps, "estimate_lambda_max", spy)
+    monkeypatch.setattr(apps, "_lambda_max", spy)
     apps._interval_tops.cache_clear()
     flow = rng.standard_normal(toy.n_edges)
     sf.denoise(toy, flow, 0.5, "edge_laplacian", method, order=order)
@@ -155,14 +155,66 @@ def test_onesided_denoise_bounds_one_part(monkeypatch, toy, rng, method, order):
     calls.clear()
     sf.denoise(toy, flow, 0.5, "hodge_laplacian", method, order=order)
     assert calls == list(sf.shift_operators(toy))
-    # the tops are cached per operator pair and step count
+    # the tops are cached per operator pair
     calls.clear()
     sf.denoise(toy, flow, 0.5, "hodge_laplacian", method, order=order)
     sf.denoise(toy, flow, 0.5, "edge_laplacian", method, order=order)
     assert calls == []
-    sf.denoise(toy, flow, 0.5, "edge_laplacian", method, order=order, power_steps=60)
-    assert calls == [sf.shift_operators(toy)[0]]
 
+
+def _checked_tops(ops):
+    """`apps._interval_tops` of an operator pair, each top checked against
+    margin x a dense eigvalsh, or 1.0 for a zero part."""
+    tops = apps._interval_tops(ops)
+    for op, top in zip(ops, tops):
+        lam = np.linalg.eigvalsh(op.as_csr().toarray()).max(initial=0.0)
+        assert top == (pytest.approx(apps.LAMBDA_MAX_MARGIN * lam, rel=1e-13)
+                       if lam > 1e-12 else 1.0)
+    return tops
+
+
+def test_ranking_lower_top_covers_lambda_max(monkeypatch):
+    # the lower top was margin x a 50-step power iteration, 0.9988 lambda_max here
+    sc = sf.generate_road_complex(546, 1088, 11)
+    seen = _design_tops(monkeypatch)
+    sf.edge_pagerank(sc, 0.01, 0, "cheb", order=10)
+    lam_max = np.linalg.eigvalsh(sf.normalized_laplacian(sc).sym_lower)[-1]
+    assert seen[0][0] >= lam_max
+
+
+def test_denoising_upper_top_covers_lambda_max(monkeypatch):
+    # the upper top was margin x a 50-step power iteration, 0.9846 lambda_max here
+    sc = sf.generate_road_complex(1088, 2176, 11)
+    seen = _design_tops(monkeypatch)
+    sf.denoise(sc, np.ones(sc.n_edges), 0.5, "hodge_laplacian", "cheb", order=10)
+    assert seen[0][1] >= sf.hodge_spectrum(sc).lambda_curl[-1]
+
+
+def test_interval_tops_repeat_bitwise():
+    # an unseeded Lanczos start vector gave a different last bit on each call,
+    # which the traced benchmark's byte-compare of cold runs would catch
+    sc = sf.generate_road_complex(546, 1088, 11)
+    for ops in (sf.shift_operators(sc), spectral._normalized_operators(sc)):
+        apps._interval_tops.cache_clear()
+        first = np.array(apps._interval_tops(ops))
+        apps._interval_tops.cache_clear()
+        assert np.array(apps._interval_tops(ops)).tobytes() == first.tobytes()
+
+
+@pytest.mark.parametrize("sc", [
+    sf.build_complex(3, []),
+    degenerate_complexes()[1],
+    sf.build_complex(2, [(0, 1)]),
+    sf.build_complex(3, [(0, 1), (0, 2), (1, 2)], [(0, 1, 2)]),
+], ids=["edgeless", "no-triangles", "single-edge", "single-triangle"])
+def test_interval_tops_of_small_and_zero_parts(sc):
+    # Lanczos fails on a zero part (ARPACK error -9) and on a 1 x 1 one (TypeError)
+    for ops in (sf.shift_operators(sc), spectral._normalized_operators(sc)):
+        _checked_tops(ops)
+    flow = np.ones(sc.n_edges)
+    assert np.all(np.isfinite(sf.denoise(sc, flow, 0.5, "hodge_laplacian", "cheb", order=8)))
+    for r in sf.edge_pagerank_all(sc, 0.05, "cheb", order=8):
+        assert np.all(np.isfinite(r.pi))
 
 def test_market_validation():
     with pytest.raises(NonPositiveRate):
@@ -445,16 +497,12 @@ def test_harmonic_cheb_extraction_on_edgeless_complex():
 @pytest.mark.parametrize("triangles", [True, False], ids=["toy", "no-triangles"])
 def test_chebyshev_callers_share_interval_tops(tmp_path, toy, capsys, monkeypatch,
                                                triangles):
-    # a Chebyshev design without a spectrum takes its interval tops from one
-    # rule: margin x a 50-step power iteration, [0, 1] for a zero part; the CLI
-    # used to exit 2 on a complex without triangles. Extraction, which has the
-    # spectrum, takes margin x each side's largest eigenvalue instead
+    # extraction, denoising, design --sc and ranking take their interval tops
+    # from one rule: margin x each part's largest eigenvalue, 1.0 for a zero
+    # part. Extraction used to read its tops off the spectrum and the others
+    # off a 50-step power iteration; the CLI used to exit 2 on a complex
+    # without triangles
     sc = toy if triangles else degenerate_complexes()[1]
-
-    def rule(ops):
-        tops = [apps.LAMBDA_MAX_MARGIN * sf.estimate_lambda_max(op, 50, 0) for op in ops]
-        return tuple(top if top > 0 else 1.0 for top in tops)
-
     seen = []
 
     def spy(spec, lam_g, lam_c, *args):
@@ -478,11 +526,8 @@ def test_chebyshev_callers_share_interval_tops(tmp_path, toy, capsys, monkeypatc
     assert main(["design", "--spec", str(spec_path), "--method", "cheb",
                  "--sc", str(sc_path), "--order-lower", "12", "--order-upper", "12",
                  "--out", str(filt_path)]) == 0
-    tops = rule(sf.shift_operators(sc))
-    spectrum = sf.hodge_spectrum(sc)
-    exact = tuple(apps.LAMBDA_MAX_MARGIN * lams[-1] if lams.size else 1.0
-                  for lams in (spectrum.lambda_gradient, spectrum.lambda_curl))
-    assert seen == [exact, tops, tops]
+    tops = _checked_tops(sf.shift_operators(sc))
+    assert seen == [tops] * 3
     io.save_filter(chebyshev_design(io.load_response_spec(spec_path), *tops, 12, 12),
                    tmp_path / "expect.json")
     assert filt_path.read_bytes() == (tmp_path / "expect.json").read_bytes()
@@ -490,5 +535,5 @@ def test_chebyshev_callers_share_interval_tops(tmp_path, toy, capsys, monkeypatc
     seen.clear()
     sf.edge_pagerank(sc, 0.05, 0, "cheb", order=10)
     sf.edge_pagerank_all(sc, 0.05, "cheb", order=10)
-    assert seen == [rule(spectral._normalized_operators(sc))] * 2
+    assert seen == [_checked_tops(spectral._normalized_operators(sc))] * 2
     capsys.readouterr()

@@ -547,7 +547,7 @@ def test_ranking_matches_edge_space_oracle(monkeypatch, method, order):
     road = sf.generate_road_complex(546, 1088, 11)
     permuted = sf.permute(road, PermutationPlan.random(road, np.random.default_rng(4)))
     for sc in [road, permuted] + degenerate_complexes():
-        got = sf.edge_pagerank_all(sc, 0.01, method, order=order, power_steps=200)
+        got = sf.edge_pagerank_all(sc, 0.01, method, order=order)
         bounds = []
 
         def oracle(run):
@@ -559,7 +559,7 @@ def test_ranking_matches_edge_space_oracle(monkeypatch, method, order):
 
         with monkeypatch.context() as patch:
             patch.setattr(apps, "apply_operators", oracle(edge_space_oracle))
-            expect = sf.edge_pagerank_all(sc, 0.01, method, order=order, power_steps=200)
+            expect = sf.edge_pagerank_all(sc, 0.01, method, order=order)
         pi = np.column_stack([r.pi for r in got] or [np.zeros((sc.n_edges, 0))])
         pi_oracle = np.column_stack([r.pi for r in expect] or [np.zeros((sc.n_edges, 0))])
         bound = np.concatenate(bounds, axis=-1) if bounds else np.zeros(pi.shape[1])

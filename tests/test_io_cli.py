@@ -243,6 +243,35 @@ def test_extract_takes_no_power_steps(tmp_path, toy, capsys):
                              power_steps=50)
 
 
+@pytest.mark.parametrize("command", ["design", "denoise", "pagerank"])
+def test_commands_take_no_power_steps(tmp_path, toy, capsys, command):
+    # every design interval is margin x a converged Lanczos lambda_max, so the
+    # power-iteration step count these commands took is gone
+    sc_path, sig_path, spec_path, out_path = (
+        tmp_path / n for n in ("sc.json", "flow.csv", "spec.json", "out"))
+    io.save_complex(toy, sc_path)
+    io.save_signal(np.ones(toy.n_edges), sig_path)
+    io.dump_json({"g0": 1.0, "gradient": {"family": "inverse-shift", "gamma": 1.0,
+                                          "max": 5.5}}, spec_path)
+    args = {
+        "design": ["--spec", str(spec_path), "--method", "cheb", "--sc", str(sc_path)],
+        "denoise": ["--sc", str(sc_path), "--signal", str(sig_path), "--method", "cheb",
+                    "--order", "5"],
+        "pagerank": ["--sc", str(sc_path), "--edge", "0", "--method", "cheb", "--order", "5"],
+    }[command]
+    assert run_cli([command, *args, "--power-steps", "50", "--out", str(out_path)]) == 1
+    assert "usage error:" in capsys.readouterr().err
+    assert not out_path.exists()
+    library = {
+        "denoise": lambda: sf.denoise(toy, np.ones(toy.n_edges), 0.5, method="cheb",
+                                      order=5, power_steps=50),
+        "pagerank": lambda: sf.edge_pagerank(toy, 0.01, 0, "cheb", order=5, power_steps=50),
+    }
+    if command in library:
+        with pytest.raises(TypeError):
+            library[command]()
+
+
 def test_cli_pagerank(tmp_path, toy, capsys):
     sc_path = tmp_path / "sc.json"
     io.save_complex(toy, sc_path)
@@ -501,10 +530,6 @@ def test_market_missing_quotes_stay_legal(tmp_path):
 
 
 OUT_OF_RANGE = [
-    ["design", "--method", "cheb", "SC", "--power-steps", "0"],
-    ["denoise", "SC", "SIG", "--method", "cheb", "--order", "5", "--power-steps", "0"],
-    ["pagerank", "SC", "--edge", "0", "--method", "cheb", "--order", "5",
-     "--power-steps", "0"],
     ["info", "SC", "--group-tol", "-1"],
     ["extract", "SC", "SIG", "--method", "ls", "--group-tol", "-1"],
     ["denoise", "SC", "SIG", "--method", "grid", "--order", "-1"],
@@ -572,6 +597,21 @@ def test_cli_default_order_overflow_exits_3(tmp_path, road_1088, capsys, method)
                         "--method", method, "--out", str(tmp_path / "out.csv")])
     assert code == 3
     assert "overflow" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("method", ["ls", "onesided"])
+def test_cli_default_order_overflow_warns_nothing(tmp_path, road_1088, capsys, method):
+    # the overflowing powers used to print numpy's "RuntimeWarning: overflow
+    # encountered in power" before the exit-3 line
+    sc, sc_path = road_1088
+    sig_path = tmp_path / "flow.csv"
+    io.save_signal(np.ones(sc.n_edges), sig_path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = run_cli(["extract", "--sc", str(sc_path), "--signal", str(sig_path),
+                        "--method", method, "--out", str(tmp_path / "out.csv")])
+    assert code == 3
+    assert "overflow float64" in capsys.readouterr().err
 
 
 BAD_FILTER_FILES = {
