@@ -250,13 +250,12 @@ def pagerank(sc_path, gamma, edge_index, rank_all, method, order, samples, out_p
     if rank_all:
         if not out_path:
             raise click.UsageError("--all needs --out for the CSV table")
-        results = apps.edge_pagerank_all(sc, gamma, method, order=order, samples=samples)
-        rows = []
-        for r in results:
-            u, v = sc.edges[r.edge_index]
-            rows.append((r.edge_index, u, v, r.norms_abs.total, r.norms_abs.harmonic,
-                         r.norms_abs.gradient, r.norms_abs.curl, r.norms_rel.harmonic,
-                         r.norms_rel.gradient, r.norms_rel.curl))
+        # the norm rows of each block are written as it arrives; no N1 x N1 pi is kept
+        rows = (
+            (start + j, *sc.edges[start + j], *a, r.harmonic, r.gradient, r.curl)
+            for start, _, norms, rel in apps._rank_blocks(sc, gamma, method, order, samples)
+            for j, (a, r) in enumerate(zip(norms, rel))
+        )
         io.save_pagerank_csv(rows, out_path)
         click.echo(f"wrote {out_path}")
         return

@@ -342,9 +342,20 @@ def save_response_csv(rows: Iterable[tuple[float, str, float]], path) -> None:
 
 
 def save_pagerank_csv(rows: Iterable[Sequence], path) -> None:
-    """Batch ranking output; one row per edge with absolute and relative norms."""
-    lines = ["edge_index,u,v,norm_total,norm_H,norm_G,norm_C,rel_H,rel_G,rel_C"]
-    for edge_index, u, v, *norms in rows:
-        cells = [str(edge_index), str(u), str(v)] + [format_float(x) for x in norms]
-        lines.append(",".join(cells))
-    Path(path).write_text("\n".join(lines) + "\n")
+    """Batch ranking output; one row per edge with absolute and relative norms.
+
+    Each row is written as it is taken from ``rows``. If taking one raises,
+    the partly written file is removed and the error passes on.
+    """
+    path = Path(path)
+    out = path.open("w")
+    try:
+        with out:
+            out.write("edge_index,u,v,norm_total,norm_H,norm_G,norm_C,rel_H,rel_G,rel_C\n")
+            for edge_index, u, v, *norms in rows:
+                cells = [str(edge_index), str(u), str(v)] + [format_float(x) for x in norms]
+                out.write(",".join(cells) + "\n")
+    except BaseException:
+        if path.is_file():
+            path.unlink()
+        raise

@@ -1,4 +1,7 @@
+import functools
 import math
+import sys
+import threading
 import warnings
 
 import numpy as np
@@ -391,6 +394,94 @@ def test_pagerank_batch_filters_match_single(toy):
                                                atol=1e-12 * single.norms_abs.total)
                     np.testing.assert_allclose(batch[j].norms_rel, single.norms_rel,
                                                rtol=0, atol=1e-12)
+
+
+RANKINGS = (("exact", {}), ("grid", {"order": 9, "samples": 200}), ("cheb", {"order": 20}))
+
+
+def test_pagerank_all_is_independent_of_worker_count(monkeypatch):
+    # three blocks of the identity (128 + 128 + 44 columns) on one, two and
+    # three threads, the last more threads than this machine may have CPUs;
+    # a short switch interval makes the threads interleave often
+    sc = sf.generate_road_complex(150, 300, 11)
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for method, kwargs in RANKINGS:
+            runs = []
+            for workers in (1, 2, 3):
+                monkeypatch.setattr(apps, "_worker_count", lambda blocks: workers)
+                runs.append(sf.edge_pagerank_all(sc, 0.05, method, **kwargs))
+            serial, *threaded = runs
+            for run in threaded:
+                assert [r.edge_index for r in run] == list(range(sc.n_edges))
+                assert np.array_equal(np.column_stack([r.pi for r in run]),
+                                      np.column_stack([r.pi for r in serial]))
+                assert [(r.norms_abs, r.norms_rel) for r in run] == \
+                    [(r.norms_abs, r.norms_rel) for r in serial]
+    finally:
+        sys.setswitchinterval(switch)
+
+
+def test_pagerank_all_block_failure_joins_its_threads(monkeypatch, tmp_path, capsys):
+    # a block that fails on a worker thread raises in the caller, which gets
+    # back every thread it started; the CLI exits 3 and leaves no partial table
+    from simplicial_filters._kernels import identity_block
+
+    sc = sf.generate_road_complex(150, 300, 11)
+    rank, _ = apps._ranker(sc, 0.05, "exact", None, 200)
+    failing = rank(identity_block(sc.n_edges, 128))
+    norms = apps._subspace_norms
+
+    def fail_at_128(sc_, y):
+        if y.shape == failing.shape and np.array_equal(y, failing):
+            raise sf.NumericalError("block at 128 failed")
+        return norms(sc_, y)
+
+    monkeypatch.setattr(apps, "_subspace_norms", fail_at_128)
+    monkeypatch.setattr(apps, "_worker_count", lambda blocks: 2)
+    threads = threading.active_count()
+    with pytest.raises(sf.NumericalError, match="block at 128"):
+        sf.edge_pagerank_all(sc, 0.05, "exact")
+    assert threading.active_count() == threads
+    sc_path, out_path = tmp_path / "sc.json", tmp_path / "pr.csv"
+    io.save_complex(sc, sc_path)
+    assert main(["pagerank", "--sc", str(sc_path), "--gamma", "0.05", "--all",
+                 "--out", str(out_path)]) == 3
+    assert "block at 128" in capsys.readouterr().err
+    assert not out_path.exists()
+    assert threading.active_count() == threads
+
+
+@pytest.mark.parametrize("method, kwargs", RANKINGS, ids=[m for m, _ in RANKINGS])
+def test_pagerank_all_fills_its_caches_once(monkeypatch, method, kwargs):
+    # every cache a block reads is filled in the calling thread before the
+    # workers start, so threads build nothing a serial run does not
+    from simplicial_filters._kernels import ShiftMatrix
+
+    sc = sf.generate_road_complex(150, 300, 11)
+    caches = (spectral._normalized_operators, spectral._projector, apps._interval_tops,
+              design._step_matrix)
+    small = ShiftMatrix.small.func
+    built = []
+
+    def spy(self):
+        built.append(self)
+        return small(self)
+
+    spied = functools.cached_property(spy)
+    spied.__set_name__(ShiftMatrix, "small")
+    monkeypatch.setattr(ShiftMatrix, "small", spied)
+    runs = []
+    for workers in (1, 2):
+        for cache in caches:
+            cache.cache_clear()
+        built.clear()
+        monkeypatch.setattr(apps, "_worker_count", lambda blocks: workers)
+        sf.edge_pagerank_all(sc, 0.05, method, **kwargs)
+        assert len(set(map(id, built))) == len(built)
+        runs.append(([cache.cache_info().misses for cache in caches], len(built)))
+    assert runs[1] == runs[0]
 
 
 def test_pagerank_filter_methods_approach_exact(toy):

@@ -559,6 +559,8 @@ def test_ranking_matches_edge_space_oracle(monkeypatch, method, order):
 
         with monkeypatch.context() as patch:
             patch.setattr(apps, "apply_operators", oracle(edge_space_oracle))
+            # the bounds are collected per block in call order: one thread
+            patch.setattr(apps, "_worker_count", lambda blocks: 1)
             expect = sf.edge_pagerank_all(sc, 0.01, method, order=order)
         pi = np.column_stack([r.pi for r in got] or [np.zeros((sc.n_edges, 0))])
         pi_oracle = np.column_stack([r.pi for r in expect] or [np.zeros((sc.n_edges, 0))])
