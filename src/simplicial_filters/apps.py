@@ -416,10 +416,19 @@ def _subspace_norms(
     # projections scale with it, bit for bit
     _, exp = np.frexp(np.max(np.abs(y), axis=0, initial=0.0))
     y = np.ldexp(y, -exp)
-    y_g = _projector(sc, "gradient", True)(y)
+    # at most four (N1, k) arrays live at once: every norm is taken as soon as
+    # its part exists, each part is dropped once it is used, and y_h is formed
+    # in place, since (y - y_g) -= y_c rounds exactly as y - y_g - y_c
+    norm_y = np.linalg.norm(y, axis=0)
     y_c = _projector(sc, "curl", True)(y)
-    y_h = y - y_g - y_c
-    norms = np.ldexp([np.linalg.norm(part, axis=0) for part in (y, y_h, y_g, y_c)], exp)
+    norm_c = np.linalg.norm(y_c, axis=0)
+    y_g = _projector(sc, "gradient", True)(y)
+    norm_g = np.linalg.norm(y_g, axis=0)
+    y_h = y - y_g
+    del y, y_g
+    y_h -= y_c
+    del y_c
+    norms = np.ldexp([norm_y, np.linalg.norm(y_h, axis=0), norm_g, norm_c], exp)
     rel = norms / np.where(norms[0] > 0, norms[0], 1.0)
     rel[0] = 1.0
     return (

@@ -7,7 +7,7 @@ from collections import deque
 import numpy as np
 
 from .apps import ExchangeMarket
-from .complexes import SimplicialComplex, build_complex, infer_triangles
+from .complexes import SimplicialComplex, _clique_triangles, _unique_edges, build_complex
 from .errors import DataError
 
 
@@ -41,22 +41,23 @@ def generate_road_complex(n_nodes: int, n_edges: int, seed: int) -> SimplicialCo
     rng = np.random.default_rng(seed)
     points = rng.random((n_nodes, 2))
     tri = Delaunay(points)
-    candidates = sorted(
-        {
-            tuple(sorted((int(a), int(b))))
-            for simplex in tri.simplices
-            for a, b in ((simplex[0], simplex[1]), (simplex[0], simplex[2]),
-                         (simplex[1], simplex[2]))
-        }
+    simplices = np.sort(tri.simplices, axis=1).astype(np.int64)
+    candidates, pairs = _unique_edges(
+        np.concatenate([simplices[:, face] for face in ((0, 1), (0, 2), (1, 2))]), n_nodes
     )
     if n_edges > len(candidates):
         raise DataError(
             f"target {n_edges} exceeds the {len(candidates)} available edges"
         )
-    adjacency: dict[int, list[int]] = {i: [] for i in range(n_nodes)}
-    for u, v in candidates:
-        adjacency[u].append(v)
-        adjacency[v].append(u)
+    # every node's neighbours in ascending order, the order in which the
+    # sorted candidate edges list them, which the shuffles below depend on:
+    # a stable sort on the node puts its smaller neighbours u (from edges
+    # (u, node), ascending in u) before its larger ones
+    u, v = pairs.T
+    ends, nbrs = np.concatenate([v, u]), np.concatenate([u, v])
+    flat = nbrs[np.argsort(ends, kind="stable")].tolist()
+    bounds = np.cumsum(np.bincount(ends, minlength=n_nodes)).tolist()
+    adjacency = [flat[a:b] for a, b in zip([0] + bounds, bounds)]
     # spanning tree by breadth-first search with shuffled neighbor order
     start = int(rng.integers(n_nodes))
     seen = {start}
@@ -73,11 +74,17 @@ def generate_road_complex(n_nodes: int, n_edges: int, seed: int) -> SimplicialCo
                 queue.append(other)
     if len(seen) != n_nodes:
         raise DataError("Delaunay graph is disconnected; cannot build a tree")
-    tree_set = set(tree)
-    rest = [e for e in candidates if e not in tree_set]
+    tree_arr = np.array(tree, dtype=np.int64).reshape(-1, 2)
+    tree_keys = tree_arr[:, 0] * n_nodes + tree_arr[:, 1]
+    in_tree = np.zeros(len(candidates), dtype=bool)
+    in_tree[np.searchsorted(candidates, tree_keys)] = True
+    rest = candidates[~in_tree].tolist()
     rng.shuffle(rest)
-    keep = tree + rest[: n_edges - len(tree)]
-    return build_complex(n_nodes, keep, infer_triangles(n_nodes, keep))
+    keep = np.sort(np.concatenate(
+        [tree_keys, np.array(rest[: n_edges - len(tree)], dtype=np.int64)]
+    ))
+    edges = np.stack(np.divmod(keep, n_nodes), axis=1)
+    return build_complex(n_nodes, edges, _clique_triangles(n_nodes, edges))
 
 
 # A seven-currency market snapshot with small internal inconsistencies, kept

@@ -2,6 +2,7 @@ import functools
 import math
 import sys
 import threading
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -482,6 +483,29 @@ def test_pagerank_all_fills_its_caches_once(monkeypatch, method, kwargs):
         assert len(set(map(id, built))) == len(built)
         runs.append(([cache.cache_info().misses for cache in caches], len(built)))
     assert runs[1] == runs[0]
+
+
+def test_subspace_norms_peak_memory_and_bits():
+    # one 128-column block at 1088 edges: the norms held up to five (N1, k)
+    # arrays at once (5.0 blocks traced, 5.58 MB); forming y_h in place and
+    # dropping each part once its norm is taken leaves four (4.0 blocks)
+    sc = sf.generate_road_complex(546, 1088, 11)
+    y = np.random.default_rng(0).standard_normal((sc.n_edges, 128))
+    got = apps._subspace_norms(sc, y)  # fills the projector caches
+    tracemalloc.start()
+    try:
+        apps._subspace_norms(sc, y)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4.5 * y.nbytes
+    # bitwise the plain formula, whose subtraction order y - y_g - y_c it keeps
+    _, exp = np.frexp(np.max(np.abs(y), axis=0))
+    ys = np.ldexp(y, -exp)
+    y_g = spectral._projector(sc, "gradient", True)(ys)
+    y_c = spectral._projector(sc, "curl", True)(ys)
+    norms = np.ldexp([np.linalg.norm(p, axis=0) for p in (ys, ys - y_g - y_c, y_g, y_c)], exp)
+    assert got[0] == [apps.SubspaceNorms(*map(float, col)) for col in norms.T]
 
 
 def test_pagerank_filter_methods_approach_exact(toy):

@@ -1,6 +1,8 @@
+import hashlib
 import json
 import sys
 import tracemalloc
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -294,3 +296,150 @@ def test_equal_complexes_hash_once_and_share_cache_entries():
     assert sf.shift_operators.cache_info().currsize == before + 1
     c = build_complex(a.vertex_count, a.edges[:-1])
     assert c != a and sf.shift_operators(c) is not sf.shift_operators(a)
+
+
+# sha256 of repr((vertex_count, edges, triangles)) of generate_road_complex,
+# recorded before the generator moved from tuple sets to sorted key arrays;
+# every seeded complex, and so every benchmark gate, depends on them
+ROAD_FINGERPRINTS = {
+    (150, 300, 3): "7098d00cbd336c92798b2432207d41e8af517da6d2c137bf980ba36ecf3639a7",
+    (150, 300, 5): "59854bc6313030175bbad1e1abe4b36aab0c56a72f9f308c414b753cb0ad7e2b",
+    (150, 300, 11): "411e5edc6a0b1adb1caf31499b300042ef02a0a476d2b142fa054fefb430fc85",
+    (150, 300, 12): "00d2217ab02e446f23d9b373a2ce595af75dd042030545c44421e32c516282b6",
+    (546, 1088, 3): "f7d981def9c4c4775cb047df3bdc5d9a6044b7f0377b296c8ff6f930a34a6e6e",
+    (546, 1088, 5): "f2ee1536b57ae2d0826394e68302e1b35b5d8551be3c9930b8b5b11647b0f23d",
+    (546, 1088, 11): "3b4bd5acda4bca0c2b8c00d5db8bf2a02ae10bcc417b3869843dec4351f76d64",
+    (546, 1088, 12): "08b902e004e7d84d6f3768f39424e49fa98c2588054213cde3f8a5d004579a6d",
+    (2176, 4352, 3): "613bb2272c84432a635b0cb6b1a162830f44625b8f255214077bdc9198a469e1",
+    (2176, 4352, 5): "b2a302bf2a972ec7e5a30c19b45498a90d74fe9f57d87ebc6de9bfc9c901f9e5",
+    (2176, 4352, 11): "b57df8b7997b6d0ac2e39ab0e2fd3c528363e46fc1fbb1348b15f6b6fa4d96db",
+    (2176, 4352, 12): "cfadf310f71a8e90ab9338aecb4556583060dbff288132e821276110e8f04423",
+}
+
+
+@pytest.mark.parametrize("nodes, edges, seed", list(ROAD_FINGERPRINTS))
+def test_generated_complex_fingerprint(nodes, edges, seed):
+    sc = sf.generate_road_complex(nodes, edges, seed)
+    text = repr((sc.vertex_count, sc.edges, sc.triangles))
+    assert hashlib.sha256(text.encode()).hexdigest() == ROAD_FINGERPRINTS[nodes, edges, seed]
+    assert type(sc.vertex_count) is int
+    assert all(type(v) is int for s in sc.edges + sc.triangles for v in s)
+
+
+def _oracle_build(vertex_count, edges, triangles=()):
+    """The tuple-set build: sorted distinct ascending tuples, faces checked."""
+    es = sorted({tuple(sorted(map(int, e))) for e in edges})
+    ts = sorted({tuple(sorted(map(int, t))) for t in triangles})
+    for u, v, w in ts:
+        assert {(u, v), (u, w), (v, w)} <= set(es)
+    return (vertex_count, tuple(es), tuple(ts))
+
+
+def _oracle_triangles(edges):
+    """Every 3-clique, by brute force over pairs of one vertex's neighbours."""
+    es = {tuple(sorted(map(int, e))) for e in edges}
+    neighbours = {}
+    for u, v in es:
+        neighbours.setdefault(u, set()).add(v)
+    return sorted(
+        (u, v, w)
+        for u, vs in neighbours.items()
+        for v, w in combinations(sorted(vs), 2)
+        if (v, w) in es
+    )
+
+
+def _fields(sc):
+    return (sc.vertex_count, sc.edges, sc.triangles)
+
+
+@pytest.mark.parametrize("n, triangles", [(40, 9880), (60, 34220)])
+def test_infer_triangles_on_complete_graphs(n, triangles):
+    edges = [(v, u) for u in range(n) for v in range(u + 1, n)]
+    got = infer_triangles(n, edges)
+    assert len(got) == triangles and got == _oracle_triangles(edges)
+    assert _fields(build_complex(n, edges, got)) == _oracle_build(n, edges, got)
+
+
+def test_builders_agree_with_tuple_oracle_on_random_input(rng):
+    for _ in range(20):
+        sc = random_complex(rng)
+        # shuffled rows, flipped orientations and every simplex twice
+        edges = [e[::-1] if rng.random() < 0.5 else e for e in sc.edges * 2]
+        tris = [tuple(rng.permutation(t).tolist()) for t in sc.triangles * 2]
+        edges = [edges[i] for i in rng.permutation(len(edges))]
+        assert infer_triangles(sc.vertex_count, edges) == _oracle_triangles(edges)
+        got = build_complex(sc.vertex_count, edges, tris)
+        assert _fields(got) == _oracle_build(sc.vertex_count, edges, tris)
+
+
+def test_build_on_ids_beyond_a_cubic_key():
+    # u * N0^2 + v * N0 + w would overflow int64 here; the row-wise build must not
+    n = 3_000_000
+    top = (n - 3, n - 2, n - 1)
+    edges = [(n - 1, n - 3), (n - 2, n - 1), (n - 3, n - 2), (0, n - 1)]
+    assert infer_triangles(n, edges) == _oracle_triangles(edges) == [top]
+    got = build_complex(n, edges, [top[::-1]])
+    assert _fields(got) == _oracle_build(n, edges, [top])
+    assert incidence_matrix(got, 2).to_dense()[:, 0].tolist() == [0, 1, -1, 1]
+
+
+def test_build_merges_both_orientations():
+    edges = [(0, 1), (1, 0), (2, 1), (1, 2), (0, 2), (2, 0), (0, 1)]
+    tris = [(2, 1, 0), (0, 1, 2), (1, 0, 2)]
+    got = build_complex(3, edges, tris)
+    assert _fields(got) == _oracle_build(3, edges, tris) == (3, ((0, 1), (0, 2), (1, 2)),
+                                                               ((0, 1, 2),))
+    assert infer_triangles(3, edges) == [(0, 1, 2)]
+
+
+def test_build_on_empty_lists_and_array_rows():
+    assert _fields(build_complex(4, [], [])) == (4, (), ())
+    assert _fields(build_complex(4, np.empty((0, 2), dtype=np.int64))) == (4, (), ())
+    assert infer_triangles(4, []) == [] and infer_triangles(4, np.empty((0, 2), int)) == []
+    edges = [(0, 1), (1, 2), (0, 2), (2, 3)]
+    expect = _oracle_build(4, edges, [(0, 1, 2)])
+    for rows in (np.array(edges), np.array(edges, dtype=np.uint16), list(np.array(edges)),
+                 np.array(edges)[:, ::-1]):
+        assert _fields(build_complex(4, rows, np.array([[2, 0, 1]]))) == expect
+        assert infer_triangles(4, rows) == [(0, 1, 2)]
+    # generators are materialized once
+    assert _fields(build_complex(4, (e for e in edges), iter([(0, 1, 2)]))) == expect
+
+
+@pytest.mark.parametrize("edges", [
+    [(0, 1), (1, 2, 3)],
+    [(0, 1), (1,)],
+    [(0, 1), 5],
+    np.array([[0, 1, 2]]),
+    np.array([[0, 1.0]]),
+    np.array([[True, False]]),
+], ids=["triple", "single", "scalar", "array-triple", "array-float", "array-bool"])
+def test_build_rejects_malformed_rows(tmp_path, edges):
+    with pytest.raises(DataError):
+        build_complex(4, edges)
+    with pytest.raises(DataError):
+        infer_triangles(4, edges)
+    path = tmp_path / "sc.json"
+    path.write_text(json.dumps({"vertex_count": 4, "edges": np.asarray(edges, object).tolist()
+                                if isinstance(edges, np.ndarray) else edges}))
+    assert main(["info", "--sc", str(path)]) == 2
+
+
+def test_build_rejects_counts_and_ids_beyond_int64(tmp_path):
+    # a count of 2**70 used to reach incidence_matrix and exit 1 with an
+    # OverflowError; the edge keys u * N0 + v bound the count
+    huge = 2**70
+    edges = [[0, 2**69], [0, 1], [1, 2**69]]
+    with pytest.raises(DataError, match="overflow int64"):
+        build_complex(huge, edges)
+    with pytest.raises(DataError, match="overflow int64"):
+        build_complex(sf.complexes.MAX_VERTEX_COUNT + 1, [(0, 1)])
+    with pytest.raises(IndexOutOfRange):
+        build_complex(10, [(0, 2**69)])
+    with pytest.raises(IndexOutOfRange):
+        build_complex(10, [(-(2**70), 1)])
+    for extra in ({}, {"infer_triangles": True}):
+        path = tmp_path / "sc.json"
+        path.write_text(json.dumps({"vertex_count": huge, "edges": edges, **extra}))
+        assert main(["info", "--sc", str(path)]) == 2
