@@ -31,13 +31,19 @@ n - 2 triangles on every edge (a complete 60-vertex complex: 5,885,840
 against 205,320); there the recursions stay on the edges and G is never
 built.
 
-`spectral.hodge_spectrum` eigendecomposes the same small side densely, so
-this one rule also sizes that O(N^3) step. It counts entries, not
-dimensions: the node Gram can have up to twice as many rows as the edges (a
-perfect matching), and the edges on a triangle up to three times as many as
-the triangles (E' <= 3*N2: a book of many triangles on one edge beside
-triangles that share no edge). Where the triangle Gram is picked,
+`spectral.hodge_spectrum` eigendecomposes the same small side densely, and
+`spectral._projector` factors the upper one for the curl projection, so this
+one rule also sizes that O(N^3) step and that sparse factorization. It
+counts entries, not dimensions: the node Gram can have up to twice as many
+rows as the edges (a perfect matching), and the edges on a triangle up to
+three times as many as the triangles (E' <= 3*N2: a book of many triangles on
+one edge beside triangles that share no edge). Where the triangle Gram is picked,
 sum_e r_e^2 <= 8*N2, so N2 <= 8*E'/9 by Cauchy-Schwarz: never the larger side.
+Around a filled clique the rule picks the edges, where the triangle Gram
+would fill in when factored: with 25 scattered vertices of the 1088-edge road
+complex joined and filled, the LU factors of its 2613 x 2613 Gram hold
+4,061,303 entries against 68,245 for the upper part on the 1033 edges on a
+triangle.
 
 `ShiftMatrix.as_csr` gives the small side as one CSR matrix: the node or
 triangle Gram itself, or, where cliques are filled, the product of the two
@@ -48,8 +54,8 @@ edges on a triangle (a complete 60-vertex complex: 207,090 against the 205,320
 of its two factors). On complete 40- and 60-vertex complexes one product with
 it was 1.1-1.2 times faster than the two-factor product for one flow and
 1.4-2.7 times for a block of 128 (2-CPU x86 VM), so the Chebyshev recursions
-step on it (`design.ChebyshevFilter`), and `spectral.hodge_spectrum`
-eigendecomposes it.
+step on it (`design.ChebyshevFilter`), `spectral.hodge_spectrum`
+eigendecomposes it, and `spectral._projector` factors it.
 
 A single flow of shape ``(n,)`` runs as one CSR matvec per factor, a block
 of ``k`` flows of shape ``(n, k)`` as one SpMM per factor. Both accumulate

@@ -6,7 +6,8 @@ products; the gradient and curl frequencies, from each operator's small side
 (`ShiftMatrix.small`, chosen by counting stored entries), with eigenbases of
 the harmonic/gradient/curl split on demand; the simplicial Fourier transform,
 divergence/curl operators, the eigen-free Hodge decomposition of edge flows by
-sparse least squares, and the normalized edge Laplacian used for ranking.
+sparse least squares, whose curl projection solves on the same small side,
+and the normalized edge Laplacian used for ranking.
 """
 from __future__ import annotations
 
@@ -288,60 +289,64 @@ def _projector(sc: SimplicialComplex, side: str, weighted: bool = False):
     G is the first factor of that side's operator: B1^T (side "gradient") or
     B2 ("curl") from `shift_operators`; weighted, R B1^T or R^-1 B2 from
     `_normalized_operators`, whose image is that of the symmetric normalized
-    part. y maps to G psi with (G^T G) psi = G^T y: no eigenbasis, one cached
-    sparse factorization.
+    part. No eigenbasis and no dense matrix: one cached sparse factorization.
 
-    The gradient Gram is a graph Laplacian whose kernel is the connected
-    components' indicators, so one node per component is grounded and the rest
-    is factored SPD and solved once. The curl Gram's kernel (2-cycles such as a
-    clique-filled hollow tetrahedron) is not known in advance, so G^T G + delta*I
-    is factored and the solve refined until it stops moving the projection; its
-    kernel part of psi is annihilated by G. A curl Gram with more stored
-    entries than a dense N1 x N1 matrix (clique-filled dense graphs, such as
-    markets: each triangle meets 3(N0 - 3) others) would fill in when factored,
-    so there the basis of im(G) comes from a column-pivoted QR of the dense
-    edge-space Gram G G^T instead, with the rank cut of `hodge_spectrum`.
+    Gradient side: y maps to G psi with (G^T G) psi = G^T y. The node Gram is a
+    graph Laplacian whose kernel is the connected components' indicators, so
+    one node per component is grounded and the rest is factored SPD and solved
+    once.
+
+    Curl side: it solves on the operator's ``small`` matrix S, the side the
+    recursions and `hodge_spectrum` use, picked by `ShiftMatrix`'s one side
+    rule (see `_kernels`). S's kernel (2-cycles such as a clique-filled hollow
+    tetrahedron) is not known in advance, so S + delta*I is factored and the
+    solve refined until it stops moving the projection. On the triangle Gram
+    S = G^T G (``on_gram``, road complexes) it solves S psi = G^T y and returns
+    G psi, which annihilates the kernel part of psi. On the edges (where
+    cliques are filled) S is the upper part on the edges on a triangle and
+    ``to_small`` gives S y; one solve would leave kernel noise amplified by
+    1/delta that nothing removes, so it refines S^2 u = S y with two solves per
+    step and returns S u, padded back: the product by S annihilates that noise
+    as G does on the Gram side.
     """
-    g = (_normalized_operators if weighted else shift_operators)(sc)[side == "curl"].factors[0]
-    gram = sp.csr_matrix(g.T @ g)
     if side == "gradient":
         from scipy.sparse.csgraph import connected_components
 
+        g = (_normalized_operators if weighted else shift_operators)(sc)[0].factors[0]
+        gram = sp.csr_matrix(g.T @ g)
         _, labels = connected_components(gram, directed=False)
         keep = np.ones(gram.shape[0], dtype=bool)
         keep[np.unique(labels, return_index=True)[1]] = False
-        g = g[:, keep]
-        gram = gram[keep][:, keep]
-    if gram.shape[0] == 0:
-        return lambda y: np.zeros_like(y)
-    gt = read_only(sp.csr_matrix(g.T))
-    g = read_only(g)
-    if side == "gradient":
+        g, gram = g[:, keep], gram[keep][:, keep]
+        if gram.shape[0] == 0:
+            return lambda y: np.zeros_like(y)
+        gt = read_only(sp.csr_matrix(g.T))
+        g = read_only(g)
         lu = _factor(gram)
         return lambda y: g @ lu.solve(gt @ y)
 
-    if gram.nnz >= g.shape[0] ** 2:
-        from scipy.linalg import qr
-
-        q, r, _ = qr((g @ gt).toarray(), mode="economic", pivoting=True)
-        size = np.abs(np.diag(r))
-        basis = q[:, size > ZERO_TOL_FACTOR * size[0]]
-        basis.setflags(write=False)
-        return lambda y: basis @ (basis.T @ y)
-
-    gram = read_only(gram)
-    shift = CURL_SHIFT * float(abs(gram).sum(axis=1).max())
-    lu = _factor(gram + shift * sp.identity(gram.shape[0], format="csr"))
+    op = (_normalized_operators if weighted else shift_operators)(sc)[1]
+    small = op.small.as_csr()
+    if small.shape[0] == 0:
+        return lambda y: np.zeros_like(y)
+    shift = CURL_SHIFT * float(abs(small).sum(axis=1).max())
+    lu = _factor(small + shift * sp.identity(small.shape[0], format="csr"))
+    if op.on_gram:
+        system, solve, output = (lambda u: small @ u), lu.solve, op.from_small
+    else:
+        system = lambda u: small @ (small @ u)
+        solve = lambda r: lu.solve(lu.solve(r))
+        output = lambda u: op.from_small(small @ u)
 
     def project(y):
-        rhs = gt @ y
-        psi = lu.solve(rhs)
+        rhs = op.to_small(y)
+        u = solve(rhs)
         tol = REFINE_ULPS * np.finfo(np.float64).eps * np.linalg.norm(y, axis=0)
         for _ in range(REFINE_STEPS):
-            step = lu.solve(rhs - gram @ psi)
-            psi += step
-            if np.all(np.linalg.norm(g @ step, axis=0) <= tol):
-                return g @ psi
+            step = solve(rhs - system(u))
+            u += step
+            if np.all(np.linalg.norm(output(step), axis=0) <= tol):
+                return output(u)
         raise NumericalError(
             f"curl projection did not converge in {REFINE_STEPS} refinement steps"
         )
@@ -446,10 +451,11 @@ def shift_operators(
 
     The lower one applies B1^T (B1 f), the upper one B2 (B2^T f); each takes an
     (N1,) flow or an (N1, k) block of flows. Their ``small`` sides, which the
-    filter recursions step on and `hodge_spectrum` eigendecomposes, are the
-    ones `ShiftMatrix` picks: the node Gram B1 B1^T for the lower one, and for
-    the upper one the triangle Gram B2^T B2 where it stores no more entries
-    than B2 and B2^T, else the upper Laplacian on the edges on a triangle.
+    filter recursions step on, `hodge_spectrum` eigendecomposes and the curl
+    projection (`_projector`) factors, are the ones `ShiftMatrix` picks: the
+    node Gram B1 B1^T for the lower one, and for the upper one the triangle
+    Gram B2^T B2 where it stores no more entries than B2 and B2^T, else the
+    upper Laplacian on the edges on a triangle.
     """
     b1, b2 = boundary_csr(obj, 1), boundary_csr(obj, 2)
     return ShiftMatrix(b1.T, b1), ShiftMatrix(b2, b2.T)
@@ -460,7 +466,8 @@ def _normalized_operators(sc: SimplicialComplex) -> tuple[ShiftMatrix, ShiftMatr
     """The symmetric normalized parts S_lower = G_l D1^-1 G_l^T and
     S_upper = G_u G_u^T / 3 as incidence products, G_l = R B1^T and
     G_u = R^-1 B2 with R = diag(sqrt(d2)); each steps on the side `ShiftMatrix`
-    picks, as in `shift_operators`.
+    picks, as in `shift_operators`, and the weighted curl projection of ranking
+    (`_projector`) solves on the upper one's side by the same rule.
 
     The normalized edge Laplacian is L_n = R (S_lower + S_upper) R^-1 (Schaub
     et al., "Random walks on simplicial complexes and the normalized Hodge

@@ -74,11 +74,16 @@ def complete_complex(n):
     return build_complex(n, edges, infer_triangles(n, edges))
 
 
-def road_with_clique(n=25):
-    """The 1088-edge road complex with every edge among its first n vertices
-    added and every 3-clique filled: sparse roads around one crowded block."""
+def road_with_clique(n=25, seed=None):
+    """The 1088-edge road complex with every edge among n of its vertices added
+    and every 3-clique filled: sparse roads around one crowded block. The
+    vertices are the first n, or n drawn by ``default_rng(seed)`` when a seed
+    is given, which scatters the block over the map."""
     road = sf.generate_road_complex(546, 1088, 11)
-    edges = sorted(set(road.edges) | {(u, v) for u in range(n) for v in range(u + 1, n)})
+    block = range(n) if seed is None else sorted(
+        int(u) for u in np.random.default_rng(seed).choice(road.vertex_count, n, replace=False)
+    )
+    edges = sorted(set(road.edges) | {(u, v) for u in block for v in block if u < v})
     return build_complex(road.vertex_count, edges, infer_triangles(road.vertex_count, edges))
 
 

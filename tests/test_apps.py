@@ -21,7 +21,7 @@ from simplicial_filters import (
 from simplicial_filters import apps, design, io, spectral
 from simplicial_filters.cli import main
 
-from conftest import degenerate_complexes
+from conftest import complete_complex, degenerate_complexes
 
 
 def test_nrmse():
@@ -571,31 +571,40 @@ def test_filter_ranking_builds_only_the_symmetric_pair(monkeypatch, method, orde
     assert assembled == []
 
 
-@pytest.mark.parametrize("failure", ["factorization", "refinement"])
-def test_projection_failure_is_numerical(toy, tmp_path, monkeypatch, failure):
+@pytest.mark.parametrize("failure, filled", [
+    pytest.param("factorization", False, id="factorization"),
+    pytest.param("refinement", False, id="refinement"),
+    pytest.param("refinement", True, id="refinement-edges"),
+])
+def test_projection_failure_is_numerical(toy, tmp_path, monkeypatch, failure, filled):
     # the sparse factorizations behind decomposition and ranking norms: a
     # failed factor or a shifted curl solve whose refinement does not converge
-    # must surface as NumericalError (exit 3), never as unconverged output
+    # must surface as NumericalError (exit 3), never as unconverged output. The
+    # toy complex's curl side solves on its triangle Gram, a filled K10's on
+    # its edges, with two solves per refinement step
+    sc = complete_complex(10) if filled else toy
+    assert sf.shift_operators(sc)[1].on_gram is not filled
     if failure == "factorization":
         def fail(*args, **kwargs):
             raise RuntimeError("Factor is exactly singular")
 
         monkeypatch.setattr(scipy.sparse.linalg, "splu", fail)
     else:
-        # a shift as large as the Gram itself: each step shrinks the error by
-        # at most half, too slow for the step cap
+        # a shift as large as the small side's largest row sum: each step
+        # leaves at least half of the error (three quarters on the edges), too
+        # slow for the step cap
         monkeypatch.setattr(spectral, "CURL_SHIFT", 1.0)
-    flow = np.linspace(-1.0, 1.0, toy.n_edges)
+    flow = np.linspace(-1.0, 1.0, sc.n_edges)
     spectral._projector.cache_clear()
     try:
         with pytest.raises(sf.NumericalError):
-            sf.hodge_decompose(toy, flow)
+            sf.hodge_decompose(sc, flow)
         with pytest.raises(sf.NumericalError):
-            sf.edge_pagerank(toy, 0.05, 0, "exact")
+            sf.edge_pagerank(sc, 0.05, 0, "exact")
         with pytest.raises(sf.NumericalError):
-            sf.edge_pagerank_all(toy, 0.05, "cheb", order=10)
+            sf.edge_pagerank_all(sc, 0.05, "cheb", order=10)
         sc_path, signal_path = tmp_path / "sc.json", tmp_path / "flow.csv"
-        io.save_complex(toy, sc_path)
+        io.save_complex(sc, sc_path)
         io.save_signal(flow, signal_path)
         assert main(["decompose", "--sc", str(sc_path), "--signal", str(signal_path),
                      "--out", str(tmp_path / "out.json")]) == 3

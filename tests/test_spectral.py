@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import simplicial_filters as sf
-from simplicial_filters import DimensionMismatch, hodge_laplacian, hodge_spectrum
+from simplicial_filters import DimensionMismatch, hodge_laplacian, hodge_spectrum, spectral
 from simplicial_filters.complexes import _hodge_parts
 from simplicial_filters.spectral import ZERO_TOL_FACTOR, _projector
 
@@ -16,6 +16,7 @@ from conftest import (
     dense_b2,
     random_complex,
     road_cases,
+    road_with_clique,
 )
 
 
@@ -266,19 +267,28 @@ def _weighted_oracle(sc):
     return v_low[:, w_low > tol], v_up[:, w_up > tol]
 
 
-def test_projectors_match_eigen_oracles(rng):
+def test_projectors_match_eigen_oracles(rng, monkeypatch):
     # the sparse least-squares projectors against the eigenbasis projectors, on
-    # a 2176-edge complex whose curl Gram is singular (601 triangles, rank 599)
-    # and on clique-filled dense graphs whose curl Gram has more entries than
-    # N1^2 (the QR branch)
+    # a 2176-edge complex whose curl Gram is singular (601 triangles, rank 599),
+    # and on clique-filled complexes whose curl side solves on the edges on a
+    # triangle: dense graphs, and the 1088-edge road complex with a scattered
+    # 25-vertex clique, whose 2613 x 2613 triangle Gram fills in when factored.
+    # There the projector factors the edge-side small matrix, and nothing else
     randoms = [random_complex(rng) for _ in range(10)]
     road = sf.generate_road_complex(1100, 2176, 11)
     clique = [(u, v) for u in range(10) for v in range(u + 1, 10)]
     square = clique + [(0, 10), (10, 11), (11, 12), (0, 12)]  # a harmonic hole
     dense = [sf.build_complex(13, e, sf.infer_triangles(13, e)) for e in (clique, square)]
+    dense.append(road_with_clique(25, seed=0))
     for sc in dense:
-        b2 = sf.boundary_csr(sc, 2)
-        assert (b2.T @ b2).nnz >= sc.n_edges ** 2
+        assert not sf.shift_operators(sc)[1].on_gram
+    factor, factored = spectral._factor, []
+
+    def spy_factor(matrix):
+        factored.append(matrix.shape)
+        return factor(matrix)
+
+    monkeypatch.setattr(spectral, "_factor", spy_factor)
     for sc in randoms + degenerate_complexes() + [road] + dense:
         spec = hodge_spectrum(sc)
         oracles = {False: (spec.u_gradient, spec.u_curl), True: _weighted_oracle(sc)}
@@ -286,12 +296,18 @@ def test_projectors_match_eigen_oracles(rng):
         scale = 1e-12 * np.linalg.norm(flows, axis=0)
         for weighted, bases in oracles.items():
             for side, basis in zip(("gradient", "curl"), bases):
-                got = _projector(sc, side, weighted)(flows)
+                factored.clear()
+                project = _projector.__wrapped__(sc, side, weighted)
+                ops = spectral._normalized_operators if weighted else sf.shift_operators
+                op = ops(sc)[1]
+                if side == "curl" and not op.on_gram:
+                    assert factored == [op.small.shape]
+                got = project(flows)
                 expect = basis @ (basis.T @ flows)
                 assert np.all(np.linalg.norm(got - expect, axis=0) <= scale)
                 # columns of a block project as single flows
-                np.testing.assert_allclose(_projector(sc, side, weighted)(flows[:, 0]),
-                                           got[:, 0], rtol=0, atol=scale[0])
+                np.testing.assert_allclose(project(flows[:, 0]), got[:, 0],
+                                           rtol=0, atol=scale[0])
 
 
 def test_divergence_and_curl_definitions(toy, rng):
