@@ -73,17 +73,22 @@ import scipy.sparse as sp
 IDENTITY_CHUNK = 128
 
 
-def read_only(csr: sp.csr_matrix) -> sp.csr_matrix:
-    """Sort a shared CSR matrix's indices, then make its ``data``, ``indices``
-    and ``indptr`` read-only.
+def read_only(shared):
+    """Make a shared dense array, or a CSR matrix's ``data``, ``indices`` and
+    ``indptr``, read-only, and return it.
 
-    Sorted indices are scipy's canonical format, so operations that would
-    canonicalize in place (``abs``, for one) never write to the frozen arrays.
+    A CSR matrix first has its indices sorted: that is scipy's canonical
+    format, so operations that would canonicalize in place (``abs``, for one)
+    never write to the frozen arrays.
     """
-    csr.sort_indices()
-    for array in (csr.data, csr.indices, csr.indptr):
+    if sp.issparse(shared):
+        shared.sort_indices()
+        arrays = (shared.data, shared.indices, shared.indptr)
+    else:
+        arrays = (shared,)
+    for array in arrays:
         array.setflags(write=False)
-    return csr
+    return shared
 
 
 class ShiftMatrix:

@@ -7,13 +7,13 @@ import math
 import os
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
 
-from ._kernels import IDENTITY_CHUNK, identity_block
+from ._kernels import IDENTITY_CHUNK, identity_block, read_only
 from .complexes import SimplicialComplex, build_complex, infer_triangles
 from .design import (
     ResponseSpec,
@@ -162,7 +162,7 @@ def extract_component(
     """
     if which not in _BLOCKS:
         raise DataError(f"unknown component {which!r}")
-    flow = _check_flow(sc.n_edges, flow)
+    flow = _check_flow(sc, flow)
     f_g, f_c, f_h = hodge_decompose(sc, flow)
     reference = {"gradient": f_g, "curl": f_c, "harmonic": f_h}[which]
     norm = np.linalg.norm(reference)
@@ -246,7 +246,7 @@ def denoise(
         raise DataError("mu must be positive and finite")
     if regularizer not in ("edge_laplacian", "hodge_laplacian"):
         raise DataError(f"unknown regularizer {regularizer!r}")
-    flow = _check_flow(sc.n_edges, flow)
+    flow = _check_flow(sc, flow)
     low, up = shift_operators(sc)
     if regularizer == "edge_laplacian":
         up = None
@@ -291,42 +291,30 @@ class ExchangeMarket:
     def n_currencies(self) -> int:
         return len(self.currency_names)
 
+    @cached_property
+    def _directed(self) -> np.ndarray:
+        """Every directed rate: rate[i, j] where quoted, else the reciprocal
+        1 / rate[j, i], NaN where neither direction is quoted (read-only)."""
+        return read_only(np.where(np.isnan(self.rate), 1.0 / self.rate.T, self.rate))
+
     def directed_rate(self, i: int, j: int) -> float:
         """Rate for converting i into j, falling back to the reciprocal quote."""
-        r = self.rate[i, j]
-        if math.isfinite(r):
-            return float(r)
-        back = self.rate[j, i]
-        if math.isfinite(back):
-            return 1.0 / float(back)
-        raise DataError(
-            f"no quote between {self.currency_names[i]} and {self.currency_names[j]}"
-        )
+        r = float(self._directed[i, j])
+        if math.isnan(r):
+            raise DataError(
+                f"no quote between {self.currency_names[i]} and {self.currency_names[j]}"
+            )
+        return r
 
     def is_complete(self) -> bool:
-        n = self.n_currencies
-        for i in range(n):
-            for j in range(i + 1, n):
-                if not (math.isfinite(self.rate[i, j]) or math.isfinite(self.rate[j, i])):
-                    return False
-        return True
+        return not np.isnan(self._directed).any()
 
 
 def market_complex(market: ExchangeMarket) -> SimplicialComplex:
     """Complex of quoted pairs with every 3-clique filled as a triangle."""
     n = market.n_currencies
-    edges = [
-        (i, j)
-        for i in range(n)
-        for j in range(i + 1, n)
-        if math.isfinite(market.rate[i, j]) or math.isfinite(market.rate[j, i])
-    ]
+    edges = np.argwhere(np.triu(~np.isnan(market._directed), 1))
     return build_complex(n, edges, infer_triangles(n, edges))
-
-
-def _log_flow(market: ExchangeMarket, sc: SimplicialComplex) -> np.ndarray:
-    # one number per edge (i, j), i < j: the log-rate read in the i -> j direction
-    return np.array([math.log(market.directed_rate(i, j)) for i, j in sc.edges])
 
 
 def arbitrage_check(
@@ -341,16 +329,10 @@ def arbitrage_check(
     if not math.isfinite(threshold):
         raise DataError("threshold must be finite")
     sc = market_complex(market)
-    hits = []
-    for (i, j, k) in sc.triangles:
-        roundtrip = (
-            market.directed_rate(i, j)
-            * market.directed_rate(j, k)
-            * market.directed_rate(k, i)
-        )
-        gain = roundtrip - 1.0
-        if gain > threshold:
-            hits.append(((i, j, k), float(gain)))
+    i, j, k = np.asarray(sc.triangles, dtype=np.int64).reshape(-1, 3).T
+    rate = market._directed
+    gain = rate[i, j] * rate[j, k] * rate[k, i] - 1.0
+    hits = [(sc.triangles[t], float(gain[t])) for t in np.flatnonzero(gain > threshold)]
     hits.sort(key=lambda item: (-item[1], item[0]))
     return hits
 
@@ -365,7 +347,10 @@ def arbitrage_correct(market: ExchangeMarket) -> ExchangeMarket:
     are reciprocal-consistent.
     """
     sc = market_complex(market)
-    flow = _log_flow(market, sc)
+    i, j = np.asarray(sc.edges, dtype=np.int64).reshape(-1, 2).T
+    # one log-rate per edge (i, j), i < j, read in the i -> j direction; math.log
+    # and math.exp, not np.log and np.exp, which differ from them in the last bit
+    flow = np.array([math.log(r) for r in market._directed[i, j].tolist()])
     if market.is_complete():
         coeffs = FilterCoefficients(0.0, (1.0 / market.n_currencies,), ())
         corrected = apply(sc, coeffs, flow)
@@ -380,9 +365,9 @@ def arbitrage_correct(market: ExchangeMarket) -> ExchangeMarket:
     n = market.n_currencies
     rate = np.full((n, n), np.nan)
     np.fill_diagonal(rate, 1.0)
-    for e, (i, j) in enumerate(sc.edges):
-        rate[i, j] = math.exp(corrected[e])
-        rate[j, i] = 1.0 / rate[i, j]
+    forward = np.array([math.exp(c) for c in corrected.tolist()])
+    rate[i, j] = forward
+    rate[j, i] = 1.0 / forward
     return ExchangeMarket(market.currency_names, rate)
 
 

@@ -93,12 +93,10 @@ def decompose(sc_path, signal_path, out_path):
               show_default=True)
 @click.option("--samples", default=200, show_default=True,
               help="Grid samples per frequency interval.")
-@click.option("--quadrature", default=0, show_default=True,
-              help="Chebyshev quadrature nodes (0 = automatic).")
 @click.option("--group-tol", default=0.0, show_default=True, help=GROUP_TOL_HELP)
 @click.option("--out", "out_path", required=True, type=click.Path())
 def design_cmd(spec_path, method, sc_path, order_lower, order_upper, mode,
-               samples, quadrature, group_tol, out_path):
+               samples, group_tol, out_path):
     """Design a filter for a response spec and write it to JSON."""
     if method == "grid" and sc_path:
         raise click.UsageError("--method grid takes no --sc (it samples the spec domains)")
@@ -110,7 +108,6 @@ def design_cmd(spec_path, method, sc_path, order_lower, order_upper, mode,
         filt = design.chebyshev_design(
             spec, lam_g, lam_c,
             order_lower if lower else None, order_upper if upper else None,
-            quadrature or None,
         )
     else:
         if method == "ls":

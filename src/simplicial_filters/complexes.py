@@ -193,16 +193,32 @@ def _clique_triangles(vertex_count: int, edges: np.ndarray) -> np.ndarray:
     first = np.cumsum(counts) - counts
     cand = np.arange(counts.sum()) + np.repeat(lo - first, counts)
     u, v, w = edges[edge_of, 0], edges[edge_of, 1], edges[cand, 1]
-    found = _has_keys(keys, u * vertex_count + w)
+    queries = u * vertex_count + w
+    # -1 after the largest key: a sentinel that no query equals
+    found = np.append(keys, -1)[np.searchsorted(keys, queries)] == queries
     return np.stack([u[found], v[found], w[found]], axis=1)
 
 
-def _has_keys(keys: np.ndarray, queries: np.ndarray) -> np.ndarray:
-    """Whether each query is in the sorted keys."""
-    if len(keys) == 0:
-        return np.zeros(len(queries), dtype=bool)
-    pos = np.minimum(np.searchsorted(keys, queries), len(keys) - 1)
-    return keys[pos] == queries
+def _face_rows(keys: np.ndarray, triangles: np.ndarray, vertex_count: int) -> np.ndarray:
+    """The (3, n2) edge rows of the faces (u, v), (u, w), (v, w) of each
+    ascending triangle row, B2's row order, found by a search in key order,
+    since a permuted edge list is unsorted; ``keys`` are the edge keys
+    u * vertex_count + v in edge-list order.
+
+    Raises MissingFace naming the first triangle with a missing face, and its
+    first missing edge.
+    """
+    pairs = list(combinations(range(3), 2))
+    faces = np.stack([triangles[:, a] * vertex_count + triangles[:, b] for a, b in pairs])
+    order = np.argsort(keys)
+    pos = np.searchsorted(keys[order], faces)
+    found = np.append(keys[order], -1)[pos] == faces  # -1: a sentinel, as above
+    if not found.all():
+        i = int(np.flatnonzero(~found.all(axis=0))[0])
+        a, b = pairs[int(np.flatnonzero(~found[:, i])[0])]
+        tri = tuple(triangles[i].tolist())
+        raise MissingFace(f"triangle {tri} needs missing edge {(tri[a], tri[b])}")
+    return order[pos]
 
 
 def _rows(a: np.ndarray) -> tuple:
@@ -235,13 +251,7 @@ def build_complex(
     # rows, not keys u * N0^2 + v * N0 + w: those overflow int64 above about
     # 2.1 million vertices
     ts = _unique_rows(_simplex_array(triangles, n0, 3))
-    faces = ((0, 1), (0, 2), (1, 2))
-    found = np.stack([_has_keys(keys, ts[:, a] * n0 + ts[:, b]) for a, b in faces])
-    if not found.all():
-        i = int(np.flatnonzero(~found.all(axis=0))[0])
-        a, b = faces[int(np.flatnonzero(~found[:, i])[0])]
-        tri = tuple(ts[i].tolist())
-        raise MissingFace(f"triangle {tri} needs missing edge {(tri[a], tri[b])}")
+    _face_rows(keys, ts, n0)
     return SimplicialComplex(n0, _rows(es), _rows(ts))
 
 
@@ -301,16 +311,7 @@ def incidence_matrix(obj: SimplicialComplex | OrientedComplex, k: int) -> Signed
     elif k == 2:
         tris = np.asarray(sc.triangles, dtype=np.int64).reshape(-1, 3)
         n0, n2 = sc.vertex_count, len(tris)
-        keys = edges[:, 0] * n0 + edges[:, 1]
-        faces = np.concatenate(
-            [tris[:, a] * n0 + tris[:, b] for a, b in ((0, 1), (0, 2), (1, 2))]
-        )
-        # permute() leaves the edge list unsorted, so search in key order
-        order = np.argsort(keys)
-        pos = np.searchsorted(keys[order], faces)
-        if faces.size and (n1 == 0 or not np.array_equal(keys[order[pos % n1]], faces)):
-            raise MissingFace("a triangle of the complex has a missing edge")
-        rows = order[pos]
+        rows = _face_rows(edges[:, 0] * n0 + edges[:, 1], tris, n0).ravel()
         cols = np.tile(np.arange(n2), 3)
         data = np.repeat([1.0, -1.0, 1.0], n2)
         shape = (n1, n2)
@@ -378,7 +379,7 @@ def upper_neighborhood(sc: SimplicialComplex, k: int, i: int) -> frozenset[int]:
 
 
 def _check_perm(perm: tuple[int, ...], n: int, label: str) -> None:
-    if len(perm) != n or sorted(perm) != list(range(n)):
+    if len(perm) != n or not np.array_equal(np.sort(np.asarray(perm)), np.arange(n)):
         raise DimensionMismatch(f"{label} is not a bijection on [0, {n})")
 
 
@@ -442,6 +443,22 @@ class OrientationPlan:
             raise DataError("orientation signs must be +1 or -1")
 
 
+def _relabel(sc: SimplicialComplex, plan: PermutationPlan) -> tuple[np.ndarray, np.ndarray]:
+    """Check the plan, then gather the edges and triangles in its order as
+    (n1, 2) and (n2, 3) int64 arrays of new vertex ids, each row's vertices
+    in the old simplex's order: the one relabeling behind `permute` and
+    `permutation_signs`."""
+    plan.validate(sc)
+    new_id = np.empty(sc.vertex_count, dtype=np.int64)
+    new_id[np.asarray(plan.node_perm, dtype=np.int64)] = np.arange(sc.vertex_count)
+    edges = np.asarray(sc.edges, dtype=np.int64).reshape(-1, 2)
+    tris = np.asarray(sc.triangles, dtype=np.int64).reshape(-1, 3)
+    return (
+        new_id[edges[np.asarray(plan.edge_perm, dtype=np.int64)]],
+        new_id[tris[np.asarray(plan.triangle_perm, dtype=np.int64)]],
+    )
+
+
 def permute(sc: SimplicialComplex, plan: PermutationPlan) -> SimplicialComplex:
     """Relabel simplex indices according to the plan.
 
@@ -449,47 +466,29 @@ def permute(sc: SimplicialComplex, plan: PermutationPlan) -> SimplicialComplex:
     relabeling that reverses the order inside a simplex flips its reference
     orientation; `permutation_signs` reports exactly those flips.
     """
-    plan.validate(sc)
-    inverse_node = [0] * sc.vertex_count
-    for new, old in enumerate(plan.node_perm):
-        inverse_node[old] = new
-    new_edges = []
-    for old_e in plan.edge_perm:
-        u, v = sc.edges[old_e]
-        new_edges.append(tuple(sorted((inverse_node[u], inverse_node[v]))))
-    new_triangles = []
-    for old_t in plan.triangle_perm:
-        u, v, w = sc.triangles[old_t]
-        new_triangles.append(
-            tuple(sorted((inverse_node[u], inverse_node[v], inverse_node[w])))
-        )
-    return SimplicialComplex(sc.vertex_count, tuple(new_edges), tuple(new_triangles))
+    edges, tris = _relabel(sc, plan)
+    return SimplicialComplex(
+        sc.vertex_count, _rows(np.sort(edges, axis=1)), _rows(np.sort(tris, axis=1))
+    )
 
 
 def permutation_signs(sc: SimplicialComplex, plan: PermutationPlan) -> OrientationPlan:
     """Orientation flips induced by renormalizing a permuted complex.
 
+    An edge flips when its relabeled vertices come out descending, and a
+    triangle when sorting its three relabeled vertices is an odd permutation:
+    an odd number of its vertex pairs (u, v), (u, w), (v, w) descend.
+
     With D_k built from these signs (indexed like the permuted complex), the
     permuted incidence matrices satisfy B1' = P0 B1 P1^T D1 and
     B2' = D1 P1 B2 P2^T D2 exactly.
     """
-    plan.validate(sc)
-    inverse_node = [0] * sc.vertex_count
-    for new, old in enumerate(plan.node_perm):
-        inverse_node[old] = new
-    edge_signs = []
-    for old_e in plan.edge_perm:
-        u, v = sc.edges[old_e]
-        edge_signs.append(1 if inverse_node[u] < inverse_node[v] else -1)
-    triangle_signs = []
-    for old_t in plan.triangle_perm:
-        mapped = [inverse_node[x] for x in sc.triangles[old_t]]
-        # parity of the 3-element sort = orientation sign of the relabeling
-        inversions = sum(
-            1 for a, b in combinations(range(3), 2) if mapped[a] > mapped[b]
-        )
-        triangle_signs.append(1 if inversions % 2 == 0 else -1)
-    return OrientationPlan(tuple(edge_signs), tuple(triangle_signs))
+    edges, tris = _relabel(sc, plan)
+    inversions = sum(tris[:, a] > tris[:, b] for a, b in combinations(range(3), 2))
+    return OrientationPlan(
+        tuple(np.where(edges[:, 0] < edges[:, 1], 1, -1).tolist()),
+        tuple(np.where(inversions % 2 == 0, 1, -1).tolist()),
+    )
 
 
 @dataclass(frozen=True)

@@ -435,28 +435,26 @@ def _step_matrix(small: ShiftMatrix, omega: float) -> ShiftMatrix:
 def chebyshev_coefficients(
     fn: Callable, omega: float, order: int, quadrature_points: int
 ) -> np.ndarray:
-    """Chebyshev coefficients of fn(omega*(cos(phi)+1)) by midpoint quadrature.
+    """Chebyshev coefficients 0 .. order of fn(omega*(cos(phi)+1)) by midpoint
+    quadrature on q = ``quadrature_points`` > order points.
 
-    With q points phi_j = pi (j + 1/2) / q and samples y_j, coefficient l is
+    With points phi_j = pi (j + 1/2) / q and samples y_j, coefficient l is
     (2/q) sum_j cos(l phi_j) y_j: a DCT-II of the samples, taken as one FFT of
-    their even extension, O(q log q) time and O(q + order) memory. Orders past
-    q alias: the sum is -1 times itself at 2q - l and has period 4q in l.
+    their even extension, O(q log q) time and O(q) memory. `chebyshev_design`
+    always takes q from `default_quadrature_points`.
     """
     q = quadrature_points
     phi = np.pi * (np.arange(q) + 0.5) / q
     values = np.asarray(fn(omega * (np.cos(phi) + 1.0)), dtype=np.float64)
-    m = np.arange(q + 1)
-    spectrum = np.fft.rfft(np.concatenate([values, values[::-1]]))
-    # sum_j cos(m phi_j) y_j for m = 0 .. q
-    dct = 0.5 * (np.exp(-0.5j * np.pi * m / q) * spectrum).real
-    ls = np.arange(order + 1) % (4 * q)
-    sign = np.where(ls < 2 * q, 1.0, -1.0)
-    ls %= 2 * q
-    sign[ls > q] *= -1.0
-    return (2.0 / q) * sign * dct[np.minimum(ls, 2 * q - ls)]
+    m = np.arange(order + 1)
+    spectrum = np.fft.rfft(np.concatenate([values, values[::-1]]))[: order + 1]
+    # sum_j cos(m phi_j) y_j for m = 0 .. order
+    return (2.0 / q) * (0.5 * (np.exp(-0.5j * np.pi * m / q) * spectrum).real)
 
 
 def default_quadrature_points(order: int) -> int:
+    """The one quadrature rule of the Chebyshev designs: max(256, 8 * order)
+    points, always more than the order."""
     return max(256, 8 * order)
 
 
@@ -466,7 +464,6 @@ def chebyshev_design(
     lambda_max_curl: float | None,
     order_lower: int | None,
     order_upper: int | None,
-    quadrature_points: int | None = None,
 ) -> ChebyshevFilter:
     """Design a shifted-Chebyshev filter for continuous response curves.
 
@@ -478,8 +475,6 @@ def chebyshev_design(
     has_upper = spec.curl is not None and order_upper is not None
     if not has_lower and not has_upper:
         raise EmptySpec("chebyshev design needs at least one response curve")
-    if quadrature_points is not None and quadrature_points < 1:
-        raise DataError("quadrature_points must be >= 1")
     sides = []  # (coefficients, omega) of the lower, then the upper series
     for present, curve, lam_max, order, label in (
         (has_lower, spec.gradient, lambda_max_gradient, order_lower, "gradient"),
@@ -498,7 +493,7 @@ def chebyshev_design(
         if order < 0:
             raise DataError(f"{label} order must be nonnegative, got {order}")
         omega = float(lam_max) / 2.0
-        q = quadrature_points or default_quadrature_points(order)
+        q = default_quadrature_points(order)
         sides.append((tuple(chebyshev_coefficients(curve, omega, order, q)), omega))
     (c_lower, omega_lower), (c_upper, omega_upper) = sides
     return ChebyshevFilter(c_lower, c_upper, omega_lower, omega_upper, float(spec.g0))
@@ -512,22 +507,18 @@ def chebyshev_apply(filt: ChebyshevFilter, sc, flow) -> np.ndarray:
 chebyshev_response = polynomial_response
 
 
-def chebyshev_error_bound(
-    filt: ChebyshevFilter, spec: ResponseSpec, sample_count: int = 1000
-) -> float:
-    """Worst-case response error max over uniform frequency grids.
+def chebyshev_error_bound(filt: ChebyshevFilter, spec: ResponseSpec) -> float:
+    """Worst-case response error max over uniform 1000-point frequency grids.
 
     Bounds the operator error of the assembled filter against the exact
     target-response operator on any complex whose frequencies lie inside
     the sampled intervals.
     """
-    if sample_count < 100:
-        raise DataError("sample_count must be >= 100")
     worst = 0.0
     for upper, curve in ((False, spec.gradient), (True, spec.curl)):
         if filt._series(upper) and curve is not None:
             top = 2.0 * (filt.omega_upper if upper else filt.omega_lower)
-            grid = np.linspace(0.0, top, sample_count)
+            grid = np.linspace(0.0, top, 1000)
             block = "curl" if upper else "gradient"
             resp = np.array([polynomial_response(filt, l, block) for l in grid])
             worst = max(worst, float(np.max(np.abs(resp - curve(grid)))))

@@ -77,19 +77,14 @@ class FilterCoefficients:
         return float(np.dot(taps, lam ** np.arange(1, len(taps) + 1)))
 
 
-def _check_edge_flow(obj: SimplicialComplex | OrientedComplex, flow) -> np.ndarray:
-    base = obj.base if isinstance(obj, OrientedComplex) else obj
-    return _check_flow(base.n_edges, flow)
-
-
 def shift_lower(obj: SimplicialComplex | OrientedComplex, flow) -> np.ndarray:
     """One lower shift: L_lower @ f, for f of shape (N1,) or (N1, k)."""
-    return shift_operators(obj)[0].matvec(_check_edge_flow(obj, flow))
+    return shift_operators(obj)[0].matvec(_check_flow(obj, flow))
 
 
 def shift_upper(obj: SimplicialComplex | OrientedComplex, flow) -> np.ndarray:
     """One upper shift: L_upper @ f, for f of shape (N1,) or (N1, k)."""
-    return shift_operators(obj)[1].matvec(_check_edge_flow(obj, flow))
+    return shift_operators(obj)[1].matvec(_check_flow(obj, flow))
 
 
 def apply_operators(
@@ -124,7 +119,7 @@ def apply(
     ``flow`` has shape (N1,) or is a block (N1, k) of k flows; the result has
     the same shape, and each column equals the filter applied to that column.
     """
-    flow = _check_edge_flow(obj, flow)
+    flow = _check_flow(obj, flow)
     low, up = shift_operators(obj)
     return apply_operators(low, up, coeffs, flow)
 
@@ -162,7 +157,7 @@ def distributed_shift(
     Laplacian entry. The final vectors equal L_lower^rounds_lower @ f and
     L_upper^rounds_upper @ f.
     """
-    flow = _check_flow(sc.n_edges, flow)
+    flow = _check_flow(sc, flow)
     if rounds_lower < 0 or rounds_upper < 0:
         raise DataError("round counts must be nonnegative")
     trace: list[ShiftRound] = []

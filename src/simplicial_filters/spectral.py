@@ -41,8 +41,10 @@ REFINE_ULPS = 8
 LANCZOS_MIN_SIZE = 2
 
 
-def _check_flow(n_edges: int, flow) -> np.ndarray:
-    """An edge flow of shape (n_edges,) or a block of flows (n_edges, k), finite."""
+def _check_flow(obj: SimplicialComplex | OrientedComplex, flow) -> np.ndarray:
+    """An edge flow of a plain or oriented complex, of shape (N1,) or a block of
+    flows (N1, k), finite."""
+    n_edges = (obj.base if isinstance(obj, OrientedComplex) else obj).n_edges
     flow = np.asarray(flow, dtype=np.float64)
     if flow.ndim not in (1, 2) or flow.shape[0] != n_edges:
         raise DimensionMismatch(
@@ -57,7 +59,7 @@ def _freeze(obj) -> None:
     # cached results are shared by every caller, so their arrays are read-only
     for value in vars(obj).values():
         if isinstance(value, np.ndarray):
-            value.setflags(write=False)
+            read_only(value)
 
 
 @dataclass(frozen=True)
@@ -135,16 +137,11 @@ class HodgeSpectrum:
         )
         for _ in range(2):
             x = x - _projector(self.sc, "gradient")(x) - _projector(self.sc, "curl")(x)
-        return _read_only(_fix_signs(np.linalg.qr(x)[0]))
+        return read_only(_fix_signs(np.linalg.qr(x)[0]))
 
     @cached_property
     def basis(self) -> np.ndarray:
-        return _read_only(np.hstack([self.u_harmonic, self.u_gradient, self.u_curl]))
-
-
-def _read_only(array: np.ndarray) -> np.ndarray:
-    array.setflags(write=False)
-    return array
+        return read_only(np.hstack([self.u_harmonic, self.u_gradient, self.u_curl]))
 
 
 def _fix_signs(vectors: np.ndarray) -> np.ndarray:
@@ -198,7 +195,7 @@ def _side_basis(obj: SimplicialComplex | OrientedComplex, side: str, count: int)
     w, v = _eigh(_small_dense(op))
     w, v = w[w.size - count :], v[:, w.size - count :]
     out = op.from_small(v)
-    return _read_only(_fix_signs(out / np.sqrt(w) if op.on_gram else out))
+    return read_only(_fix_signs(out / np.sqrt(w) if op.on_gram else out))
 
 
 @lru_cache(maxsize=64)
@@ -238,8 +235,7 @@ class Embeddings:
 
 def sft(spectrum: HodgeSpectrum, flow) -> Embeddings:
     """Project an edge flow onto the harmonic/gradient/curl eigenbases."""
-    n = spectrum.n_harmonic + spectrum.n_gradient + spectrum.n_curl
-    flow = _check_flow(n, flow)
+    flow = _check_flow(spectrum.sc, flow)
     return Embeddings(
         harmonic=spectrum.u_harmonic.T @ flow,
         gradient=spectrum.u_gradient.T @ flow,
@@ -357,7 +353,7 @@ def _projector(sc: SimplicialComplex, side: str, weighted: bool = False):
 def hodge_decompose(sc: SimplicialComplex, flow) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Split an edge flow, or each column of an (N1, k) block, into (gradient,
     curl, harmonic) components by sparse least squares (`_projector`)."""
-    flow = _check_flow(sc.n_edges, flow)
+    flow = _check_flow(sc, flow)
     f_gradient = _projector(sc, "gradient")(flow)
     f_curl = _projector(sc, "curl")(flow)
     f_harmonic = flow - f_gradient - f_curl
@@ -366,24 +362,21 @@ def hodge_decompose(sc: SimplicialComplex, flow) -> tuple[np.ndarray, np.ndarray
 
 def divergence(sc: SimplicialComplex, flow) -> np.ndarray:
     """Net outflow per node: B1 @ f."""
-    flow = _check_flow(sc.n_edges, flow)
+    flow = _check_flow(sc, flow)
     return boundary_csr(sc, 1) @ flow
 
 
 def curl(sc: SimplicialComplex, flow) -> np.ndarray:
     """Circulation per triangle: B2^T @ f."""
-    flow = _check_flow(sc.n_edges, flow)
+    flow = _check_flow(sc, flow)
     return boundary_csr(sc, 2).T @ flow
 
 
 def _group_sorted(values: np.ndarray, tol: float) -> list[float]:
-    groups: list[list[float]] = []
-    for v in np.sort(values):
-        if groups and v - groups[-1][-1] <= tol:
-            groups[-1].append(float(v))
-        else:
-            groups.append([float(v)])
-    return [float(np.mean(g)) for g in groups]
+    """The means of the runs of sorted values whose gaps are at most tol."""
+    values = np.sort(values)
+    groups = np.split(values, np.flatnonzero(np.diff(values) > tol) + 1)
+    return [float(np.mean(g)) for g in groups if g.size]
 
 
 def distinct_frequencies(

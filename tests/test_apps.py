@@ -318,6 +318,77 @@ def test_arbitrage_incomplete_market_builds_no_curl_projector(monkeypatch):
     np.testing.assert_array_equal(got, expect)
 
 
+def _priced_market(n, seed, missing=0.0, one_sided=0):
+    """n currencies quoted from random prices with rounding-sized noise; a
+    share ``missing`` of the pairs unquoted both ways, and ``one_sided`` more
+    pairs quoted in one direction only, half of them each way."""
+    rng = np.random.default_rng(seed)
+    price = np.exp(rng.standard_normal(n))
+    rate = price[None, :] / price[:, None] * np.exp(0.002 * rng.standard_normal((n, n)))
+    np.fill_diagonal(rate, 1.0)
+    i, j = np.triu_indices(n, 1)
+    pick = rng.permutation(len(i))
+    holes = pick[: int(missing * len(i))]
+    rate[i[holes], j[holes]] = rate[j[holes], i[holes]] = np.nan
+    sided = pick[len(holes) : len(holes) + one_sided]
+    rate[j[sided[::2]], i[sided[::2]]] = rate[i[sided[1::2]], j[sided[1::2]]] = np.nan
+    return ExchangeMarket(tuple(f"C{c}" for c in range(n)), rate)
+
+
+def _loop_directed(market, i, j):
+    r = market.rate[i, j]
+    return float(r) if math.isfinite(r) else 1.0 / float(market.rate[j, i])
+
+
+def _loop_arbitrage(market, threshold):
+    """market_complex, arbitrage_check and arbitrage_correct walking the pairs
+    and triangles one at a time, as oracles."""
+    n = market.n_currencies
+    quoted = lambda i, j: math.isfinite(market.rate[i, j]) or math.isfinite(market.rate[j, i])
+    edges = [(i, j) for i in range(n) for j in range(i + 1, n) if quoted(i, j)]
+    sc = sf.build_complex(n, edges, sf.infer_triangles(n, edges))
+    hits = []
+    for i, j, k in sc.triangles:
+        gain = (_loop_directed(market, i, j) * _loop_directed(market, j, k)
+                * _loop_directed(market, k, i)) - 1.0
+        if gain > threshold:
+            hits.append(((i, j, k), gain))
+    hits.sort(key=lambda item: (-item[1], item[0]))
+    flow = np.array([math.log(_loop_directed(market, i, j)) for i, j in sc.edges])
+    if len(edges) == n * (n - 1) // 2:
+        corrected = sf.apply(sc, sf.FilterCoefficients(0.0, (1.0 / n,), ()), flow)
+    else:
+        corrected = spectral._projector(sc, "gradient")(flow)
+    rate = np.full((n, n), np.nan)
+    np.fill_diagonal(rate, 1.0)
+    for e, (i, j) in enumerate(sc.edges):
+        rate[i, j] = math.exp(corrected[e])
+        rate[j, i] = 1.0 / rate[i, j]
+    return sc, hits, rate
+
+
+@pytest.mark.parametrize("market", [
+    pytest.param(lambda: sf.demo_market(), id="demo"),
+    pytest.param(lambda: _priced_market(30, 3, missing=0.2, one_sided=40), id="30-gaps"),
+    pytest.param(lambda: _priced_market(60, 4), id="60-complete"),
+])
+def test_arbitrage_matches_loop_oracle(market):
+    market = market()
+    sc, hits, rate = _loop_arbitrage(market, 0.003)
+    assert sf.market_complex(market) == sc and sc.n_triangles > 0
+    got = sf.arbitrage_check(market, 0.003)
+    assert got == hits and len(hits) > 0
+    assert all(type(g) is float for _, g in got)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", IncompleteMarket)
+        corrected = sf.arbitrage_correct(market)
+    np.testing.assert_array_equal(corrected.rate, rate)
+    assert market.is_complete() == (sc.n_edges == sc.vertex_count * (sc.vertex_count - 1) // 2)
+    for i, j in sc.edges:
+        assert market.directed_rate(i, j) == _loop_directed(market, i, j)
+        assert market.directed_rate(j, i) == _loop_directed(market, j, i)
+
+
 def test_arbitrage_consistent_market_unchanged():
     # a reciprocal market priced from a single numeraire has no cycles
     values = np.array([1.0, 0.85, 6.4, 7.8])

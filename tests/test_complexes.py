@@ -27,7 +27,13 @@ from simplicial_filters.complexes import (
 )
 from simplicial_filters.cli import main
 
-from conftest import degenerate_complexes, dense_b1, dense_b2, random_complex
+from conftest import (
+    complete_complex,
+    degenerate_complexes,
+    dense_b1,
+    dense_b2,
+    random_complex,
+)
 
 
 def test_build_normalizes_and_sorts():
@@ -257,6 +263,52 @@ def test_permutation_composition_identity(rng):
         np.testing.assert_array_equal(
             incidence_matrix(sc_p, 2).to_dense(), d1 @ p1 @ b2 @ p2.T @ d2
         )
+
+
+def _loop_relabel(sc, plan):
+    """permute and permutation_signs written per simplex, as oracles."""
+    plan.validate(sc)
+    inverse_node = [0] * sc.vertex_count
+    for new, old in enumerate(plan.node_perm):
+        inverse_node[old] = new
+    edges, edge_signs = [], []
+    for old_e in plan.edge_perm:
+        u, v = sc.edges[old_e]
+        edges.append(tuple(sorted((inverse_node[u], inverse_node[v]))))
+        edge_signs.append(1 if inverse_node[u] < inverse_node[v] else -1)
+    triangles, triangle_signs = [], []
+    for old_t in plan.triangle_perm:
+        mapped = [inverse_node[x] for x in sc.triangles[old_t]]
+        triangles.append(tuple(sorted(mapped)))
+        # parity of the 3-element sort = orientation sign of the relabeling
+        inversions = sum(1 for a, b in combinations(range(3), 2) if mapped[a] > mapped[b])
+        triangle_signs.append(1 if inversions % 2 == 0 else -1)
+    return (
+        sf.SimplicialComplex(sc.vertex_count, tuple(edges), tuple(triangles)),
+        OrientationPlan(tuple(edge_signs), tuple(triangle_signs)),
+    )
+
+
+def test_permute_and_signs_match_loop_oracle(rng):
+    road = sf.generate_road_complex(1100, 2176, 11)
+    for sc in degenerate_complexes() + [road, complete_complex(12)]:
+        for _ in range(3):
+            plan = PermutationPlan.random(sc, rng)
+            expect, expect_signs = _loop_relabel(sc, plan)
+            got, signs = sf.permute(sc, plan), permutation_signs(sc, plan)
+            assert _fields(got) == _fields(expect) and signs == expect_signs
+            assert all(type(v) is int for s in got.edges + got.triangles for v in s)
+            assert all(type(x) is int for x in signs.edge_signs + signs.triangle_signs)
+
+
+def test_incidence_names_the_missing_face():
+    # a complex built around build_complex's check used to fail without
+    # naming the triangle or its edge
+    sc = sf.SimplicialComplex(3, ((0, 1), (1, 2)), ((0, 1, 2),))
+    with pytest.raises(MissingFace, match=r"triangle \(0, 1, 2\) needs missing edge \(0, 2\)"):
+        incidence_matrix(sc, 2)
+    with pytest.raises(MissingFace, match=r"needs missing edge \(0, 2\)"):
+        build_complex(3, sc.edges, sc.triangles)
 
 
 def test_reorient_scales_columns(toy, rng):

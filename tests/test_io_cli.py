@@ -442,16 +442,26 @@ def test_cli_response_rows_for_both_filter_kinds(tmp_path, toy, capsys):
     capsys.readouterr()
 
 
-def test_cli_response_has_no_group_tol(tmp_path, toy, capsys):
-    # the option was accepted and never read; it is now an unknown option
+@pytest.mark.parametrize("command, option", [
+    # the option was accepted and never read
+    ("response", ["--group-tol", "0"]),
+    # a quadrature with fewer nodes than the order wrote an aliased filter
+    # (error bound 19.2 at --quadrature 7, order 40) and exited 0
+    ("design", ["--method", "cheb", "--quadrature", "5"]),
+], ids=["response --group-tol", "design --quadrature"])
+def test_cli_unknown_option_is_usage_error(tmp_path, toy, capsys, command, option):
     sc_path, filt_path = tmp_path / "sc.json", tmp_path / "h.json"
+    spec_path = tmp_path / "spec.json"
     io.save_complex(toy, sc_path)
     io.save_filter(sf.FilterCoefficients(1.0, (0.5,), (0.25,)), filt_path)
-    out_path = tmp_path / "resp.csv"
-    assert run_cli(["response", "--sc", str(sc_path), "--filter", str(filt_path),
-                    "--out", str(out_path), "--group-tol", "0"]) == 1
+    io.dump_json({"g0": 1.0, "gradient": {"family": "inverse-shift", "gamma": 1.0,
+                                          "max": 5.5}}, spec_path)
+    out_path = tmp_path / "out"
+    inputs = {"response": ["--sc", str(sc_path), "--filter", str(filt_path)],
+              "design": ["--spec", str(spec_path)]}[command]
+    assert run_cli([command, *inputs, "--out", str(out_path), *option]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("usage error:") and "--group-tol" in err
+    assert err.startswith("usage error:") and option[-2] in err
     assert not out_path.exists()
 
 
@@ -537,7 +547,6 @@ OUT_OF_RANGE = [
     ["design", "--method", "cheb", "--order-lower", "-2"],
     ["design", "--method", "ls", "SC", "--order-lower", "-1"],
     ["extract", "SC", "SIG", "--method", "ls", "--order-lower", "-1"],
-    ["design", "--method", "cheb", "--quadrature", "-5"],
     # non-finite numbers used to exit 3 (a failed factorization), or exit 0
     # with an all-zero table or a test that flags nothing
     ["denoise", "SC", "SIG", "--mu", "nan"],
