@@ -10,7 +10,8 @@ a triangle, for L_lower the nodes with an edge) and is padded back with
 zeros: every row sums the same entries in the same order as on the whole
 incidence, so the result is bitwise the same, and no intermediate has a row
 for a node or triangle that holds nothing (21800 edges, on a 2-CPU x86 VM:
-about 120 us against 170 us for an upper shift of one flow).
+an upper shift of one flow took 152-179 us against 167-199 us on the whole
+incidence in the same runs, medians of 25).
 
 A filter recursion steps on whichever side of L = A B is cheaper. Every power
 L^l f with l >= 1 is A G^(l-1) B f with G = B A, which has the same nonzero
@@ -61,6 +62,38 @@ A single flow of shape ``(n,)`` runs as one CSR matvec per factor, a block
 of ``k`` flows of shape ``(n, k)`` as one SpMM per factor. Both accumulate
 every row in stored order, so each column of a block result is bitwise
 equal to the product with that column alone.
+
+A single flow multiplies a copy of a large factor with its rows stably
+sorted by length, and takes the result back into the canonical row order
+(the row-length sorting of SELL-C-sigma: Kreutzer et al., SIAM J. Sci.
+Comput. 36(5), 2014, here on plain scipy CSR). scipy's matvec runs one loop
+per row, and where row lengths vary at random, as the node degrees + 1 of
+the node Gram do, the loop's exit branch is mispredicted on nearly every
+row once the sequence of lengths is too long for the branch predictor to
+learn. Each row keeps its entries and their order and only moves, so it sums
+the same products in the same order and the result is bitwise the canonical
+one. The gather back costs about 1.6 ns a row, so a small factor, whose
+lengths the predictor learns, gets slower. One order-10 LS-grid and one
+order-61 Chebyshev filter of one flow, on road complexes of seed 11 (ms,
+the medians of two in-process runs that alternate the variants, 2-CPU x86
+VM):
+
+    edges   no copies   copies from 2^13 entries   a copy of every factor
+    1088    1.49-2.42   1.50-2.42                  1.69-2.73
+    4352    3.06-3.28   2.97-3.20                  3.17-3.43
+    8704    7.08-8.08   5.41-6.45                  5.82-6.72
+    21800   18.0-19.9   12.9-13.9                  12.7-14.1
+
+So a factor keeps a copy when it stores at least ROW_ORDER_MIN_ENTRIES =
+2^13 entries in rows whose lengths are not already non-decreasing. At 4352
+edges that is B1 (8,704 entries) and the node Gram (10,880), not B2 on the
+edges on a triangle (3,753) or the triangle Gram (2,901); at 21800 edges it
+is every factor whose rows vary, the smallest being the triangle Gram
+(13,658); at 1088 edges none. B1^T and B2^T (two and three entries a row)
+never keep one. Blocks keep the canonical rows: a block's row gather costs
+more than the order saves (the 1088-edge node Gram times 128 columns took
+229 us canonical, 1135 us ordered and gathered; at 21800 edges and 16
+columns, 1022 us against 3290 us).
 """
 from __future__ import annotations
 
@@ -71,6 +104,9 @@ import scipy.sparse as sp
 
 # identity columns per block when a whole operator is applied column by column
 IDENTITY_CHUNK = 128
+# stored entries from which a factor with rows of varying length keeps a copy
+# with its rows ordered by length for single flows (see the module docstring)
+ROW_ORDER_MIN_ENTRIES = 2**13
 
 
 def read_only(shared):
@@ -108,6 +144,13 @@ class ShiftMatrix:
     rows, and ``from_small`` pads them back with zeros. ``gram_bound`` is the
     bound on G's stored entries that decides the side (None for one matrix).
     ``small`` is built on first use and kept.
+
+    A single flow multiplies a read-only copy of each factor that stores at
+    least ROW_ORDER_MIN_ENTRIES entries in rows of varying length, with its
+    rows stably sorted by length, and takes the result back into canonical
+    row order: bitwise the canonical product, without a mispredicted row loop
+    (see the module docstring). Blocks, ``factors`` and ``as_csr`` keep the
+    canonical rows.
     """
 
     def __init__(self, *factors):
@@ -131,18 +174,23 @@ class ShiftMatrix:
         self.gram_bound, self.on_gram = None, False
         if len(self.factors) == 1:
             self._on_support = (_restrict(self.factors[0], self._support, None),)
-            return
-        a, b = self.factors
-        # inner indices used by both factors; the others carry nothing
-        inner = (np.diff(b.indptr) > 0) & (np.bincount(a.indices, minlength=a.shape[1]) > 0)
-        inner = None if inner.all() else np.flatnonzero(inner)
-        a, b = _restrict(a, self._support, inner), _restrict(b, inner, None)
-        self._on_support = (a, b)
-        rows = np.diff(a.indptr).astype(np.int64)
-        self.gram_bound = int(rows @ rows) - a.nnz + a.shape[1]
-        self.on_gram = self.gram_bound <= a.nnz + b.nnz
+        else:
+            a, b = self.factors
+            # inner indices used by both factors; the others carry nothing
+            inner = (np.diff(b.indptr) > 0) & (np.bincount(a.indices, minlength=a.shape[1]) > 0)
+            inner = None if inner.all() else np.flatnonzero(inner)
+            a, b = _restrict(a, self._support, inner), _restrict(b, inner, None)
+            self._on_support = (a, b)
+            rows = np.diff(a.indptr).astype(np.int64)
+            self.gram_bound = int(rows @ rows) - a.nnz + a.shape[1]
+            self.on_gram = self.gram_bound <= a.nnz + b.nnz
+        # per factor on the support, its rows ordered by length and the
+        # inverse order, or None
+        self._ordered = tuple(map(_by_row_length, self._on_support))
 
     def matvec(self, x) -> np.ndarray:
+        if np.iscomplexobj(x):
+            raise ValueError("operand is complex; a shift operator multiplies real flows")
         x = np.asarray(x, dtype=np.float64)
         if x.ndim not in (1, 2) or x.shape[0] != self.shape[1]:
             raise ValueError(
@@ -153,10 +201,17 @@ class ShiftMatrix:
     def __matmul__(self, x):
         return self.matvec(x)
 
+    def _product(self, i: int, x: np.ndarray) -> np.ndarray:
+        # factor i on the support times x
+        if x.ndim == 1 and self._ordered[i] is not None:
+            rows, inverse = self._ordered[i]
+            return (rows @ x).take(inverse)
+        return self._on_support[i] @ x
+
     def _shift(self, x: np.ndarray) -> np.ndarray:
         # L x on the support
-        for factor in reversed(self._on_support):
-            x = factor @ x
+        for i in reversed(range(len(self._on_support))):
+            x = self._product(i, x)
         return x
 
     def _pad(self, y: np.ndarray) -> np.ndarray:
@@ -183,12 +238,12 @@ class ShiftMatrix:
 
     def to_small(self, x: np.ndarray) -> np.ndarray:
         if self.on_gram:
-            return self._on_support[1] @ x
+            return self._product(1, x)
         return self._shift(x)
 
     def from_small(self, y: np.ndarray) -> np.ndarray:
         if self.on_gram:
-            y = self._on_support[0] @ y
+            y = self._product(0, y)
         return self._pad(y)
 
 
@@ -201,6 +256,21 @@ def _restrict(m: sp.csr_matrix, rows, cols) -> sp.csr_matrix:
     if cols is not None:
         m = m[:, cols]
     return read_only(m)
+
+
+def _by_row_length(m: sp.csr_matrix):
+    """m with its rows stably sorted by length, read-only, and the inverse
+    order that takes its products back to m's rows; None when m stores fewer
+    than ROW_ORDER_MIN_ENTRIES entries or its row lengths never decrease."""
+    if m.nnz < ROW_ORDER_MIN_ENTRIES:
+        return None
+    lengths = np.diff(m.indptr)
+    if np.all(lengths[1:] >= lengths[:-1]):
+        return None
+    order = np.argsort(lengths, kind="stable")
+    inverse = np.empty_like(order)
+    inverse[order] = np.arange(order.size)
+    return read_only(m[order]), read_only(inverse)
 
 
 def identity_block(n: int, start: int) -> np.ndarray:

@@ -67,9 +67,10 @@ class FilterCoefficients:
         # sum_l taps[l-1] L^l f = A (sum_l taps[l-1] G^(l-1) B f), summed on the small side
         taps = self._series(upper)
         acc = taps[0] * x
+        term = np.empty_like(acc)
         for a in taps[1:]:
             x = small.matvec(x)
-            acc += a * x
+            acc += np.multiply(a, x, out=term)
         return acc
 
     def _side_value(self, upper: bool, lam: float) -> float:

@@ -43,8 +43,10 @@ LANCZOS_MIN_SIZE = 2
 
 def _check_flow(obj: SimplicialComplex | OrientedComplex, flow) -> np.ndarray:
     """An edge flow of a plain or oriented complex, of shape (N1,) or a block of
-    flows (N1, k), finite."""
+    flows (N1, k), real and finite."""
     n_edges = (obj.base if isinstance(obj, OrientedComplex) else obj).n_edges
+    if np.iscomplexobj(flow):
+        raise DataError("flow values must be real, not complex")
     flow = np.asarray(flow, dtype=np.float64)
     if flow.ndim not in (1, 2) or flow.shape[0] != n_edges:
         raise DimensionMismatch(

@@ -211,6 +211,23 @@ def test_non_finite_flow_rejected(toy):
         sf.apply(toy, coeffs, np.zeros((toy.n_edges, 2, 2)))
 
 
+def test_complex_flow_rejected(toy):
+    # a complex flow lost its imaginary part with only a ComplexWarning
+    flow = np.ones(toy.n_edges) * (1 + 1j)
+    coeffs = FilterCoefficients(1.0, (0.5,), (0.25,))
+    cheb = sf.ChebyshevFilter((1.0, 0.5), (1.0, 0.5), 6.0, 6.0, 0.5)
+    calls = (sf.shift_lower, sf.shift_upper, sf.hodge_decompose,
+             lambda sc, f: sf.apply(sc, coeffs, f), lambda sc, f: sf.chebyshev_apply(cheb, sc, f))
+    for call in calls:
+        for bad in (flow, flow[:, None], list(flow)):
+            with pytest.raises(DataError, match="complex"):
+                call(toy, bad)
+    for op in sf.shift_operators(toy):
+        for bad in (flow, np.column_stack([flow, flow])):
+            with pytest.raises(ValueError, match="complex"):
+                op.matvec(bad)
+
+
 def test_shift_operators_cached_and_read_only(toy):
     from simplicial_filters.complexes import _hodge_parts
 
@@ -408,6 +425,114 @@ def test_shared_sparse_matrices_are_canonical():
         if isinstance(obj, sf.SimplicialComplex):
             ops += sf.spectral._normalized_operators(obj)
         check(f for op in ops for f in op.factors + op.small.factors)
+
+
+def _row_order_cases():
+    return [sf.generate_road_complex(546, 1088, 11), sf.generate_road_complex(2176, 4352, 11),
+            complete_complex(12), road_with_clique()]
+
+
+def _with_small_sides(sc):
+    """Fresh operators of sc, each with the one its recursions step on and its
+    Chebyshev step, built outside the caches."""
+    from simplicial_filters.design import _step_matrix
+
+    ops = []
+    for op in (sf.shift_operators.__wrapped__(sc)
+               + sf.spectral._normalized_operators.__wrapped__(sc)):
+        ops += [op, op.small, _step_matrix.__wrapped__(op.small, 3.0)]
+    return ops
+
+
+@pytest.fixture
+def order_every_size(monkeypatch):
+    # these complexes are below the size from which factors keep ordered rows
+    from simplicial_filters import _kernels
+
+    monkeypatch.setattr(_kernels, "ROW_ORDER_MIN_ENTRIES", 0)
+
+
+def _canonical_product(factors, x):
+    for f in reversed(factors):
+        x = f @ x
+    return x
+
+
+def _assert_single_flows_canonical(op, rng):
+    n = op.shape[0]
+    x = rng.standard_normal(n)
+    np.testing.assert_array_equal(op.matvec(x), _canonical_product(op.factors, x))
+    if len(op.factors) == 1:
+        return
+    a, b = op._on_support
+    np.testing.assert_array_equal(
+        op.to_small(x), b @ x if op.on_gram else _canonical_product((a, b), x))
+    y = rng.standard_normal(op.small.shape[0])
+    expect = np.zeros(n)
+    expect[slice(None) if op._support is None else op._support] = a @ y if op.on_gram else y
+    np.testing.assert_array_equal(op.from_small(y), expect)
+
+
+def test_single_flows_are_bitwise_the_canonical_products(order_every_size):
+    # a single flow multiplies copies of the factors with their rows sorted by
+    # length and takes the rows back: every row sums the same entries in the
+    # same order as the canonical scipy factors
+    rng = np.random.default_rng(23)
+    for sc in _row_order_cases():
+        for op in _with_small_sides(sc):
+            _assert_single_flows_canonical(op, rng)
+
+
+def test_row_ordered_copies_are_read_only_and_sorted(order_every_size):
+    for sc in _row_order_cases():
+        for op in _with_small_sides(sc):
+            assert len(op._ordered) == len(op._on_support)
+            for factor, ordered in zip(op._on_support, op._ordered):
+                if ordered is None:
+                    assert np.all(np.diff(np.diff(factor.indptr)) >= 0)
+                    continue
+                rows, inverse = ordered
+                assert not np.all(np.diff(np.diff(factor.indptr)) >= 0)
+                assert np.all(np.diff(np.diff(rows.indptr)) >= 0)
+                assert not any(a.flags.writeable for a in (rows.data, rows.indices,
+                                                           rows.indptr, inverse))
+                # the same rows, each with its entries in stored order
+                back = rows[inverse]
+                for name in ("data", "indices", "indptr"):
+                    np.testing.assert_array_equal(getattr(back, name), getattr(factor, name))
+
+
+def test_uniformly_long_rows_keep_no_second_copy(order_every_size):
+    # B1^T has two entries a row and B2^T three; on road complexes B1 (node
+    # degrees), B2 (triangles per edge) and the node Gram vary, and on a
+    # complete complex none of them does
+    for sc in _row_order_cases():
+        varies = sc.n_edges != sc.vertex_count * (sc.vertex_count - 1) // 2
+        ops = _with_small_sides(sc)
+        for low, up in (ops[0:6:3], ops[6:12:3]):
+            assert low._ordered[0] is None and up._ordered[1] is None
+            copies = (low._ordered[1], up._ordered[0], low.small._ordered[0])
+            assert all((copy is not None) == varies for copy in copies)
+
+
+def test_only_large_factors_keep_ordered_rows():
+    # at 4352 edges B1 (8,704 entries) and the node Gram (10,880) keep a
+    # copy; B2 on the edges on a triangle (3,753) and the triangle Gram
+    # (2,901) are below the size from which ordering pays, as is every
+    # factor at 1088 edges
+    from simplicial_filters._kernels import ROW_ORDER_MIN_ENTRIES
+
+    rng = np.random.default_rng(5)
+    low, low_small, low_step, up, up_small, up_step = _with_small_sides(
+        sf.generate_road_complex(2176, 4352, 11))[:6]
+    assert low._ordered[0] is None and low._ordered[1] is not None
+    assert low_small._ordered[0] is not None and low_step._ordered[0] is not None
+    assert up._ordered == (None, None) and up_small._ordered == up_step._ordered == (None,)
+    assert up._on_support[0].nnz < ROW_ORDER_MIN_ENTRIES <= low._on_support[1].nnz
+    for op in (low, low_small, low_step):
+        _assert_single_flows_canonical(op, rng)
+    small = _with_small_sides(sf.generate_road_complex(546, 1088, 11))
+    assert all(ordered is None for op in small for ordered in op._ordered)
 
 
 EPS = np.finfo(np.float64).eps
