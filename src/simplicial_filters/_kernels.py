@@ -73,10 +73,11 @@ row once the sequence of lengths is too long for the branch predictor to
 learn. Each row keeps its entries and their order and only moves, so it sums
 the same products in the same order and the result is bitwise the canonical
 one. The gather back costs about 1.6 ns a row, so a small factor, whose
-lengths the predictor learns, gets slower. One order-10 LS-grid and one
-order-61 Chebyshev filter of one flow, on road complexes of seed 11 (ms,
-the medians of two in-process runs that alternate the variants, 2-CPU x86
-VM):
+lengths the predictor learns, gets slower.
+
+One order-10 LS-grid and one order-61 Chebyshev filter of one flow, on road
+complexes of seed 11 (ms, the medians of two in-process runs that alternate
+the variants, 2-CPU x86 VM, each filter step gathered back):
 
     edges   no copies   copies from 2^13 entries   a copy of every factor
     1088    1.49-2.42   1.50-2.42                  1.69-2.73
@@ -94,6 +95,22 @@ never keep one. Blocks keep the canonical rows: a block's row gather costs
 more than the order saves (the 1088-edge node Gram times 128 columns took
 229 us canonical, 1135 us ordered and gathered; at 21800 edges and 16
 columns, 1022 us against 3290 us).
+
+A filter series repeats products with one matrix (a node or triangle Gram,
+or a Chebyshev step matrix), so its copy also has column j renumbered to
+inverse[j], the position row j took, and is P M P^T for the row order P.
+Each row keeps its entries in stored order, so the renumbered indices are
+not sorted (sorting them would change the order in which a row sums). A
+single-flow series (`ShiftMatrix.series`) gathers the flow into that order
+once, steps on the copy with no gather between steps, and gathers the sum
+back once: every step adds the same products in the same order, and the
+elementwise passes between steps commute with a permutation, so the sum is
+bitwise the canonical recursion's. At 21800 edges a step on the renumbered
+copy took 60 us against 78 us ordered and gathered back (142 us canonical)
+on the node Gram, and 26 against 38 us (43 us) on the triangle Gram
+(medians of 15 alternating rounds of 200 products, 2-CPU x86 VM). Such a
+matrix keeps no second copy with canonical columns, so its own single-flow
+``matvec`` gathers the flow in and the product back on every call.
 """
 from __future__ import annotations
 
@@ -149,8 +166,12 @@ class ShiftMatrix:
     least ROW_ORDER_MIN_ENTRIES entries in rows of varying length, with its
     rows stably sorted by length, and takes the result back into canonical
     row order: bitwise the canonical product, without a mispredicted row loop
-    (see the module docstring). Blocks, ``factors`` and ``as_csr`` keep the
-    canonical rows.
+    (see the module docstring). The copy of one matrix that touches all of
+    its indices (the Grams and the Chebyshev step matrices) has its columns
+    renumbered in the same order and its rows' entries left in stored order,
+    so that ``series`` runs a single-flow recursion in that order with one
+    gather in and one back per series. Blocks, ``factors`` and ``as_csr``
+    keep the canonical rows.
     """
 
     def __init__(self, *factors):
@@ -184,9 +205,11 @@ class ShiftMatrix:
             rows = np.diff(a.indptr).astype(np.int64)
             self.gram_bound = int(rows @ rows) - a.nnz + a.shape[1]
             self.on_gram = self.gram_bound <= a.nnz + b.nnz
-        # per factor on the support, its rows ordered by length and the
-        # inverse order, or None
-        self._ordered = tuple(map(_by_row_length, self._on_support))
+        # per factor on the support, None or its copy with rows ordered by
+        # length, the order and its inverse; one matrix that touches all of
+        # its indices has the columns of its copy renumbered too
+        self._renumbered = len(self.factors) == 1 and self._support is None
+        self._ordered = tuple(_by_row_length(f, self._renumbered) for f in self._on_support)
 
     def matvec(self, x) -> np.ndarray:
         if np.iscomplexobj(x):
@@ -204,9 +227,26 @@ class ShiftMatrix:
     def _product(self, i: int, x: np.ndarray) -> np.ndarray:
         # factor i on the support times x
         if x.ndim == 1 and self._ordered[i] is not None:
-            rows, inverse = self._ordered[i]
+            rows, order, inverse = self._ordered[i]
+            if self._renumbered:
+                x = x.take(order)
             return (rows @ x).take(inverse)
         return self._on_support[i] @ x
+
+    def series(self, x: np.ndarray):
+        """``(step, x, back)`` for a recursion of products with this operator:
+        ``step`` is one product, taking and giving flows in the order the
+        recursion runs in, ``x`` the flow in that order, and ``back`` takes a
+        result of steps and elementwise passes back to canonical order.
+
+        A single flow on one matrix with a row-ordered copy runs in the copy's
+        row order, with one gather in and one back per series; anything else
+        steps with ``matvec`` in canonical order.
+        """
+        if x.ndim == 1 and self._renumbered and self._ordered[0] is not None:
+            rows, order, inverse = self._ordered[0]
+            return rows.__matmul__, x.take(order), lambda y: y.take(inverse)
+        return self.matvec, x, lambda y: y
 
     def _shift(self, x: np.ndarray) -> np.ndarray:
         # L x on the support
@@ -258,10 +298,12 @@ def _restrict(m: sp.csr_matrix, rows, cols) -> sp.csr_matrix:
     return read_only(m)
 
 
-def _by_row_length(m: sp.csr_matrix):
-    """m with its rows stably sorted by length, read-only, and the inverse
-    order that takes its products back to m's rows; None when m stores fewer
-    than ROW_ORDER_MIN_ENTRIES entries or its row lengths never decrease."""
+def _by_row_length(m: sp.csr_matrix, renumber: bool):
+    """m with its rows stably sorted by length, the order and the inverse
+    order that takes its products back to m's rows, all read-only; None when
+    m stores fewer than ROW_ORDER_MIN_ENTRIES entries or its row lengths never
+    decrease. With ``renumber`` (m square) column j becomes column inverse[j],
+    and each row keeps its entries in stored order."""
     if m.nnz < ROW_ORDER_MIN_ENTRIES:
         return None
     lengths = np.diff(m.indptr)
@@ -270,7 +312,15 @@ def _by_row_length(m: sp.csr_matrix):
     order = np.argsort(lengths, kind="stable")
     inverse = np.empty_like(order)
     inverse[order] = np.arange(order.size)
-    return read_only(m[order]), read_only(inverse)
+    rows = m[order]
+    if renumber:
+        # not through read_only, whose sort_indices would change the order in
+        # which each row sums
+        indices = inverse.take(rows.indices).astype(rows.indices.dtype)
+        rows = sp.csr_matrix((rows.data, indices, rows.indptr), shape=rows.shape)
+    for array in (rows.data, rows.indices, rows.indptr, order, inverse):
+        array.setflags(write=False)
+    return rows, order, inverse
 
 
 def identity_block(n: int, start: int) -> np.ndarray:

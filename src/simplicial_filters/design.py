@@ -23,7 +23,7 @@ from numpy.polynomial import chebyshev as _cheb
 
 from ._kernels import ShiftMatrix
 from .errors import DataError, DomainMismatch, EmptySpec, IllConditioned, NumericalError
-from .filters import FilterCoefficients, apply, polynomial_response
+from .filters import FilterCoefficients, _real, apply, polynomial_response
 
 COND_WARN_THRESHOLD = 1e10
 
@@ -295,7 +295,10 @@ def estimate_lambda_max(matrix, iterations: int = 50, seed: int = 0) -> float:
     if iterations < 1:
         raise DataError("iterations must be >= 1")
     if not hasattr(matrix, "shape"):
-        matrix = np.asarray(matrix, dtype=np.float64)
+        matrix = np.asarray(matrix)
+    # a ShiftMatrix has no dtype: it is real by construction
+    if getattr(matrix, "dtype", np.dtype(np.float64)).kind == "c":
+        raise DataError("estimate_lambda_max takes a real matrix, not a complex one")
     n = matrix.shape[0]
     rng = np.random.default_rng(seed)
     v = rng.standard_normal(n)
@@ -357,9 +360,9 @@ class ChebyshevFilter:
 
     def __post_init__(self):
         for name in ("c_lower", "c_upper"):
-            object.__setattr__(self, name, tuple(map(float, getattr(self, name))))
+            object.__setattr__(self, name, tuple(map(_real, getattr(self, name))))
         for name in ("omega_lower", "omega_upper", "g0"):
-            object.__setattr__(self, name, float(getattr(self, name)))
+            object.__setattr__(self, name, _real(getattr(self, name)))
         if not (self.c_lower or self.c_upper):
             raise DataError("a Chebyshev filter needs at least one series")
         if not all(np.isfinite((self.g0,) + self.c_lower + self.c_upper)):
@@ -395,18 +398,23 @@ class ChebyshevFilter:
         (in ``h0``). This returns sum_k c_k v_k: per step one product with M and
         four numpy passes into arrays it already holds. Each rounds per element,
         with no fused multiply-add, so every column of a block is bitwise the
-        single-flow result.
+        single-flow result. A single flow runs in the row order of M's
+        renumbered copy (`ShiftMatrix.series`): b is gathered into it once and
+        the sum back once, with no gather per step. Each product sums the same
+        entries in the same order as M's canonical rows, and the passes are
+        elementwise, so they commute with the permutation and the sum is
+        bitwise the one in canonical order.
         """
         coeffs = self._series(upper)
         omega = self.omega_upper if upper else self.omega_lower
         if len(coeffs) == 1:
             return np.zeros_like(b)
-        step = _step_matrix(small, omega)
+        step, b, back = _step_matrix(small, omega).series(b)
         b2 = (2.0 / omega) * b
         v_prev, v = np.zeros_like(b), b / omega
         acc = coeffs[1] * v
         for k, c in enumerate(coeffs[2:], 1):
-            w = step.matvec(v)
+            w = step(v)
             w -= v_prev
             if k % 2:
                 w -= b2
@@ -415,7 +423,7 @@ class ChebyshevFilter:
             # v_{k-1} is spent: its array takes c * w, with no new allocation
             acc += np.multiply(c, w, out=v_prev)
             v_prev, v = v, w
-        return acc
+        return back(acc)
 
     def _side_value(self, upper: bool, lam: float) -> float:
         coeffs = self._series(upper)

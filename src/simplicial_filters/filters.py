@@ -36,6 +36,14 @@ if TYPE_CHECKING:
     from .design import ChebyshevFilter
 
 
+def _real(value) -> float:
+    """``float(value)``; a complex value is a DataError, not float's TypeError
+    (or numpy's ComplexWarning with the imaginary part dropped)."""
+    if np.iscomplexobj(value):
+        raise DataError(f"filter parameters must be real, got {value!r}")
+    return float(value)
+
+
 @dataclass(frozen=True)
 class FilterCoefficients:
     """Polynomial filter taps: constant h0, lower taps alpha, upper taps beta."""
@@ -45,9 +53,9 @@ class FilterCoefficients:
     beta: tuple[float, ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "h0", float(self.h0))
-        object.__setattr__(self, "alpha", tuple(float(a) for a in self.alpha))
-        object.__setattr__(self, "beta", tuple(float(b) for b in self.beta))
+        object.__setattr__(self, "h0", _real(self.h0))
+        object.__setattr__(self, "alpha", tuple(map(_real, self.alpha)))
+        object.__setattr__(self, "beta", tuple(map(_real, self.beta)))
         values = (self.h0,) + self.alpha + self.beta
         if not all(np.isfinite(values)):
             raise DataError("filter coefficients must be finite")
@@ -66,12 +74,13 @@ class FilterCoefficients:
     def _side_sum(self, upper: bool, small: ShiftMatrix, x: np.ndarray) -> np.ndarray:
         # sum_l taps[l-1] L^l f = A (sum_l taps[l-1] G^(l-1) B f), summed on the small side
         taps = self._series(upper)
+        step, x, back = small.series(x)
         acc = taps[0] * x
         term = np.empty_like(acc)
         for a in taps[1:]:
-            x = small.matvec(x)
+            x = step(x)
             acc += np.multiply(a, x, out=term)
-        return acc
+        return back(acc)
 
     def _side_value(self, upper: bool, lam: float) -> float:
         taps = self._series(upper)

@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 import scipy.integrate
+import scipy.sparse as sp
 
 import simplicial_filters as sf
 from simplicial_filters import (
@@ -154,6 +155,16 @@ def test_estimate_lambda_max(rng):
         top_low = np.linalg.eigvalsh(L.lower).max()
         assert 0.95 * top_low <= est_low <= top_low + 1e-9
     assert sf.estimate_lambda_max(np.zeros((3, 3))) == 0.0
+
+
+def test_estimate_lambda_max_rejects_complex():
+    # the Rayleigh quotient of a complex matrix came back as a wrong real
+    # number (-1.0 here, where the dominant eigenvalue is 1+1j) with only a
+    # ComplexWarning
+    dense = np.eye(3) * (1 + 1j)
+    for bad in (dense, sp.csr_matrix(dense), dense.tolist()):
+        with pytest.raises(DataError, match="complex"):
+            sf.estimate_lambda_max(bad, 5)
 
 
 def test_grid_design_recovers_polynomial(toy):

@@ -81,6 +81,19 @@ def test_coefficient_validation():
         FilterCoefficients(0.0, (float("inf"),), ())
 
 
+def test_complex_filter_parameters_rejected():
+    # float() raised a bare TypeError for a complex tap, and a numpy complex
+    # scalar lost its imaginary part with only a ComplexWarning
+    for bad in (1j, np.complex128(1.0), np.array(0.5 + 0j)):
+        for args in ((bad, (), ()), (1.0, (bad,), ()), (1.0, (), (0.5, bad))):
+            with pytest.raises(DataError, match="real"):
+                FilterCoefficients(*args)
+        for args in (((bad,), (), 3.0, 0.0, 0.5), ((1.0,), (1.0, bad), 3.0, 3.0, 0.5),
+                     ((1.0,), (), 3.0, 0.0, bad), ((1.0,), (), bad, 0.0, 0.5)):
+            with pytest.raises(DataError, match="real"):
+                sf.ChebyshevFilter(*args)
+
+
 def test_linearity(toy, rng):
     coeffs = random_coeffs(rng)
     f = rng.standard_normal(toy.n_edges)
@@ -483,7 +496,40 @@ def test_single_flows_are_bitwise_the_canonical_products(order_every_size):
             _assert_single_flows_canonical(op, rng)
 
 
+def test_single_flow_series_are_bitwise_the_canonical_recursions(order_every_size):
+    # a single-flow series on one matrix runs in the row order of its copy,
+    # whose columns are renumbered: gathered in once and back once, it must
+    # sum every step as the canonical matrix does
+    rng = np.random.default_rng(29)
+    taps = tuple(rng.standard_normal(6))
+    coeffs = FilterCoefficients(0.5, taps)
+    cheb = sf.ChebyshevFilter(taps, (), 3.0, 0.0, 0.5)  # the omega of the step matrices
+    in_row_order = 0
+    for sc in _row_order_cases():
+        ops = _with_small_sides(sc)
+        for small, step in zip(ops[1::3], ops[2::3]):
+            in_row_order += sum(m._renumbered and m._ordered[0] is not None
+                                for m in (small, step))
+            x = rng.standard_normal(small.shape[0])
+            # sum_l taps[l] S^l x
+            term, expect = x, taps[0] * x
+            for a in taps[1:]:
+                term = _canonical_product(small.factors, term)
+                expect = expect + a * term
+            np.testing.assert_array_equal(coeffs._side_sum(False, small, x), expect)
+            # sum_k taps[k] v_k, v_{k+1} = M v_k - v_{k-1} - (-1)^k (2/omega) x
+            v_prev, v = np.zeros_like(x), x / 3.0
+            expect = taps[1] * v
+            for k, c in enumerate(taps[2:], 1):
+                w = step.as_csr() @ v - v_prev + (-1) ** k * ((2.0 / 3.0) * x)
+                expect = expect + c * w
+                v_prev, v = v, w
+            np.testing.assert_array_equal(cheb._side_sum(False, small, x), expect)
+    assert in_row_order > 0
+
+
 def test_row_ordered_copies_are_read_only_and_sorted(order_every_size):
+    renumbered = 0
     for sc in _row_order_cases():
         for op in _with_small_sides(sc):
             assert len(op._ordered) == len(op._on_support)
@@ -491,15 +537,25 @@ def test_row_ordered_copies_are_read_only_and_sorted(order_every_size):
                 if ordered is None:
                     assert np.all(np.diff(np.diff(factor.indptr)) >= 0)
                     continue
-                rows, inverse = ordered
+                rows, order, inverse = ordered
                 assert not np.all(np.diff(np.diff(factor.indptr)) >= 0)
                 assert np.all(np.diff(np.diff(rows.indptr)) >= 0)
                 assert not any(a.flags.writeable for a in (rows.data, rows.indices,
-                                                           rows.indptr, inverse))
-                # the same rows, each with its entries in stored order
+                                                           rows.indptr, order, inverse))
+                np.testing.assert_array_equal(order[inverse], np.arange(order.size))
+                np.testing.assert_array_equal(inverse[order], np.arange(order.size))
+                # the same rows, each with its entries in stored order; one
+                # matrix on all its indices has its columns renumbered too
                 back = rows[inverse]
-                for name in ("data", "indices", "indptr"):
+                indices = back.indices
+                if op._renumbered:
+                    renumbered += 1
+                    assert len(op.factors) == 1 and rows.shape[0] == rows.shape[1]
+                    indices = order[indices]
+                np.testing.assert_array_equal(indices, factor.indices)
+                for name in ("data", "indptr"):
                     np.testing.assert_array_equal(getattr(back, name), getattr(factor, name))
+    assert renumbered > 0
 
 
 def test_uniformly_long_rows_keep_no_second_copy(order_every_size):
