@@ -126,6 +126,22 @@ IDENTITY_CHUNK = 128
 ROW_ORDER_MIN_ENTRIES = 2**13
 
 
+def memo(fn):
+    """``fn(obj, *args)`` kept in ``obj``'s own ``__dict__`` per argument tuple:
+    per object, not per value, and freed with it; pickle and copy skip it
+    (``__reduce__``). A miss calls ``__wrapped__``, which a test may spy on."""
+
+    @functools.wraps(fn)
+    def memoized(obj, *args, **kwargs):
+        table = vars(obj).setdefault("_memo", {})
+        key = (fn, args, *kwargs.items())
+        if key not in table:
+            table[key] = memoized.__wrapped__(obj, *args, **kwargs)
+        return table[key]
+
+    return memoized
+
+
 def read_only(shared):
     """Make a shared dense array, or a CSR matrix's ``data``, ``indices`` and
     ``indptr``, read-only, and return it.
@@ -210,6 +226,9 @@ class ShiftMatrix:
         # its indices has the columns of its copy renumbered too
         self._renumbered = len(self.factors) == 1 and self._support is None
         self._ordered = tuple(_by_row_length(f, self._renumbered) for f in self._on_support)
+
+    def __reduce__(self):  # the factors, without ``small`` or `memo` entries
+        return ShiftMatrix, self.factors
 
     def matvec(self, x) -> np.ndarray:
         if np.iscomplexobj(x):

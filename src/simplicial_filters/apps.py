@@ -7,14 +7,14 @@ import math
 import os
 import warnings
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
 
 from ._kernels import IDENTITY_CHUNK, identity_block, read_only
-from .complexes import SimplicialComplex, build_complex, infer_triangles
+from .complexes import SimplicialComplex, _clique_triangles, _rows, _vertex_count
 from .design import (
     ResponseSpec,
     _vandermonde,
@@ -58,14 +58,10 @@ def _top(lam_max: float) -> float:
     return LAMBDA_MAX_MARGIN * lam_max if lam_max > 0 else 1.0
 
 
-@lru_cache(maxsize=64)
 def _interval_tops(ops) -> tuple[float, float]:
     """Design interval tops of a (lower, upper) pair of parts: `_top` of each
-    part's `_lambda_max`, 1.0 for a missing (None) part; every Chebyshev and
-    grid design in the package takes its tops here. The operators come from the
-    cached `shift_operators` and `_normalized_operators`, so the tops are
-    cached per operator pair.
-    """
+    part's `_lambda_max`, which is kept on the operator (`memo`), 1.0 for a
+    missing (None) part; every Chebyshev and grid design takes its tops here."""
     return tuple(_top(_lambda_max(op)) if op is not None else 1.0 for op in ops)
 
 
@@ -312,9 +308,10 @@ class ExchangeMarket:
 
 def market_complex(market: ExchangeMarket) -> SimplicialComplex:
     """Complex of quoted pairs with every 3-clique filled as a triangle."""
-    n = market.n_currencies
+    n = _vertex_count(market.n_currencies)
+    # argwhere gives the pairs i < j distinct and sorted, as build_complex would
     edges = np.argwhere(np.triu(~np.isnan(market._directed), 1))
-    return build_complex(n, edges, infer_triangles(n, edges))
+    return SimplicialComplex(n, _rows(edges), _rows(_clique_triangles(n, edges)))
 
 
 def arbitrage_check(
@@ -481,7 +478,7 @@ def _in_order(fn, items):
     """Yield fn(item) for each of a sequence of items, in order, computed on
     `_worker_count` threads: serially in the calling thread when that is one.
 
-    The first item runs alone in the calling thread, so whatever it caches,
+    The first item runs alone in the calling thread, so whatever it keeps,
     the others only read. The rest run in groups of one item per thread: the
     calling thread computes the first of a group while a pool computes the
     others. The calling thread works rather than waits because glibc gives
@@ -521,10 +518,10 @@ def _rank_blocks(sc, gamma, method, order, samples):
     The ranker is built, and its arguments checked, before this returns. The
     blocks share nothing, and the sparse products, LU solves and numpy passes
     of each release the GIL, so they run `_in_order` on one thread per CPU.
-    The first block fills every cache the others read (each operator's
-    ``small``, the Chebyshev step matrices, the weighted projectors) before
-    any worker starts. A block's arithmetic does not depend on the thread it
-    runs on, so every block is bitwise the serial one.
+    The first block builds what the others read before any worker starts:
+    each ``small``, the Chebyshev step matrices and the weighted projectors,
+    kept on the complex and its operators (`memo`). A block's arithmetic does
+    not depend on the thread it runs on, so every block is bitwise the serial one.
     """
     rank, root = _ranker(sc, gamma, method, order, samples)
     n = sc.n_edges

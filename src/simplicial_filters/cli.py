@@ -26,16 +26,12 @@ def cli() -> None:
     """Spectral analysis, filter design, and flow applications on complexes."""
 
 
-def _load_sc(path):
-    return io.load_complex(path)
-
-
 @cli.command()
 @click.option("--sc", "sc_path", required=True, type=click.Path())
 @click.option("--group-tol", default=0.0, show_default=True, help=GROUP_TOL_HELP)
 def info(sc_path, group_tol):
     """Print size and spectral-dimension statistics of a complex."""
-    sc = _load_sc(sc_path)
+    sc = io.load_complex(sc_path)
     spectrum = spectral.hodge_spectrum(sc)
     dg, dc = spectral.distinct_frequencies(spectrum, group_tol)
     for key, value in [
@@ -51,7 +47,7 @@ def info(sc_path, group_tol):
 @click.option("--out", "out_path", required=True, type=click.Path())
 def spectrum(sc_path, out_path):
     """Write the eigenvalue blocks of a complex to JSON."""
-    sc = _load_sc(sc_path)
+    sc = io.load_complex(sc_path)
     io.save_spectrum(spectral.hodge_spectrum(sc), out_path)
     click.echo(f"wrote {out_path}")
 
@@ -62,7 +58,7 @@ def spectrum(sc_path, out_path):
 @click.option("--out", "out_path", required=True, type=click.Path())
 def decompose(sc_path, signal_path, out_path):
     """Split an edge flow into gradient/curl/harmonic parts (JSON)."""
-    sc = _load_sc(sc_path)
+    sc = io.load_complex(sc_path)
     flow = io.load_signal(signal_path, sc)
     f_g, f_c, f_h = spectral.hodge_decompose(sc, flow)
     io.dump_json(
@@ -113,7 +109,7 @@ def design_cmd(spec_path, method, sc_path, order_lower, order_upper, mode,
         if method == "ls":
             if not sc_path:
                 raise click.UsageError("--method ls needs --sc for its frequencies")
-            spectrum_ = spectral.hodge_spectrum(_load_sc(sc_path))
+            spectrum_ = spectral.hodge_spectrum(io.load_complex(sc_path))
             freqs_g, freqs_c = spectral.distinct_frequencies(spectrum_, group_tol)
             solver = design.ls_joint if mode == "joint" else design.ls_decoupled
             result = solver(
@@ -136,8 +132,7 @@ def _cheb_bounds(spec, sc_path):
     """Chebyshev interval tops: the library's rule on the complex's Laplacians
     when a complex is given, else the spec domains."""
     if sc_path:
-        ops = filters.shift_operators(_load_sc(sc_path))
-        return apps._interval_tops(ops)
+        return apps._interval_tops(filters.shift_operators(io.load_complex(sc_path)))
     lam_g = spec.gradient.lam_max if spec.gradient is not None else None
     lam_c = spec.curl.lam_max if spec.curl is not None else None
     return lam_g, lam_c
@@ -149,7 +144,7 @@ def _cheb_bounds(spec, sc_path):
 @click.option("--out", "out_path", required=True, type=click.Path())
 def response(sc_path, filter_path, out_path):
     """Evaluate a filter's frequency response on a complex's spectrum (CSV)."""
-    sc = _load_sc(sc_path)
+    sc = io.load_complex(sc_path)
     filt = io.load_filter(filter_path)
     spectrum_ = spectral.hodge_spectrum(sc)
     rows = [(0.0, "H", filt.h0)]
@@ -168,7 +163,7 @@ def response(sc_path, filter_path, out_path):
 @click.option("--out", "out_path", required=True, type=click.Path())
 def filter_cmd(sc_path, filter_path, signal_path, out_path):
     """Apply a stored filter to an edge flow."""
-    sc = _load_sc(sc_path)
+    sc = io.load_complex(sc_path)
     filt = io.load_filter(filter_path)
     flow = io.load_signal(signal_path, sc)
     io.save_signal(filters.apply(sc, filt, flow), out_path)
@@ -190,7 +185,7 @@ def filter_cmd(sc_path, filter_path, signal_path, out_path):
 def extract(sc_path, signal_path, which, method, order_lower, order_upper,
             group_tol, out_path):
     """Extract one Hodge component of a flow; prints its error vs projection."""
-    sc = _load_sc(sc_path)
+    sc = io.load_complex(sc_path)
     flow = io.load_signal(signal_path, sc)
     method_name = {"spectral": "spectral", "ls": "filter_ls",
                    "onesided": "filter_onesided", "cheb": "filter_cheb"}[method]
@@ -219,7 +214,7 @@ def extract(sc_path, signal_path, which, method, order_lower, order_upper,
 @click.option("--out", "out_path", required=True, type=click.Path())
 def denoise(sc_path, signal_path, mu, regularizer, method, order, samples, out_path):
     """Regularized denoising of an edge flow."""
-    sc = _load_sc(sc_path)
+    sc = io.load_complex(sc_path)
     flow = io.load_signal(signal_path, sc)
     regname = "edge_laplacian" if regularizer == "edge" else "hodge_laplacian"
     out = apps.denoise(sc, flow, mu, regname, method, order=order, samples=samples)
@@ -241,7 +236,7 @@ def denoise(sc_path, signal_path, mu, regularizer, method, order, samples, out_p
               help="Required with --all (CSV); optional JSON for a single edge.")
 def pagerank(sc_path, gamma, edge_index, rank_all, method, order, samples, out_path):
     """Edge influence scores via the normalized edge Laplacian."""
-    sc = _load_sc(sc_path)
+    sc = io.load_complex(sc_path)
     if rank_all == (edge_index is not None):
         raise click.UsageError("pass exactly one of --edge or --all")
     if rank_all:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from itertools import chain, combinations
 from types import MappingProxyType
 from typing import Iterable, Mapping, NoReturn
@@ -17,7 +17,7 @@ from typing import Iterable, Mapping, NoReturn
 import numpy as np
 import scipy.sparse as sp
 
-from ._kernels import read_only
+from ._kernels import memo, read_only
 from .errors import (
     DataError,
     DimensionMismatch,
@@ -42,13 +42,8 @@ class SimplicialComplex:
     edges: tuple[Edge, ...]
     triangles: tuple[Triangle, ...]
 
-    # hashed once: every lru_cache lookup keyed on a complex pays for its hash
-    def __hash__(self) -> int:
-        return self._hash
-
-    @cached_property
-    def _hash(self) -> int:
-        return hash((self.vertex_count, self.edges, self.triangles))
+    def __reduce__(self):  # the fields, without ``edge_index`` or `memo` entries
+        return type(self), (self.vertex_count, self.edges, self.triangles)
 
     @property
     def n_edges(self) -> int:
@@ -67,14 +62,9 @@ class SimplicialComplex:
             return self.n_triangles
         raise UnsupportedOrder(f"order {k} not supported")
 
-    @property
+    @cached_property
     def edge_index(self) -> Mapping[Edge, int]:
-        return _edge_index(self)
-
-
-@lru_cache(maxsize=256)
-def _edge_index(sc: SimplicialComplex) -> Mapping[Edge, int]:
-    return MappingProxyType({e: i for i, e in enumerate(sc.edges)})
+        return MappingProxyType({e: i for i, e in enumerate(self.edges)})
 
 
 # Edge (u, v) has the key u * N0 + v, so sorted keys are lexicographic edges;
@@ -291,7 +281,7 @@ class SignedIncidence:
         return self.csr
 
 
-@lru_cache(maxsize=256)
+@memo
 def incidence_matrix(obj: SimplicialComplex | OrientedComplex, k: int) -> SignedIncidence:
     """Signed incidence matrix B_k for k in {1, 2}, assembled from index arrays.
 
@@ -324,7 +314,7 @@ def incidence_matrix(obj: SimplicialComplex | OrientedComplex, k: int) -> Signed
     return SignedIncidence(read_only(sp.csr_matrix((data, (rows, cols)), shape=shape)))
 
 
-@lru_cache(maxsize=256)
+@memo
 def _hodge_parts(
     obj: SimplicialComplex | OrientedComplex, k: int
 ) -> tuple[sp.csr_matrix, sp.csr_matrix]:
@@ -346,7 +336,7 @@ def _hodge_parts(
     return tuple(read_only(sp.csr_matrix(part)) for part in parts)
 
 
-@lru_cache(maxsize=256)
+@memo
 def _adjacency(sc: SimplicialComplex, k: int, upper: bool) -> tuple[frozenset, ...]:
     # off-diagonal pattern of the Laplacian part; no entry cancels, because two
     # distinct simplices share at most one face and at most one coface
@@ -502,6 +492,9 @@ class OrientedComplex:
     base: SimplicialComplex
     edge_signs: tuple[int, ...]
     triangle_signs: tuple[int, ...]
+
+    def __reduce__(self):  # the fields, without `memo` entries
+        return type(self), (self.base, self.edge_signs, self.triangle_signs)
 
 
 def reorient(sc: SimplicialComplex, plan: OrientationPlan) -> OrientedComplex:

@@ -14,14 +14,13 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
 import scipy.sparse as sp
 from numpy.polynomial import chebyshev as _cheb
 
-from ._kernels import ShiftMatrix
+from ._kernels import ShiftMatrix, memo
 from .errors import DataError, DomainMismatch, EmptySpec, IllConditioned, NumericalError
 from .filters import FilterCoefficients, _real, apply, polynomial_response
 
@@ -432,10 +431,10 @@ class ChebyshevFilter:
         return float(_cheb.chebval(x, series)) - self._at_zero[upper]
 
 
-@lru_cache(maxsize=32)
+@memo
 def _step_matrix(small: ShiftMatrix, omega: float) -> ShiftMatrix:
     """M = (2/omega) S - 2I for S = ``small.as_csr()``: one Chebyshev step on
-    an operator's small side, built once per (small, omega) and kept."""
+    an operator's small side, kept on ``small`` per omega (`memo`)."""
     s = small.as_csr()
     return ShiftMatrix((2.0 / omega) * s - 2.0 * sp.identity(s.shape[0], format="csr"))
 

@@ -23,12 +23,7 @@ from typing import TYPE_CHECKING, Mapping
 import numpy as np
 
 from ._kernels import ShiftMatrix
-from .complexes import (
-    OrientedComplex,
-    SimplicialComplex,
-    _adjacency,
-    _hodge_parts,
-)
+from .complexes import OrientedComplex, SimplicialComplex, _hodge_parts
 from .errors import DataError
 from .spectral import HodgeSpectrum, _check_flow, shift_operators
 
@@ -173,10 +168,10 @@ def distributed_shift(
     trace: list[ShiftRound] = []
 
     def run(upper: bool, rounds: int) -> np.ndarray:
-        # CSR row i holds edge i's own weight and one weight per neighbor, so
-        # one product is one round of every edge combining its messages
+        # CSR row i holds edge i's own weight and one weight per neighbor (none
+        # cancels), so one product is one round of every edge combining its messages
         part = _hodge_parts(sc, 1)[int(upper)]
-        counts = tuple(len(nbrs) for nbrs in _adjacency(sc, 1, upper))
+        counts = tuple((np.diff(part.indptr) - (part.diagonal() != 0)).tolist())
         current = flow.copy()
         for _ in range(rounds):
             current = part @ current

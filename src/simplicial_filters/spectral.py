@@ -12,12 +12,12 @@ and the normalized edge Laplacian used for ranking.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
 
-from ._kernels import ShiftMatrix, read_only
+from ._kernels import ShiftMatrix, memo, read_only
 from .complexes import OrientedComplex, SimplicialComplex, _hodge_parts, boundary_csr
 from .errors import (
     DataError,
@@ -58,7 +58,7 @@ def _check_flow(obj: SimplicialComplex | OrientedComplex, flow) -> np.ndarray:
 
 
 def _freeze(obj) -> None:
-    # cached results are shared by every caller, so their arrays are read-only
+    # kept results are shared by every caller, so their arrays are read-only
     for value in vars(obj).values():
         if isinstance(value, np.ndarray):
             read_only(value)
@@ -164,6 +164,7 @@ def _eigh(matrix: np.ndarray, vectors: bool = True):
         raise EigenFailure(f"symmetric eigensolver failed: {exc}") from exc
 
 
+@memo
 def _lambda_max(op: ShiftMatrix) -> float:
     """Largest eigenvalue of a symmetric edge-space part: 0.0 if a factor is zero
     (a Hodge part is zero exactly then), dense below LANCZOS_MIN_SIZE rows, else
@@ -200,13 +201,13 @@ def _side_basis(obj: SimplicialComplex | OrientedComplex, side: str, count: int)
     return read_only(_fix_signs(out / np.sqrt(w) if op.on_gram else out))
 
 
-@lru_cache(maxsize=64)
+@memo
 def hodge_spectrum(sc: SimplicialComplex | OrientedComplex) -> HodgeSpectrum:
     """Gradient and curl frequencies of the edge space, eigenbases on demand.
 
     The eigenvalues come from one dense `eigvalsh` per side, of the ``small``
     matrix of that side's operator in `shift_operators`: the matrix the filter
-    recursions step on, built once and cached with the operator. `ShiftMatrix`
+    recursions step on, built once and kept with the operator. `ShiftMatrix`
     picks it by counting stored entries (see `_kernels`): the node Gram
     B1 B1^T on the lower side, and on the upper side the triangle Gram B2^T B2
     on road complexes or the upper Laplacian on the edges on a triangle where
@@ -214,7 +215,7 @@ def hodge_spectrum(sc: SimplicialComplex | OrientedComplex) -> HodgeSpectrum:
     eigenvalues (Lim, "Hodge Laplacians on graphs", SIAM Review 2020).
     ``zero_tol`` is ZERO_TOL_FACTOR times the largest eigenvalue of either
     side, which is the largest of the total Laplacian, and the harmonic count
-    is N1 minus the other two.
+    is N1 minus the other two. Kept on the complex (`memo`) and freed with it.
     """
     w_grad, w_curl = (_eigh(_small_dense(op), vectors=False) for op in shift_operators(sc))
     zero_tol = ZERO_TOL_FACTOR * float(max(w_grad.max(initial=0.0), w_curl.max(initial=0.0)))
@@ -280,14 +281,14 @@ def _factor(matrix: sp.spmatrix):
         raise SingularSystem(f"sparse factorization failed: {exc}") from exc
 
 
-@lru_cache(maxsize=64)
+@memo
 def _projector(sc: SimplicialComplex, side: str, weighted: bool = False):
     """Orthogonal projector onto im(G) as a map of an (N1,) flow or (N1, k) block.
 
     G is the first factor of that side's operator: B1^T (side "gradient") or
     B2 ("curl") from `shift_operators`; weighted, R B1^T or R^-1 B2 from
     `_normalized_operators`, whose image is that of the symmetric normalized
-    part. No eigenbasis and no dense matrix: one cached sparse factorization.
+    part. No eigenbasis and no dense matrix: one sparse factorization (`memo`).
 
     Gradient side: y maps to G psi with (G^T G) psi = G^T y. The node Gram is a
     graph Laplacian whose kernel is the connected components' indicators, so
@@ -438,11 +439,11 @@ def _normalized_degrees(sc: SimplicialComplex) -> tuple[np.ndarray, np.ndarray]:
     return d1, d2
 
 
-@lru_cache(maxsize=128)
+@memo
 def shift_operators(
     obj: SimplicialComplex | OrientedComplex,
 ) -> tuple[ShiftMatrix, ShiftMatrix]:
-    """Cached lower/upper Laplacian operators of a complex, as incidence products.
+    """Lower/upper Laplacian operators of a complex, as incidence products.
 
     The lower one applies B1^T (B1 f), the upper one B2 (B2^T f); each takes an
     (N1,) flow or an (N1, k) block of flows. Their ``small`` sides, which the
@@ -450,13 +451,14 @@ def shift_operators(
     projection (`_projector`) factors, are the ones `ShiftMatrix` picks: the
     node Gram B1 B1^T for the lower one, and for the upper one the triangle
     Gram B2^T B2 where it stores no more entries than B2 and B2^T, else the
-    upper Laplacian on the edges on a triangle.
+    upper Laplacian on the edges on a triangle. The pair is kept on the complex
+    object (`memo`), freed with it and not shared with an equal complex.
     """
     b1, b2 = boundary_csr(obj, 1), boundary_csr(obj, 2)
     return ShiftMatrix(b1.T, b1), ShiftMatrix(b2, b2.T)
 
 
-@lru_cache(maxsize=64)
+@memo
 def _normalized_operators(sc: SimplicialComplex) -> tuple[ShiftMatrix, ShiftMatrix]:
     """The symmetric normalized parts S_lower = G_l D1^-1 G_l^T and
     S_upper = G_u G_u^T / 3 as incidence products, G_l = R B1^T and

@@ -1,4 +1,5 @@
 import re
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -85,6 +86,25 @@ def road_with_clique(n=25, seed=None):
     )
     edges = sorted(set(road.edges) | {(u, v) for u in block for v in block if u < v})
     return build_complex(road.vertex_count, edges, infer_triangles(road.vertex_count, edges))
+
+
+def spy_builds(monkeypatch, *memoized):
+    """A Counter, by function name, of the builds (the memo misses) of each
+    memoized function from here to the end of the test."""
+    builds = Counter()
+
+    def counted(fn):
+        build = fn.__wrapped__
+
+        def spy(*args, **kwargs):
+            builds[fn.__name__] += 1
+            return build(*args, **kwargs)
+
+        return spy
+
+    for fn in memoized:
+        monkeypatch.setattr(fn, "__wrapped__", counted(fn))
+    return builds
 
 
 def dense_b1(sc):

@@ -21,7 +21,7 @@ from simplicial_filters import (
 from simplicial_filters import apps, design, io, spectral
 from simplicial_filters.cli import main
 
-from conftest import complete_complex, degenerate_complexes
+from conftest import complete_complex, degenerate_complexes, spy_builds
 
 
 def test_nrmse():
@@ -141,28 +141,29 @@ def test_denoise_filter_methods_near_exact(toy, rng):
 
 
 @pytest.mark.parametrize("method, order", [("grid", 6), ("cheb", 20)])
-def test_onesided_denoise_bounds_one_part(monkeypatch, toy, rng, method, order):
+def test_onesided_denoise_bounds_one_part(monkeypatch, rng, method, order):
     # the edge regularizer designs on the lower part alone; its upper part used
     # to get a power iteration whose result was thrown away
     calls = []
-    lambda_max = apps._lambda_max
+    lambda_max = spectral._lambda_max.__wrapped__
 
     def spy(op):
         calls.append(op)
         return lambda_max(op)
 
-    monkeypatch.setattr(apps, "_lambda_max", spy)
-    apps._interval_tops.cache_clear()
-    flow = rng.standard_normal(toy.n_edges)
-    sf.denoise(toy, flow, 0.5, "edge_laplacian", method, order=order)
-    assert calls == [sf.shift_operators(toy)[0]]
+    monkeypatch.setattr(spectral._lambda_max, "__wrapped__", spy)
+    # one fresh complex per regularizer: nothing is derived from either yet
+    edge, hodge = sf.toy_complex(), sf.toy_complex()
+    flow = rng.standard_normal(edge.n_edges)
+    sf.denoise(edge, flow, 0.5, "edge_laplacian", method, order=order)
+    assert calls == [sf.shift_operators(edge)[0]]
     calls.clear()
-    sf.denoise(toy, flow, 0.5, "hodge_laplacian", method, order=order)
-    assert calls == list(sf.shift_operators(toy))
-    # the tops are cached per operator pair
+    sf.denoise(hodge, flow, 0.5, "hodge_laplacian", method, order=order)
+    assert calls == list(sf.shift_operators(hodge))
+    # each top is kept on its operator
     calls.clear()
-    sf.denoise(toy, flow, 0.5, "hodge_laplacian", method, order=order)
-    sf.denoise(toy, flow, 0.5, "edge_laplacian", method, order=order)
+    sf.denoise(hodge, flow, 0.5, "hodge_laplacian", method, order=order)
+    sf.denoise(hodge, flow, 0.5, "edge_laplacian", method, order=order)
     assert calls == []
 
 
@@ -196,13 +197,14 @@ def test_denoising_upper_top_covers_lambda_max(monkeypatch):
 
 def test_interval_tops_repeat_bitwise():
     # an unseeded Lanczos start vector gave a different last bit on each call,
-    # which the traced benchmark's byte-compare of cold runs would catch
-    sc = sf.generate_road_complex(546, 1088, 11)
-    for ops in (sf.shift_operators(sc), spectral._normalized_operators(sc)):
-        apps._interval_tops.cache_clear()
-        first = np.array(apps._interval_tops(ops))
-        apps._interval_tops.cache_clear()
-        assert np.array(apps._interval_tops(ops)).tobytes() == first.tobytes()
+    # which the traced benchmark's byte-compare of cold runs would catch; each
+    # run takes the tops of a fresh complex, so both compute them
+    runs = []
+    for _ in range(2):
+        sc = sf.generate_road_complex(546, 1088, 11)
+        runs.append(np.array([apps._interval_tops(ops) for ops in
+                              (sf.shift_operators(sc), spectral._normalized_operators(sc))]))
+    assert runs[1].tobytes() == runs[0].tobytes()
 
 
 @pytest.mark.parametrize("sc", [
@@ -527,13 +529,12 @@ def test_pagerank_all_block_failure_joins_its_threads(monkeypatch, tmp_path, cap
 
 @pytest.mark.parametrize("method, kwargs", RANKINGS, ids=[m for m, _ in RANKINGS])
 def test_pagerank_all_fills_its_caches_once(monkeypatch, method, kwargs):
-    # every cache a block reads is filled in the calling thread before the
+    # everything a block reads is built in the calling thread before the
     # workers start, so threads build nothing a serial run does not
     from simplicial_filters._kernels import ShiftMatrix
 
-    sc = sf.generate_road_complex(150, 300, 11)
-    caches = (spectral._normalized_operators, spectral._projector, apps._interval_tops,
-              design._step_matrix)
+    builds = spy_builds(monkeypatch, spectral._normalized_operators, spectral._projector,
+                        spectral._lambda_max, design._step_matrix)
     small = ShiftMatrix.small.func
     built = []
 
@@ -546,13 +547,14 @@ def test_pagerank_all_fills_its_caches_once(monkeypatch, method, kwargs):
     monkeypatch.setattr(ShiftMatrix, "small", spied)
     runs = []
     for workers in (1, 2):
-        for cache in caches:
-            cache.cache_clear()
+        # a fresh complex per run, from which nothing is derived yet
+        sc = sf.generate_road_complex(150, 300, 11)
+        builds.clear()
         built.clear()
         monkeypatch.setattr(apps, "_worker_count", lambda blocks: workers)
         sf.edge_pagerank_all(sc, 0.05, method, **kwargs)
         assert len(set(map(id, built))) == len(built)
-        runs.append(([cache.cache_info().misses for cache in caches], len(built)))
+        runs.append((dict(builds), len(built)))
     assert runs[1] == runs[0]
 
 
@@ -632,10 +634,7 @@ def test_filter_ranking_builds_only_the_symmetric_pair(monkeypatch, method, orde
     monkeypatch.setattr(sf.ShiftMatrix, "__init__", spy_init)
     for module in (_kernels, spectral, sf.complexes):
         monkeypatch.setattr(module, "read_only", spy_freeze)
-    for module in (spectral, apps, sf.complexes, sf.filters):
-        for obj in vars(module).values():
-            if hasattr(obj, "cache_clear"):
-                obj.cache_clear()
+    # sc is built above, so everything derived from it is built under the spies
     sf.edge_pagerank_all(sc, 0.05, method, order=order)
     sf.edge_pagerank(sc, 0.05, 3, method, order=order)
     assert len(operators) == 2 and operators == list(spectral._normalized_operators(sc))
@@ -665,22 +664,19 @@ def test_projection_failure_is_numerical(toy, tmp_path, monkeypatch, failure, fi
         # leaves at least half of the error (three quarters on the edges), too
         # slow for the step cap
         monkeypatch.setattr(spectral, "CURL_SHIFT", 1.0)
+    # sc is built for this test, so its projectors are built under the failure
     flow = np.linspace(-1.0, 1.0, sc.n_edges)
-    spectral._projector.cache_clear()
-    try:
-        with pytest.raises(sf.NumericalError):
-            sf.hodge_decompose(sc, flow)
-        with pytest.raises(sf.NumericalError):
-            sf.edge_pagerank(sc, 0.05, 0, "exact")
-        with pytest.raises(sf.NumericalError):
-            sf.edge_pagerank_all(sc, 0.05, "cheb", order=10)
-        sc_path, signal_path = tmp_path / "sc.json", tmp_path / "flow.csv"
-        io.save_complex(sc, sc_path)
-        io.save_signal(flow, signal_path)
-        assert main(["decompose", "--sc", str(sc_path), "--signal", str(signal_path),
-                     "--out", str(tmp_path / "out.json")]) == 3
-    finally:
-        spectral._projector.cache_clear()
+    with pytest.raises(sf.NumericalError):
+        sf.hodge_decompose(sc, flow)
+    with pytest.raises(sf.NumericalError):
+        sf.edge_pagerank(sc, 0.05, 0, "exact")
+    with pytest.raises(sf.NumericalError):
+        sf.edge_pagerank_all(sc, 0.05, "cheb", order=10)
+    sc_path, signal_path = tmp_path / "sc.json", tmp_path / "flow.csv"
+    io.save_complex(sc, sc_path)
+    io.save_signal(flow, signal_path)
+    assert main(["decompose", "--sc", str(sc_path), "--signal", str(signal_path),
+                 "--out", str(tmp_path / "out.json")]) == 3
 
 
 def test_harmonic_cheb_extraction_on_edgeless_complex():

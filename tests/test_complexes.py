@@ -1,7 +1,10 @@
+import copy
+import gc
 import hashlib
 import json
-import sys
+import pickle
 import tracemalloc
+import weakref
 from itertools import combinations
 
 import numpy as np
@@ -135,16 +138,13 @@ def test_csr_matches_dense(toy):
     assert np.array_equal(m.to_csr().toarray(), m.to_dense())
 
 
-def _cold_peak_bytes(fn) -> int:
-    """Peak traced allocation of fn() with every package cache emptied first."""
-    for name, module in list(sys.modules.items()):
-        if name.startswith("simplicial_filters"):
-            for obj in list(vars(module).values()):
-                if hasattr(obj, "cache_clear"):
-                    obj.cache_clear()
+def _cold_peak_bytes(fn, obj) -> int:
+    """Peak traced allocation of fn(fresh), ``fresh`` a copy of the complex
+    obj made beforehand: nothing is derived from it yet, so fn runs cold."""
+    fresh = copy.copy(obj)
     tracemalloc.start()
     try:
-        fn()
+        fn(fresh)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -157,21 +157,21 @@ def test_sparse_assembly_allocates_no_dense_matrix():
     flow = np.ones(sc.n_edges)
     cases = {}
     for label, obj in (("plain", sc), ("reoriented", osc)):
-        cases[f"incidences {label}"] = lambda obj=obj: [
+        cases[f"incidences {label}"] = obj, lambda obj: [
             (incidence_matrix(obj, k), sf.boundary_csr(obj, k)) for k in (1, 2)
         ]
-        cases[f"shift operators {label}"] = lambda obj=obj: sf.shift_operators(obj)
-    cases["divergence and curl"] = lambda: (sf.divergence(sc, flow), sf.curl(sc, flow))
+        cases[f"shift operators {label}"] = obj, sf.shift_operators
+    cases["divergence and curl"] = sc, lambda sc: (sf.divergence(sc, flow), sf.curl(sc, flow))
     for k in (0, 1, 2):
-        cases[f"neighborhoods k={k}"] = lambda k=k: [
+        cases[f"neighborhoods k={k}"] = sc, lambda sc, k=k: [
             f(sc, k, 0) for f in (lower_neighborhood, upper_neighborhood)
         ]
-    cases["normalized operators"] = lambda: sf.spectral._normalized_operators(sc)
+    cases["normalized operators"] = sc, sf.spectral._normalized_operators
     # decomposition and Chebyshev ranking used to eigendecompose dense Laplacians
-    cases["hodge_decompose"] = lambda: sf.hodge_decompose(sc, flow)
-    cases["cheb edge_pagerank"] = lambda: sf.edge_pagerank(sc, 0.05, 7, "cheb", order=20)
+    cases["hodge_decompose"] = sc, lambda sc: sf.hodge_decompose(sc, flow)
+    cases["cheb edge_pagerank"] = sc, lambda sc: sf.edge_pagerank(sc, 0.05, 7, "cheb", order=20)
     one_dense = 8 * sc.n_edges ** 2
-    peaks = {name: _cold_peak_bytes(fn) / one_dense for name, fn in cases.items()}
+    peaks = {name: _cold_peak_bytes(fn, obj) / one_dense for name, (obj, fn) in cases.items()}
     assert all(peak < 1 / 8 for peak in peaks.values()), peaks
 
 
@@ -337,17 +337,77 @@ def test_complex_is_hashable(toy):
     assert toy == sf.toy_complex()
 
 
-def test_equal_complexes_hash_once_and_share_cache_entries():
-    # the hash is stored per instance, so cache lookups stop rehashing the
-    # simplex tuples; it must still agree between equal complexes
+def test_derived_data_is_kept_per_complex_object():
+    # derived data lives on the object it comes from, not in a cache keyed by
+    # value: a complex, plain or oriented, derives its operators once, and an
+    # equal complex built apart derives its own, bitwise the same
     a = sf.generate_road_complex(60, 130, 11)
     b = build_complex(a.vertex_count, a.edges, a.triangles)
     assert a is not b and a == b and hash(a) == hash(b)
-    before = sf.shift_operators.cache_info().currsize
-    assert sf.shift_operators(a) is sf.shift_operators(b)
-    assert sf.shift_operators.cache_info().currsize == before + 1
+    oa = sf.reorient(a, OrientationPlan.random(a, np.random.default_rng(0)))
+    for obj in (a, oa):
+        assert sf.shift_operators(obj) is sf.shift_operators(obj)
+    assert sf.shift_operators(b) is not sf.shift_operators(a)
+    flow = np.linspace(-1.0, 1.0, a.n_edges)
+    for op_a, op_b in zip(sf.shift_operators(a), sf.shift_operators(b)):
+        assert (op_a @ flow).tobytes() == (op_b @ flow).tobytes()
     c = build_complex(a.vertex_count, a.edges[:-1])
     assert c != a and sf.shift_operators(c) is not sf.shift_operators(a)
+
+
+def test_derived_data_is_freed_with_its_complex(monkeypatch):
+    # dropping a complex frees what was derived from it and from its
+    # operators; package-wide caches keyed by value used to keep all of it
+    steps = []
+    build_step = sf.design._step_matrix.__wrapped__
+
+    def spy(small, omega):
+        step = build_step(small, omega)
+        steps.append(weakref.ref(step))
+        return step
+
+    monkeypatch.setattr(sf.design._step_matrix, "__wrapped__", spy)
+    sc = sf.generate_road_complex(546, 1088, 11)
+    osc = sf.reorient(sc, OrientationPlan.random(sc, np.random.default_rng(0)))
+    flow = np.random.default_rng(1).standard_normal(sc.n_edges)
+    for obj in (sc, osc):
+        sf.apply(obj, sf.FilterCoefficients(1.0, (0.5, 0.25), (0.5, 0.25)), flow)
+        assert sf.hodge_spectrum(obj).u_gradient.shape[0] == sc.n_edges
+    sf.denoise(sc, flow, 0.5, "hodge_laplacian", "cheb", order=10)
+    sf.hodge_decompose(sc, flow)
+    sf.edge_pagerank(sc, 0.05, 0, "cheb", order=10)
+    ops = sf.shift_operators(sc) + sf.shift_operators(osc) + sf.spectral._normalized_operators(sc)
+    refs = steps + [weakref.ref(x) for x in (sc, osc) + ops + tuple(op.small for op in ops)]
+    del sc, osc, obj, ops
+    gc.collect()
+    assert [ref() for ref in refs if ref() is not None] == []
+    # one step matrix per side of the denoising and of the ranking filter
+    assert len(steps) == 4
+
+
+def test_pickle_and_copy_carry_no_derived_data():
+    # a pickled or copied complex or operator is what it was built from, without
+    # what was derived from it (whose memo keys and mappingproxy would not pickle)
+    sc = sf.toy_complex()
+    osc = sf.reorient(sc, OrientationPlan.random(sc, np.random.default_rng(0)))
+    flow = np.linspace(-1.0, 1.0, sc.n_edges)
+    for obj in (sc, osc):
+        sf.apply(obj, sf.FilterCoefficients(1.0, (0.5, 0.25), (0.5, 0.25)), flow)
+        assert sf.hodge_spectrum(obj).u_gradient.shape[0] == sc.n_edges
+        sf.hodge_decompose(obj, flow)
+    assert sc.edge_index[sc.edges[0]] == 0
+    sf.edge_pagerank(sc, 0.05, 0, "cheb", order=10)
+    fields = {"vertex_count", "edges", "triangles"}
+    oriented = {"base", "edge_signs", "triangle_signs"}
+    for obj, names in ((sc, fields), (osc, oriented)):
+        assert "_memo" in vars(obj)
+        for twin in (pickle.loads(pickle.dumps(obj)), copy.copy(obj), copy.deepcopy(obj)):
+            assert twin == obj and twin is not obj and set(vars(twin)) == names
+    for op in sf.shift_operators(sc) + sf.spectral._normalized_operators(sc):
+        assert {"_memo", "small"} & set(vars(op))
+        for twin in (pickle.loads(pickle.dumps(op)), copy.copy(op)):
+            assert not {"_memo", "small"} & set(vars(twin))
+            assert (twin @ flow).tobytes() == (op @ flow).tobytes()
 
 
 # sha256 of repr((vertex_count, edges, triangles)) of generate_road_complex,

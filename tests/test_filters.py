@@ -14,6 +14,7 @@ from conftest import (
     random_complex,
     road_cases,
     road_with_clique,
+    spy_builds,
 )
 
 
@@ -334,12 +335,10 @@ def test_clique_filled_operators_build_no_gram():
     # stay on the edges and the node Gram, far below that
     import tracemalloc
 
+    # sc is built here, so its operators and their step sides are built
+    # inside the trace
     sc = complete_complex(60)
     flow = np.random.default_rng(0).standard_normal(sc.n_edges)
-    # complexes compare by value, so another test may have built these
-    # operators and their step sides already; build them inside the trace
-    sf.shift_operators.cache_clear()
-    sf.spectral._normalized_operators.cache_clear()
     tracemalloc.start()
     try:
         up = sf.shift_operators(sc)[1]
@@ -690,12 +689,13 @@ def test_small_side_recursions_match_edge_space_oracle(order):
 
 
 @pytest.mark.parametrize("order", [2, 61])
-def test_folded_chebyshev_step_on_two_factor_small_sides(order):
+def test_folded_chebyshev_step_on_two_factor_small_sides(monkeypatch, order):
     # where cliques are filled the upper small side is the product of two
     # factors, and a Chebyshev step is one product with M = (2/omega) S - 2I,
     # S that product as one CSR
     from simplicial_filters.design import _step_matrix
 
+    builds = spy_builds(monkeypatch, _step_matrix)
     rng = np.random.default_rng(order)
     for sc in (complete_complex(12), road_with_clique()):
         for low, up in (sf.shift_operators(sc), sf.spectral._normalized_operators(sc)):
@@ -706,12 +706,12 @@ def test_folded_chebyshev_step_on_two_factor_small_sides(order):
             omegas = (_gershgorin_half(low), _gershgorin_half(up))
             filt = sf.ChebyshevFilter(c_l, c_u, *omegas, g0=0.4)
             run = lambda f: apply_operators(low, up, filt, f)
-            _step_matrix.cache_clear()
+            builds.clear()
             expect, scale = edge_space_chebyshev(filt, low, up, block)
             assert_near_chebyshev_oracle(run(block), expect, scale, order)
             _assert_columns_bitwise(run, block)
             # one M per side, built on the first call and reused by the others
-            assert _step_matrix.cache_info().misses == 2
+            assert builds["_step_matrix"] == 2
             step = _step_matrix(up.small, omegas[1])
             (m,) = step.factors
             assert not any(x.flags.writeable for x in (m.data, m.indices, m.indptr))
