@@ -1,36 +1,38 @@
-"""The shift operator: a product of read-only scipy CSR factors.
+"""The shift operator: one read-only scipy CSR matrix, or a Gram product of one.
 
 The hot operation in this package is repeated sparse products with a
-Laplacian part (simplicial shifting). Each part is a product L = A B of two
-sparse factors, L_lower = B1^T B1 and L_upper = B2 B2^T (or diagonal scalings
-of them). One shift is two rounds of sparse products through the incidences,
-applied right to left: edge -> node -> edge or edge -> triangle -> edge. A
-shift runs on the rows and columns L touches only (for L_upper the edges on
-a triangle, for L_lower the nodes with an edge) and is padded back with
-zeros: every row sums the same entries in the same order as on the whole
-incidence, so the result is bitwise the same, and no intermediate has a row
-for a node or triangle that holds nothing (21800 edges, on a 2-CPU x86 VM:
-an upper shift of one flow took 152-179 us against 167-199 us on the whole
-incidence in the same runs, medians of 25).
+Laplacian part (simplicial shifting). Each part is L = c F F^T for one sparse
+factor F and a scalar c: L_lower = B1^T B1 (F = B1^T, c = 1), L_upper =
+B2 B2^T (F = B2, c = 1) and the degree-normalized parts of
+`spectral._normalized_operators`. The operator keeps A = sqrt(c) F and its
+exact transpose, so every product of the two is a Gram product, symmetric to
+the last bit; a c on A^T alone, or on the product, breaks that or rounds the
+kernel off the exact 2-cycles that the curl projection filters on the edges.
+One shift is two rounds of sparse products, A^T then A: edge -> node -> edge
+or edge -> triangle -> edge. It runs on the rows and columns L touches only
+(the rows of F with entries: for L_upper the edges on a triangle) and is
+padded back with zeros: every row sums the same entries in the same order as
+on the whole incidence, so the result is bitwise the same, and no
+intermediate has a row for a node or triangle that holds nothing (21800
+edges, on a 2-CPU x86 VM: an upper shift of one flow took 152-179 us against
+167-199 us on the whole incidence in the same runs, medians of 25).
 
-A filter recursion steps on whichever side of L = A B is cheaper. Every power
-L^l f with l >= 1 is A G^(l-1) B f with G = B A, which has the same nonzero
+A filter recursion steps on whichever side of L is cheaper. Every power L^l f
+with l >= 1 is A G^(l-1) A^T f with G = A^T A, which has the same nonzero
 spectrum as L (Lim, "Hodge Laplacians on graphs", SIAM Review 2020). So a
 recursion either maps the flow onto G's side once, steps there and maps back
 once, or steps with L itself on the rows and columns it touches. The side is
-fixed when the operator is built, from counts the factors already hold.
-When B has the sparsity pattern of A^T, as every Hodge part and its diagonal
-scalings do, G stores at most sum_e r_e^2 - nnz(A) + n_G entries, r_e being
-the entries in row e of A and n_G the columns of A that hold one. For an
-incidence pair that count is exact, since two simplices share at most one
-face. The recursions step on G when it is no more than nnz(A) + nnz(B), the
-entries of one step with L. For the lower parts that always holds (N0 + 2*N1 against 4*N1: the
-node Gram). For the upper parts it holds on road complexes (21800 edges:
-13,658 entries on the 6,116 triangles against 36,696 on 14,584 edges) and
-fails where cliques are filled, since a complete complex on n vertices has
-n - 2 triangles on every edge (a complete 60-vertex complex: 5,885,840
-against 205,320); there the recursions stay on the edges and G is never
-built.
+fixed when the operator is built, from counts F already holds: G stores at
+most sum_e r_e^2 - nnz(F) + n_G entries, r_e being the entries in row e of F
+and n_G the columns of F that hold one, exactly that many for an incidence,
+since two simplices share at most one face. The recursions step on G when
+it is no more than 2 nnz(F), the entries of one step with L. For the lower
+parts that always holds (N0 + 2*N1 against 4*N1: the node Gram). For the
+upper parts it holds on road complexes (21800 edges: 13,658 entries on the
+6,116 triangles against 36,696 on 14,584 edges) and fails where cliques are
+filled, since a complete complex on n vertices has n - 2 triangles on every
+edge (a complete 60-vertex complex: 5,885,840 against 205,320); there the
+recursions stay on the edges and G is never built.
 
 `spectral.hodge_spectrum` eigendecomposes the same small side densely, and
 `spectral._projector` factors the upper one for the curl projection, so this
@@ -47,16 +49,17 @@ complex joined and filled, the LU factors of its 2613 x 2613 Gram hold
 triangle.
 
 `ShiftMatrix.as_csr` gives the small side as one CSR matrix: the node or
-triangle Gram itself, or, where cliques are filled, the product of the two
-factors of the upper Laplacian on the edges on a triangle. Two edges share at
-most one triangle, so no entry of that product cancels and it stores exactly
-E' + nnz(A) + nnz(B) entries: each edge's diagonal, and one entry per pair of
-edges on a triangle (a complete 60-vertex complex: 207,090 against the 205,320
-of its two factors). On complete 40- and 60-vertex complexes one product with
-it was 1.1-1.2 times faster than the two-factor product for one flow and
-1.4-2.7 times for a block of 128 (2-CPU x86 VM), so the Chebyshev recursions
-step on it (`design.ChebyshevFilter`), `spectral.hodge_spectrum`
-eigendecomposes it, and `spectral._projector` factors it.
+triangle Gram itself, or, where cliques are filled, A A^T on the edges on a
+triangle. Every such side is a Gram product, so it is exactly symmetric:
+`spectral._lambda_max` runs Lanczos on it. Two edges share at most one
+triangle, so no entry of A A^T cancels and it stores exactly E' + 2 nnz(F)
+entries: each edge's diagonal, and one entry per pair of edges on a triangle
+(a complete 60-vertex complex: 207,090 against the 205,320 of A and A^T). On
+complete 40- and 60-vertex complexes one product with it was 1.1-1.2 times
+faster than the two-factor product for one flow and 1.4-2.7 times for a
+block of 128 (2-CPU x86 VM), so the Chebyshev recursions step on it
+(`design.ChebyshevFilter`), `spectral.hodge_spectrum` eigendecomposes it,
+and `spectral._projector` factors it.
 
 A single flow of shape ``(n,)`` runs as one CSR matvec per factor, a block
 of ``k`` flows of shape ``(n, k)`` as one SpMM per factor. Both accumulate
@@ -161,74 +164,66 @@ def read_only(shared):
 
 
 class ShiftMatrix:
-    """Read-only shift operator L = A B, or one matrix L, for repeated shifting.
+    """Read-only shift operator for repeated shifting: ``ShiftMatrix(M)`` is
+    one square matrix L = M (a Gram, a Chebyshev step matrix), and
+    ``ShiftMatrix(F, c)`` the Laplacian part L = c F F^T.
 
-    Each factor is a copy of a scipy sparse or dense matrix in canonical CSR
-    form whose ``data``, ``indices`` and ``indptr`` are not writeable.
-    ``matvec`` and ``@`` apply the factors right to left and take an ``(n,)``
-    vector or an ``(n, k)`` block, ``n`` being the operator's column count.
+    ``factors`` is ``(M,)`` or ``(A, A^T)`` with A = sqrt(c) F (see the module
+    docstring), copies in canonical CSR form whose ``data``, ``indices`` and
+    ``indptr`` are not writeable. ``matvec`` and ``@`` apply them right to
+    left to an ``(n,)`` vector or an ``(n, k)`` block.
 
-    The filter recursions step on ``small`` and compute L^l x as
-    ``from_small(small^(l-1) to_small(x))``. When ``on_gram`` is set, ``small``
-    is the one-factor operator G = B A over the inner indices both factors
-    use; ``to_small`` applies B and ``from_small`` applies A, once per series.
-    Otherwise ``small`` is L restricted to the rows and columns it touches, or
-    L itself when that is all of them; ``to_small`` applies L and keeps those
-    rows, and ``from_small`` pads them back with zeros. ``gram_bound`` is the
+    The filter recursions step on ``small``, built on first use and kept, and
+    compute L^l x as ``from_small(small^(l-1) to_small(x))``. With ``on_gram``
+    set, ``small`` is G = A^T A over the columns of F with entries, entered by
+    ``to_small`` (A^T) and left by ``from_small`` (A) once per series; else it
+    is L on the rows of F with entries (L itself if that is all of them), and
+    ``to_small`` applies L and keeps those rows, which ``from_small`` pads
+    back with zeros. One matrix is its own ``small``. ``gram_bound`` is the
     bound on G's stored entries that decides the side (None for one matrix).
-    ``small`` is built on first use and kept.
 
     A single flow multiplies a read-only copy of each factor that stores at
     least ROW_ORDER_MIN_ENTRIES entries in rows of varying length, with its
     rows stably sorted by length, and takes the result back into canonical
     row order: bitwise the canonical product, without a mispredicted row loop
-    (see the module docstring). The copy of one matrix that touches all of
-    its indices (the Grams and the Chebyshev step matrices) has its columns
+    (see the module docstring). The copy of one matrix M has its columns
     renumbered in the same order and its rows' entries left in stored order,
     so that ``series`` runs a single-flow recursion in that order with one
     gather in and one back per series. Blocks, ``factors`` and ``as_csr``
     keep the canonical rows.
     """
 
-    def __init__(self, *factors):
-        if len(factors) not in (1, 2):
-            raise ValueError("a shift operator is one matrix or a product of two")
-        self.factors = tuple(
-            read_only(sp.csr_matrix(f, dtype=np.float64, copy=True)) for f in factors
-        )
-        for left, right in zip(self.factors, self.factors[1:]):
-            if left.shape[1] != right.shape[0]:
-                raise ValueError(f"factor shapes {left.shape} and {right.shape} do not chain")
-        self.shape = (self.factors[0].shape[0], self.factors[-1].shape[1])
-        if self.shape[0] != self.shape[1]:
-            raise ValueError(f"a shift operator is square, not {self.shape}")
-        touched = np.diff(self.factors[0].indptr) > 0
-        touched[self.factors[-1].indices] = True
-        # the rows and columns L touches, None when that is all of them; the
-        # last factor's other columns are empty and cost nothing, so only the
-        # first factor's rows are cut
-        self._support = None if touched.all() else np.flatnonzero(touched)
-        self.gram_bound, self.on_gram = None, False
-        if len(self.factors) == 1:
-            self._on_support = (_restrict(self.factors[0], self._support, None),)
+    def __init__(self, matrix, scale: float | None = None):
+        m = sp.csr_matrix(matrix, dtype=np.float64, copy=True)
+        self.shape, self._renumbered = (m.shape[0], m.shape[0]), scale is None
+        # the rows and columns L touches, None when that is all of them
+        self._support, self.gram_bound, self.on_gram = None, None, False
+        if scale is None:
+            if m.shape[0] != m.shape[1]:
+                raise ValueError(f"a shift matrix is square, not {m.shape}")
+            self.factors = self._on_support = (read_only(m),)
         else:
-            a, b = self.factors
-            # inner indices used by both factors; the others carry nothing
-            inner = (np.diff(b.indptr) > 0) & (np.bincount(a.indices, minlength=a.shape[1]) > 0)
+            if not 0.0 <= scale < np.inf:
+                raise ValueError(f"L = c F F^T takes a finite c >= 0, not {scale}")
+            m.data *= np.sqrt(scale)
+            self.factors = (read_only(m), read_only(sp.csr_matrix(m.T)))
+            # L touches the rows of F with entries; the inner indices are the
+            # columns of F with entries, the others carry nothing
+            touched, inner = (np.diff(f.indptr) > 0 for f in self.factors)
+            self._support = None if touched.all() else np.flatnonzero(touched)
             inner = None if inner.all() else np.flatnonzero(inner)
-            a, b = _restrict(a, self._support, inner), _restrict(b, inner, None)
-            self._on_support = (a, b)
+            a, b = self._on_support = (_restrict(m, self._support, inner),
+                                       _restrict(self.factors[1], inner, None))
             rows = np.diff(a.indptr).astype(np.int64)
             self.gram_bound = int(rows @ rows) - a.nnz + a.shape[1]
             self.on_gram = self.gram_bound <= a.nnz + b.nnz
         # per factor on the support, None or its copy with rows ordered by
-        # length, the order and its inverse; one matrix that touches all of
-        # its indices has the columns of its copy renumbered too
-        self._renumbered = len(self.factors) == 1 and self._support is None
+        # length, the order and its inverse; the copy of one matrix M has its
+        # columns renumbered too
         self._ordered = tuple(_by_row_length(f, self._renumbered) for f in self._on_support)
 
-    def __reduce__(self):  # the factors, without ``small`` or `memo` entries
-        return ShiftMatrix, self.factors
+    def __reduce__(self):  # M, or A and 1, without ``small`` or `memo` entries
+        return ShiftMatrix, self.factors[:1] + ((1.0,) if len(self.factors) == 2 else ())
 
     def matvec(self, x) -> np.ndarray:
         if np.iscomplexobj(x):
@@ -282,14 +277,15 @@ class ShiftMatrix:
 
     @functools.cached_property
     def small(self) -> ShiftMatrix:
-        *head, last = self._on_support
-        last = _restrict(last, None, self._support)
+        if len(self.factors) == 1 or (self._support is None and not self.on_gram):
+            return self
+        a, b = self._on_support
         if self.on_gram:
-            return ShiftMatrix(last @ head[0])
-        return self if self._support is None else ShiftMatrix(*head, last)
+            return ShiftMatrix(_restrict(b, None, self._support) @ a)
+        return ShiftMatrix(a, 1.0)
 
     def as_csr(self) -> sp.csr_matrix:
-        """L as one read-only CSR matrix: the one factor, or the product of the two."""
+        """L as one read-only CSR matrix: M, or A A^T."""
         if len(self.factors) == 1:
             return self.factors[0]
         a, b = self.factors

@@ -70,7 +70,7 @@ def _resolvent(low, up, shift, scale, method, order, samples, lam_min=0.0):
     L = low + up, or low alone when ``up`` is None; the one solver behind
     denoising and ranking.
 
-    "exact" factors the sparse system assembled from the parts' factors once;
+    "exact" factors the sparse system assembled from the parts once;
     "grid" and "cheb" realize the response 1/(shift + scale*lambda) on
     [lam_min, top] per side with a grid-LS or Chebyshev filter of ``order``,
     the tops from `_interval_tops`.
@@ -81,8 +81,7 @@ def _resolvent(low, up, shift, scale, method, order, samples, lam_min=0.0):
         # an overflowing scale leaves a non-finite entry, which _factor rejects
         with np.errstate(over="ignore", invalid="ignore"):
             for op in (low, up) if two_sided else (low,):
-                a, b = op.factors
-                system = system + scale * (a @ b)
+                system = system + scale * op.as_csr()
         return _factor(system).solve
     if method not in ("grid", "cheb"):
         raise DataError(f"unknown filter method {method!r}")

@@ -386,7 +386,7 @@ class ChebyshevFilter:
         return self.c_upper if upper else self.c_lower
 
     def _side_sum(self, upper: bool, small: ShiftMatrix, b: np.ndarray) -> np.ndarray:
-        """One side's shifted-Chebyshev series of L = A B, summed from b = B f
+        """One side's shifted-Chebyshev series of L = A A^T, summed from b = A^T f
         on the operator's ``small`` side S (see `ShiftMatrix`).
 
         The edge-space terms w_0 = f, w_1 = (L/omega - I) f,

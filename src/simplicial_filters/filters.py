@@ -4,7 +4,7 @@ A filter is the matrix polynomial h0*I + sum_l alpha_l * L_lower^l
 + sum_l beta_l * L_upper^l applied to edge flows. Application always runs as
 a per-step recursion over sparse shifts, on one flow or on a block of flows;
 dense polynomial matrices are never formed. Each recursion steps on the
-cheaper side of its shift L = A B (`spectral.shift_operators`, see
+cheaper side of its shift L = c F F^T (`spectral.shift_operators`, see
 ``_kernels``): the lower one on the nodes,
 L_lower^l f = B1^T (B1 B1^T)^(l-1) B1 f, and the upper one on the triangles
 of road complexes, L_upper^l f = B2 (B2^T B2)^(l-1) B2^T f, or on the edges
@@ -67,7 +67,7 @@ class FilterCoefficients:
         return self.beta if upper else self.alpha
 
     def _side_sum(self, upper: bool, small: ShiftMatrix, x: np.ndarray) -> np.ndarray:
-        # sum_l taps[l-1] L^l f = A (sum_l taps[l-1] G^(l-1) B f), summed on the small side
+        # sum_l taps[l-1] L^l f = A (sum_l taps[l-1] G^(l-1) A^T f), summed on the small side
         taps = self._series(upper)
         step, x, back = small.series(x)
         acc = taps[0] * x

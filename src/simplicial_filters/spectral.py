@@ -35,7 +35,7 @@ CURL_SHIFT = 1e-8
 # refinement steps a shifted curl solve may take before it counts as failed
 REFINE_STEPS = 10
 # a refinement step has converged once it moves the projection of every column
-# by at most this many ulps of that column's norm
+# by at most this many ulps of its norm (on the edges, plus of the move's rounding)
 REFINE_ULPS = 8
 # parts with fewer rows get a dense eigvalsh: ARPACK takes no 1 x 1 matrix
 LANCZOS_MIN_SIZE = 2
@@ -149,11 +149,9 @@ class HodgeSpectrum:
 def _fix_signs(vectors: np.ndarray) -> np.ndarray:
     # deterministic eigenvector signs: largest-magnitude entry made positive
     out = vectors.copy()
-    for j in range(out.shape[1]):
-        col = out[:, j]
-        i = int(np.argmax(np.abs(col)))
-        if col[i] < 0:
-            out[:, j] = -col
+    if out.size:  # argmax takes no empty axis
+        flip = out[np.argmax(np.abs(out), axis=0), np.arange(out.shape[1])] < 0
+        out[:, flip] = -out[:, flip]
     return out
 
 
@@ -166,20 +164,21 @@ def _eigh(matrix: np.ndarray, vectors: bool = True):
 
 @memo
 def _lambda_max(op: ShiftMatrix) -> float:
-    """Largest eigenvalue of a symmetric edge-space part: 0.0 if a factor is zero
-    (a Hodge part is zero exactly then), dense below LANCZOS_MIN_SIZE rows, else
-    Lanczos (``eigsh``) on the factored operator, converged to rounding (Parlett,
-    *The Symmetric Eigenvalue Problem*) from a fixed start vector: bitwise repeatable."""
+    """Largest eigenvalue of a Laplacian part: 0.0 if a factor is zero (a Hodge
+    part is zero exactly then), else that of its symmetric ``small`` side, which
+    has the part's nonzero spectrum: dense below LANCZOS_MIN_SIZE rows, else
+    Lanczos (``eigsh``) on that CSR matrix, converged to rounding (Parlett, *The
+    Symmetric Eigenvalue Problem*) from a fixed start vector: bitwise repeatable."""
     if not all(f.data.any() for f in op.factors):
         return 0.0
-    if op.shape[0] < LANCZOS_MIN_SIZE:
-        return float(_eigh(op.as_csr().toarray(), vectors=False)[-1])
-    from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
+    small = op.small.as_csr()
+    if small.shape[0] < LANCZOS_MIN_SIZE:
+        return float(_eigh(small.toarray(), vectors=False)[-1])
+    from scipy.sparse.linalg import ArpackError, eigsh
 
-    part = LinearOperator(op.shape, matvec=op.matvec, dtype=np.float64)
-    v0 = np.random.default_rng(0).standard_normal(op.shape[0])
+    v0 = np.random.default_rng(0).standard_normal(small.shape[0])
     try:
-        return float(eigsh(part, k=1, which="LA", v0=v0, return_eigenvectors=False)[0])
+        return float(eigsh(small, k=1, which="LA", v0=v0, return_eigenvectors=False)[0])
     except ArpackError as exc:  # no convergence, among others
         raise EigenFailure(f"Lanczos found no largest eigenvalue: {exc}") from exc
 
@@ -192,8 +191,8 @@ def _small_dense(op: ShiftMatrix) -> np.ndarray:
 def _side_basis(obj: SimplicialComplex | OrientedComplex, side: str, count: int) -> np.ndarray:
     """Orthonormal eigenvectors of one side's edge-space part for its ``count``
     largest eigenvalues, from the eigenvectors v of that side's ``small``
-    matrix mapped back by ``from_small``: u = A v / sqrt(lambda) when it is the
-    Gram G = B A of the part L = A B."""
+    matrix mapped back by ``from_small``: u = F v / sqrt(lambda) when it is the
+    Gram G = F^T F of the part L = F F^T."""
     op = shift_operators(obj)[side == "curl"]
     w, v = _eigh(_small_dense(op))
     w, v = w[w.size - count :], v[:, w.size - count :]
@@ -283,68 +282,75 @@ def _factor(matrix: sp.spmatrix):
 
 @memo
 def _projector(sc: SimplicialComplex, side: str, weighted: bool = False):
-    """Orthogonal projector onto im(G) as a map of an (N1,) flow or (N1, k) block.
+    """Orthogonal projector onto im(F) as a map of an (N1,) flow or (N1, k) block.
 
-    G is the first factor of that side's operator: B1^T (side "gradient") or
-    B2 ("curl") from `shift_operators`; weighted, R B1^T or R^-1 B2 from
-    `_normalized_operators`, whose image is that of the symmetric normalized
-    part. No eigenbasis and no dense matrix: one sparse factorization (`memo`).
+    F is the factor of that side's part c F F^T in `shift_operators` or,
+    weighted, `_normalized_operators`: B1^T or R B1^T D1^-1/2 (side
+    "gradient"), B2 or R^-1 B2 ("curl"). Each side solves on the operator's
+    ``small`` matrix S, through ``to_small`` and ``from_small``, with one
+    sparse factorization (`memo`) and no eigenbasis or dense matrix.
 
-    Gradient side: y maps to G psi with (G^T G) psi = G^T y. The node Gram is a
-    graph Laplacian whose kernel is the connected components' indicators, so
-    one node per component is grounded and the rest is factored SPD and solved
-    once.
+    Gradient side: S is the node Gram F^T F, congruent to a graph Laplacian
+    whose kernel is the components' indicators, so one node per component is
+    grounded, the rest is factored SPD, and y maps to F psi, S psi = F^T y.
 
-    Curl side: it solves on the operator's ``small`` matrix S, the side the
-    recursions and `hodge_spectrum` use, picked by `ShiftMatrix`'s one side
-    rule (see `_kernels`). S's kernel (2-cycles such as a clique-filled hollow
+    Curl side: S's kernel (2-cycles such as a clique-filled hollow
     tetrahedron) is not known in advance, so S + delta*I is factored and the
     solve refined until it stops moving the projection. On the triangle Gram
-    S = G^T G (``on_gram``, road complexes) it solves S psi = G^T y and returns
-    G psi, which annihilates the kernel part of psi. On the edges (where
-    cliques are filled) S is the upper part on the edges on a triangle and
-    ``to_small`` gives S y; one solve would leave kernel noise amplified by
-    1/delta that nothing removes, so it refines S^2 u = S y with two solves per
-    step and returns S u, padded back: the product by S annihilates that noise
-    as G does on the Gram side.
+    S = A^T A, A = sqrt(c) F (``on_gram``, road complexes), it solves
+    S psi = A^T y and returns A psi, which annihilates the kernel part of psi.
+    On the edges (where cliques are filled) S is the upper part on the edges
+    on a triangle and ``to_small`` gives S y; one solve would leave kernel
+    noise amplified by 1/delta that nothing removes, so it refines
+    S^2 u = S y with two solves per step and returns S u, padded back: the
+    product by S annihilates that noise as A does on the Gram side, up to its
+    own rounding, which the convergence test allows for (REFINE_ULPS).
     """
+    op = (_normalized_operators if weighted else shift_operators)(sc)[side == "curl"]
+    small = op.small.as_csr()
     if side == "gradient":
         from scipy.sparse.csgraph import connected_components
 
-        g = (_normalized_operators if weighted else shift_operators)(sc)[0].factors[0]
-        gram = sp.csr_matrix(g.T @ g)
-        _, labels = connected_components(gram, directed=False)
-        keep = np.ones(gram.shape[0], dtype=bool)
+        _, labels = connected_components(small, directed=False)
+        keep = np.ones(small.shape[0], dtype=bool)
         keep[np.unique(labels, return_index=True)[1]] = False
-        g, gram = g[:, keep], gram[keep][:, keep]
-        if gram.shape[0] == 0:
+        if not keep.any():
             return lambda y: np.zeros_like(y)
-        gt = read_only(sp.csr_matrix(g.T))
-        g = read_only(g)
-        lu = _factor(gram)
-        return lambda y: g @ lu.solve(gt @ y)
+        lu = _factor(small[keep][:, keep])
 
-    op = (_normalized_operators if weighted else shift_operators)(sc)[1]
-    small = op.small.as_csr()
+        def project_gradient(y):
+            psi = op.to_small(y)
+            psi[keep] = lu.solve(psi[keep])
+            psi[~keep] = 0.0
+            return op.from_small(psi)
+
+        return project_gradient
+
     if small.shape[0] == 0:
         return lambda y: np.zeros_like(y)
-    shift = CURL_SHIFT * float(abs(small).sum(axis=1).max())
+    magnitude = abs(small)
+    shift = CURL_SHIFT * float(magnitude.sum(axis=1).max())
     lu = _factor(small + shift * sp.identity(small.shape[0], format="csr"))
+    ulps = REFINE_ULPS * np.finfo(np.float64).eps
     if op.on_gram:
         system, solve, output = (lambda u: small @ u), lu.solve, op.from_small
+        noise = lambda step: 0.0
     else:
         system = lambda u: small @ (small @ u)
         solve = lambda r: lu.solve(lu.solve(r))
         output = lambda u: op.from_small(small @ u)
+        # S step rounds at up to |S| |step|, and the steps' kernel parts,
+        # amplified by 1/delta^2, bring that to about 8 ulps of y
+        noise = lambda step: np.linalg.norm(magnitude @ np.abs(step), axis=0)
 
     def project(y):
         rhs = op.to_small(y)
         u = solve(rhs)
-        tol = REFINE_ULPS * np.finfo(np.float64).eps * np.linalg.norm(y, axis=0)
+        tol = ulps * np.linalg.norm(y, axis=0)
         for _ in range(REFINE_STEPS):
             step = solve(rhs - system(u))
             u += step
-            if np.all(np.linalg.norm(output(step), axis=0) <= tol):
+            if np.all(np.linalg.norm(output(step), axis=0) <= tol + ulps * noise(step)):
                 return output(u)
         raise NumericalError(
             f"curl projection did not converge in {REFINE_STEPS} refinement steps"
@@ -455,16 +461,16 @@ def shift_operators(
     object (`memo`), freed with it and not shared with an equal complex.
     """
     b1, b2 = boundary_csr(obj, 1), boundary_csr(obj, 2)
-    return ShiftMatrix(b1.T, b1), ShiftMatrix(b2, b2.T)
+    return ShiftMatrix(b1.T, 1.0), ShiftMatrix(b2, 1.0)
 
 
 @memo
 def _normalized_operators(sc: SimplicialComplex) -> tuple[ShiftMatrix, ShiftMatrix]:
-    """The symmetric normalized parts S_lower = G_l D1^-1 G_l^T and
-    S_upper = G_u G_u^T / 3 as incidence products, G_l = R B1^T and
-    G_u = R^-1 B2 with R = diag(sqrt(d2)); each steps on the side `ShiftMatrix`
-    picks, as in `shift_operators`, and the weighted curl projection of ranking
-    (`_projector`) solves on the upper one's side by the same rule.
+    """The symmetric normalized parts S_lower = F_l F_l^T and
+    S_upper = F_u F_u^T / 3 as incidence products, F_l = R B1^T D1^-1/2 and
+    F_u = R^-1 B2 with R = diag(sqrt(d2)); each steps on the side `ShiftMatrix`
+    picks, as in `shift_operators`, and the weighted projections of ranking
+    (`_projector`) solve on those sides.
 
     The normalized edge Laplacian is L_n = R (S_lower + S_upper) R^-1 (Schaub
     et al., "Random walks on simplicial complexes and the normalized Hodge
@@ -473,21 +479,19 @@ def _normalized_operators(sc: SimplicialComplex) -> tuple[ShiftMatrix, ShiftMatr
     b1, b2 = boundary_csr(sc, 1), boundary_csr(sc, 2)
     d1, d2 = _normalized_degrees(sc)
     root = np.sqrt(d2)
-    g_lower = sp.diags(root) @ b1.T
-    g_upper = sp.diags(1.0 / root) @ b2
     return (
-        ShiftMatrix(g_lower, sp.diags(1.0 / d1) @ g_lower.T),
-        ShiftMatrix(g_upper, g_upper.T / 3.0),
+        ShiftMatrix(sp.diags(root) @ b1.T @ sp.diags(1.0 / np.sqrt(d1)), 1.0),
+        ShiftMatrix(sp.diags(1.0 / root) @ b2, 1.0 / 3.0),
     )
 
 
 def _assembled_normalized(sc: SimplicialComplex):
     """The weight d2, the symmetric parts [S_lower, S_upper] and the normalized
-    parts [R S_lower R^-1, R S_upper R^-1], sparse products of the factors of
-    `_normalized_operators`, for the dense views."""
+    parts [R S_lower R^-1, R S_upper R^-1], from `_normalized_operators`, for
+    the dense views."""
     _, d2 = _normalized_degrees(sc)
     root = np.sqrt(d2)
-    sym = [a @ b for a, b in (op.factors for op in _normalized_operators(sc))]
+    sym = [op.as_csr() for op in _normalized_operators(sc)]
     return d2, sym, [sp.diags(root) @ s @ sp.diags(1.0 / root) for s in sym]
 
 

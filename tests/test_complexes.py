@@ -9,6 +9,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import simplicial_filters as sf
 from simplicial_filters import (
@@ -403,11 +404,19 @@ def test_pickle_and_copy_carry_no_derived_data():
         assert "_memo" in vars(obj)
         for twin in (pickle.loads(pickle.dumps(obj)), copy.copy(obj), copy.deepcopy(obj)):
             assert twin == obj and twin is not obj and set(vars(twin)) == names
-    for op in sf.shift_operators(sc) + sf.spectral._normalized_operators(sc):
+    # and a factor with an empty row and an empty column, scaled by c != 1
+    b2 = sf.boundary_csr(sc, 2)
+    ragged = sf.ShiftMatrix(sp.hstack([b2[:, :-1], sp.csr_matrix((sc.n_edges, 1))]), 0.3)
+    assert ragged._support is not None and ragged.small.shape[0] == sc.n_triangles - 1
+    for op in sf.shift_operators(sc) + sf.spectral._normalized_operators(sc) + (ragged,):
         assert {"_memo", "small"} & set(vars(op))
         for twin in (pickle.loads(pickle.dumps(op)), copy.copy(op)):
             assert not {"_memo", "small"} & set(vars(twin))
+            assert twin.shape == op.shape and all(
+                (t != o).nnz == 0 for t, o in zip(twin.factors, op.factors))
             assert (twin @ flow).tobytes() == (op @ flow).tobytes()
+            np.testing.assert_array_equal(twin.small.as_csr().toarray(),
+                                          op.small.as_csr().toarray())
 
 
 # sha256 of repr((vertex_count, edges, triangles)) of generate_road_complex,

@@ -2,6 +2,7 @@ from itertools import chain
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import simplicial_filters as sf
 from simplicial_filters import DataError, DimensionMismatch, FilterCoefficients
@@ -268,7 +269,7 @@ def test_step_operators_are_built_on_first_use():
     sc = sf.build_complex(8, [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3), (3, 4), (4, 5), (5, 6)],
                           [(0, 1, 2), (1, 2, 3)])
     b1, b2 = sf.boundary_csr(sc, 1), sf.boundary_csr(sc, 2)
-    low, up = sf.ShiftMatrix(b1.T, b1), sf.ShiftMatrix(b2, b2.T)
+    low, up = sf.ShiftMatrix(b1.T, 1.0), sf.ShiftMatrix(b2, 1.0)
     assert "small" not in vars(low) and "small" not in vars(up)
     # the node Gram over the 7 nodes with an edge; the triangle Gram over the
     # 2 triangles (4 entries, against 12 in B2 and B2^T on the 5 edges they span)
@@ -278,6 +279,33 @@ def test_step_operators_are_built_on_first_use():
     flow = np.arange(1.0, sc.n_edges + 1)
     np.testing.assert_array_equal(up.from_small(up.to_small(flow)), up @ flow)
     np.testing.assert_array_equal(low.from_small(low.to_small(flow)), low @ flow)
+    # L = c F F^T for c != 1 and an F with empty rows (edges on no triangle)
+    # and empty columns (the isolated node, and a column added to B2); with
+    # c = 1/4 and integer flows every product is exact, so L x = c F (F^T x)
+    # bitwise, and the small side is c F^T F on the columns with entries
+    block = np.column_stack([flow, flow[::-1]])
+    wide = sp.hstack([b2, sp.csr_matrix((sc.n_edges, 1))])
+    for f, columns in ((b1.T, 7), (b2, 2), (wide, 2)):
+        f = sp.csr_matrix(f)
+        used = np.flatnonzero(np.diff(f.tocsc().indptr))
+        for c in (0.25, 1.0 / 3.0):
+            op = sf.ShiftMatrix(f, c)
+            assert op.shape == (sc.n_edges, sc.n_edges) and op.on_gram
+            assert op.small.shape == (columns, columns) and used.size == columns
+            small = op.small.as_csr()
+            assert (small != small.T).nnz == 0
+            gram = (c * (f.T @ f)).toarray()[np.ix_(used, used)]
+            for x in (flow, block):
+                expect = c * (f @ (f.T @ x))
+                np.testing.assert_array_equal(op.from_small(op.to_small(x)), op @ x)
+                if c == 0.25:
+                    np.testing.assert_array_equal(op @ x, expect)
+                    np.testing.assert_array_equal(small.toarray(), gram)
+                    continue
+                # within a few ulps of c |F| |F|^T |x|, and of c |F|^T |F|
+                mag = c * (abs(f) @ (abs(f).T @ np.abs(x)))
+                assert np.all(np.abs(op @ x - expect) <= 4 * EPS * mag)
+                assert np.all(np.abs(small.toarray() - gram) <= 4 * EPS * np.abs(gram))
 
 
 def test_recursions_step_on_no_more_entries_than_the_shift():
@@ -594,7 +622,8 @@ EPS = np.finfo(np.float64).eps
 
 
 def _abs_operator(op):
-    return sf.ShiftMatrix(*(abs(f) for f in op.factors))
+    # |L| <= |A| |B| entrywise for the two stored factors, B = A^T
+    return sf.ShiftMatrix(abs(op.factors[0]), 1.0)
 
 
 def edge_space_filter(op_lower, op_upper, coeffs, flow):

@@ -211,6 +211,47 @@ def test_frequencies_build_no_large_side_matrix():
         assert peak < 8 * largest**2
 
 
+def test_small_sides_are_symmetric_and_tops_take_no_edge_space_matvec(monkeypatch):
+    # the normalized lower part was stored as R B1^T and D1^-1 B1 R, whose
+    # small side D1^-1 B1 D2 B1^T is not symmetric (max |S - S^T| = 0.462 at
+    # 1088 edges), so the tops ran Lanczos through the edge-space matvec
+    calls = []
+    matvec = sf.ShiftMatrix.matvec
+
+    def spy(self, x):
+        calls.append(self)
+        return matvec(self, x)
+
+    monkeypatch.setattr(sf.ShiftMatrix, "matvec", spy)
+    cases = [sf.generate_road_complex(546, 1088, 11), complete_complex(12), road_with_clique()]
+    for sc in cases + degenerate_complexes():
+        for op in sf.shift_operators(sc) + spectral._normalized_operators(sc):
+            small = op.small.as_csr()
+            assert (small != small.T).nnz == 0
+            calls.clear()
+            spectral._lambda_max.__wrapped__(op)
+            assert calls == []
+
+
+def test_fix_signs_matches_the_column_loop():
+    # one argmax along the columns, against the per-column loop it replaced:
+    # the first largest-magnitude entry decides, and empty bases pass through
+    def loop(vectors):
+        out = vectors.copy()
+        for j in range(out.shape[1]):
+            i = int(np.argmax(np.abs(out[:, j])))
+            if out[i, j] < 0:
+                out[:, j] = -out[:, j]
+        return out
+
+    rng = np.random.default_rng(3)
+    ties = np.array([[-2.0, 2.0, 0.0, -0.0], [2.0, -2.0, 0.0, 0.0], [1.0, 1.0, -0.0, -0.0]])
+    for vectors in (ties, rng.standard_normal((7, 5)), np.asfortranarray(rng.standard_normal((6, 3))),
+                    np.zeros((0, 0)), np.zeros((4, 0))):
+        got = spectral._fix_signs(vectors)
+        assert got.shape == vectors.shape and got.tobytes() == loop(vectors).tobytes()
+
+
 def test_basis_orthonormal(toy):
     U = hodge_spectrum(toy).basis
     np.testing.assert_allclose(U.T @ U, np.eye(toy.n_edges), atol=1e-10)
