@@ -34,9 +34,11 @@ filled, since a complete complex on n vertices has n - 2 triangles on every
 edge (a complete 60-vertex complex: 5,885,840 against 205,320); there the
 recursions stay on the edges and G is never built.
 
-`spectral.hodge_spectrum` eigendecomposes the same small side densely, and
-`spectral._projector` factors the upper one for the curl projection, so this
-one rule also sizes that O(N^3) step and that sparse factorization. It
+`spectral.hodge_spectrum` eigendecomposes the same small side densely,
+`design.estimate_lambda_max` power-iterates on it (through ``to_small`` and
+``series``, with no edge-space product), and `spectral._projector` factors
+the upper one for the curl projection, so this one rule also sizes that
+O(N^3) step and that sparse factorization. It
 counts entries, not dimensions: the node Gram can have up to twice as many
 rows as the edges (a perfect matching), and the edges on a triangle up to
 three times as many as the triangles (E' <= 3*N2: a book of many triangles on

@@ -287,9 +287,18 @@ def estimate_lambda_max(matrix, iterations: int = 50, seed: int = 0) -> float:
     """Power-iteration estimate of the dominant eigenvalue (Rayleigh quotient).
 
     ``matrix`` is anything with ``shape`` and ``@``: a ShiftMatrix, a scipy
-    sparse matrix or a dense array. Deterministic for a fixed seed; 0.0 for
-    the zero matrix. It can stop short of lambda_max: no design interval of the
-    package rests on it (those are `apps._interval_tops`).
+    sparse matrix or a dense array, with finite real entries. Deterministic
+    for a fixed seed; 0.0 for the zero matrix. It can stop short of
+    lambda_max: no design interval of the package rests on it (those are
+    `apps._interval_tops`).
+
+    A ShiftMatrix takes the same iterates on its small side: L^k v is
+    A G^(k-1) A^T v on a Gram G = A^T A, and pad(S^(k-1) L v) where the small
+    side S is L on the rows it touches. So ``to_small`` and ``iterations - 1``
+    single-flow steps of ``small.series`` replace the edge-space products,
+    each normalized as here. The quotient v.Lv is u.Su on the rows L touches;
+    on a Gram, for v = A u / |A u|, it is |G u|^2 / u.Gu, since |A u|^2 = u.Gu
+    (u.Gu alone is half a step behind).
     """
     if iterations < 1:
         raise DataError("iterations must be >= 1")
@@ -298,17 +307,34 @@ def estimate_lambda_max(matrix, iterations: int = 50, seed: int = 0) -> float:
     # a ShiftMatrix has no dtype: it is real by construction
     if getattr(matrix, "dtype", np.dtype(np.float64)).kind == "c":
         raise DataError("estimate_lambda_max takes a real matrix, not a complex one")
+    if isinstance(matrix, ShiftMatrix):
+        entries = [f.data for f in matrix.factors]
+    else:
+        entries = [matrix.data] if sp.issparse(matrix) else [matrix]
+    if not all(np.isfinite(e).all() for e in entries if isinstance(e, np.ndarray)):
+        raise DataError("estimate_lambda_max takes a matrix of finite entries")
     n = matrix.shape[0]
     rng = np.random.default_rng(seed)
     v = rng.standard_normal(n)
     v /= np.linalg.norm(v)
+    step = matrix.__matmul__
+    if isinstance(matrix, ShiftMatrix):
+        v, iterations = matrix.to_small(v), iterations - 1
+        norm = np.linalg.norm(v)
+        if norm < 1e-300:
+            return 0.0
+        step, v, _ = matrix.small.series(v / norm)
     for _ in range(iterations):
-        w = matrix @ v
+        w = step(v)
         norm = np.linalg.norm(w)
         if norm < 1e-300:
             return 0.0
         v = w / norm
-    return float(v @ (matrix @ v))
+    w = step(v)
+    if getattr(matrix, "on_gram", False):
+        quotient = v @ w
+        return float(w @ w / quotient) if quotient > 0.0 else 0.0
+    return float(v @ w)
 
 
 def grid_design(

@@ -14,6 +14,7 @@ from simplicial_filters import (
     FilterCoefficients,
     IllConditioned,
     ResponseSpec,
+    spectral,
 )
 from simplicial_filters.design import (
     chebyshev_coefficients,
@@ -21,7 +22,7 @@ from simplicial_filters.design import (
     ls_tied,
 )
 
-from conftest import random_complex
+from conftest import random_complex, road_with_clique
 
 
 def quad_cheb_coeffs(fn, omega, order):
@@ -165,6 +166,35 @@ def test_estimate_lambda_max_rejects_complex():
     for bad in (dense, sp.csr_matrix(dense), dense.tolist()):
         with pytest.raises(DataError, match="complex"):
             sf.estimate_lambda_max(bad, 5)
+
+
+def test_estimate_lambda_max_rejects_non_finite_entries():
+    # a NaN or infinite entry came back as a nan estimate, with no error
+    for value in (np.nan, np.inf, -np.inf):
+        dense = np.eye(3)
+        dense[0, 1] = dense[1, 0] = value
+        for bad in (dense, sp.csr_matrix(dense), sf.ShiftMatrix(dense), sf.ShiftMatrix(dense, 1.0)):
+            with pytest.raises(DataError, match="finite"):
+                sf.estimate_lambda_max(bad, 5)
+
+
+def test_estimate_lambda_max_on_the_small_side_matches_the_edge_space():
+    # a ShiftMatrix iterates on its small side: the node and triangle Grams
+    # (the node Gram and the one matrix through their row-ordered copies at
+    # 4352 edges) and L on the edges on a triangle around a filled clique.
+    # The Gram quotient is |Gu|^2 / u.Gu; u.Gu alone is half a step behind,
+    # and read 15% low after one step on the node Gram here
+    road = sf.generate_road_complex(2176, 4352, 11)
+    ops = sf.shift_operators(road) + spectral._normalized_operators(road)
+    clique_upper = sf.shift_operators(road_with_clique())[1]
+    ops += (clique_upper, sf.ShiftMatrix(ops[0].as_csr()))
+    assert [op.on_gram for op in ops] == [True] * 4 + [False] * 2
+    for op in ops:
+        for k in (1, 2, 50):
+            expect = sf.estimate_lambda_max(op.as_csr(), k)
+            assert abs(sf.estimate_lambda_max(op, k) - expect) <= 1e-14 * expect, (op, k)
+    no_triangles = sf.build_complex(5, [(0, 1), (1, 2), (2, 3), (0, 3), (3, 4)])
+    assert sf.estimate_lambda_max(sf.shift_operators(no_triangles)[1], 50) == 0.0
 
 
 def test_grid_design_recovers_polynomial(toy):
