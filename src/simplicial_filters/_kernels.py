@@ -1,4 +1,5 @@
-"""The shift operator: one read-only scipy CSR matrix, or a Gram product of one.
+"""The shift operator: one read-only scipy CSR matrix, or a Gram product of one,
+and the accumulating step of the filter series.
 
 The hot operation in this package is repeated sparse products with a
 Laplacian part (simplicial shifting). Each part is L = c F F^T for one sparse
@@ -50,18 +51,19 @@ complex joined and filled, the LU factors of its 2613 x 2613 Gram hold
 4,061,303 entries against 68,245 for the upper part on the 1033 edges on a
 triangle.
 
-`ShiftMatrix.as_csr` gives the small side as one CSR matrix: the node or
-triangle Gram itself, or, where cliques are filled, A A^T on the edges on a
-triangle. Every such side is a Gram product, so it is exactly symmetric:
-`spectral._lambda_max` runs Lanczos on it. Two edges share at most one
+`ShiftMatrix.small` is one CSR matrix everywhere: the node or triangle Gram
+itself, or, where cliques are filled, A A^T on the edges on a triangle (which
+``as_csr`` of the operator gives on all the edges). Every such side is a
+Gram product, so it is exactly symmetric: `spectral._lambda_max` runs
+Lanczos on it. Two edges share at most one
 triangle, so no entry of A A^T cancels and it stores exactly E' + 2 nnz(F)
 entries: each edge's diagonal, and one entry per pair of edges on a triangle
 (a complete 60-vertex complex: 207,090 against the 205,320 of A and A^T). On
 complete 40- and 60-vertex complexes one product with it was 1.1-1.2 times
 faster than the two-factor product for one flow and 1.4-2.7 times for a
-block of 128 (2-CPU x86 VM), so the Chebyshev recursions step on it
-(`design.ChebyshevFilter`), `spectral.hodge_spectrum` eigendecomposes it,
-and `spectral._projector` factors it.
+block of 128 (2-CPU x86 VM), so every series steps on it (the monomial and
+Chebyshev filters and the power iterations), `spectral.hodge_spectrum`
+eigendecomposes it, and `spectral._projector` factors it.
 
 A single flow of shape ``(n,)`` runs as one CSR matvec per factor, a block
 of ``k`` flows of shape ``(n, k)`` as one SpMM per factor. Both accumulate
@@ -101,8 +103,34 @@ more than the order saves (the 1088-edge node Gram times 128 columns took
 229 us canonical, 1135 us ordered and gathered; at 21800 edges and 16
 columns, 1022 us against 3290 us).
 
-A filter series repeats products with one matrix (a node or triangle Gram,
-or a Chebyshev step matrix), so its copy also has column j renumbered to
+A filter series repeats products with one matrix M (a node or triangle Gram,
+A A^T on the edges on a triangle, or a Chebyshev step matrix), and each of
+its steps adds one product into an array the recursion already holds:
+Horner's rule for monomial taps (`filters.FilterCoefficients`), Clenshaw's
+backward recurrence for Chebyshev series (`design.ChebyshevFilter`, after
+Clenshaw, Math. Tables Aids Comput. 9, 1955) and a zero-filled buffer for
+the power iterations. ``ShiftMatrix.series`` gives that step as
+``add(v, out)``, which computes out += M v in place through ``csr_matvec``
+(a flow) and ``csr_matvecs`` (a block) of ``scipy.sparse._sparsetools``, a
+private scipy module: they are the kernels behind scipy's own CSR ``@``,
+which calls them on a zero-filled result. Each starts a row from out's value
+and adds its entries' products in stored order, the block kernel column by
+column, so a block column is still bitwise the single-flow result, and a
+zero-filled out gets bitwise scipy's product. A step thus pays one kernel
+call, with no scipy dispatch and no fresh zeroed result, plus one
+elementwise pass for Horner (out = a_l x) and two for Clenshaw (a scaled
+copy of b into a held buffer, then the subtraction of u_{k+2}: numpy has no
+fused three-operand pass), where the forward Chebyshev recursion took four
+passes around a fresh product. At 21800 edges, seed 11 (medians of 15
+rounds of 200, 2-CPU x86 VM), a step with the triangle step matrix (13,658
+entries on 6,116 rows) took 12-20 us against 16-24 us for ``@`` on the same
+copy, and the two passes 4-6 us; on the node step matrix (54,500 entries,
+10,900 rows) 41-67 us against 56-59 us, and the passes 6-7 us. The kernels
+check no bounds, and cast or copy an operand of another dtype or layout on
+every call, so ``series`` checks its flow once and ``add`` refuses a ``v``
+or ``out`` that does not match it, or that share memory.
+
+The row-ordered copy of one matrix also has column j renumbered to
 inverse[j], the position row j took, and is P M P^T for the row order P.
 Each row keeps its entries in stored order, so the renumbered indices are
 not sorted (sorting them would change the order in which a row sums). A
@@ -123,6 +151,7 @@ import functools
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse._sparsetools import csr_matvec, csr_matvecs
 
 # identity columns per block when a whole operator is applied column by column
 IDENTITY_CHUNK = 128
@@ -179,9 +208,10 @@ class ShiftMatrix:
     compute L^l x as ``from_small(small^(l-1) to_small(x))``. With ``on_gram``
     set, ``small`` is G = A^T A over the columns of F with entries, entered by
     ``to_small`` (A^T) and left by ``from_small`` (A) once per series; else it
-    is L on the rows of F with entries (L itself if that is all of them), and
+    is L = A A^T on the rows of F with entries, as one matrix, and
     ``to_small`` applies L and keeps those rows, which ``from_small`` pads
-    back with zeros. One matrix is its own ``small``. ``gram_bound`` is the
+    back with zeros. One matrix is its own ``small``, so ``small`` is always
+    one matrix, and ``series`` runs on it. ``gram_bound`` is the
     bound on G's stored entries that decides the side (None for one matrix).
 
     A single flow multiplies a read-only copy of each factor that stores at
@@ -191,7 +221,8 @@ class ShiftMatrix:
     (see the module docstring). The copy of one matrix M has its columns
     renumbered in the same order and its rows' entries left in stored order,
     so that ``series`` runs a single-flow recursion in that order with one
-    gather in and one back per series. Blocks, ``factors`` and ``as_csr``
+    gather in and one back per series, each step adding one product into an
+    array the recursion holds. Blocks, ``factors`` and ``as_csr``
     keep the canonical rows.
     """
 
@@ -250,19 +281,47 @@ class ShiftMatrix:
         return self._on_support[i] @ x
 
     def series(self, x: np.ndarray):
-        """``(step, x, back)`` for a recursion of products with this operator:
-        ``step`` is one product, taking and giving flows in the order the
-        recursion runs in, ``x`` the flow in that order, and ``back`` takes a
-        result of steps and elementwise passes back to canonical order.
+        """``(add, x, back)`` for a recursion of products with this one matrix
+        M: ``add(v, out)`` computes ``out += M v`` in place, taking and giving
+        flows in the order the recursion runs in, ``x`` is the flow in that
+        order, and ``back`` takes a result of steps and elementwise passes
+        back to canonical order.
 
-        A single flow on one matrix with a row-ordered copy runs in the copy's
-        row order, with one gather in and one back per series; anything else
-        steps with ``matvec`` in canonical order.
+        ``add`` calls scipy's CSR kernels (``csr_matvec`` for a flow,
+        ``csr_matvecs`` for a block, see the module docstring), which start
+        every row from ``out``'s value and check no bounds. So ``x`` must be a
+        C-contiguous float64 ``(n,)`` flow or ``(n, k)`` block, and ``add``
+        refuses a ``v`` or ``out`` of another shape, dtype or layout, and an
+        ``out`` that shares memory with ``v``. A single flow with a row-ordered
+        copy runs in the copy's row order, with one gather in and one back per
+        series; anything else steps on the canonical rows.
         """
-        if x.ndim == 1 and self._renumbered and self._ordered[0] is not None:
+        if len(self.factors) != 1:
+            raise ValueError("a series steps on one matrix, such as an operator's small side")
+        n = self.shape[0]
+        if (x.dtype != np.float64 or x.ndim not in (1, 2) or x.shape[0] != n
+                or not x.flags.c_contiguous):
+            raise ValueError(f"a series takes a C-contiguous float64 flow of {n} rows, "
+                             f"not {x.dtype} {x.shape}")
+        rows, back = self.factors[0], lambda y: y
+        if x.ndim == 1 and self._ordered[0] is not None:
             rows, order, inverse = self._ordered[0]
-            return rows.__matmul__, x.take(order), lambda y: y.take(inverse)
-        return self.matvec, x, lambda y: y
+            x, back = x.take(order), lambda y: y.take(inverse)
+        shape, matrix = x.shape, (rows.indptr, rows.indices, rows.data)
+        if x.ndim == 1:
+            kernel = functools.partial(csr_matvec, n, n, *matrix)
+        else:
+            kernel = functools.partial(csr_matvecs, n, n, shape[1], *matrix)
+
+        def add(v: np.ndarray, out: np.ndarray) -> None:
+            if not (v.shape == out.shape == shape and v.dtype == out.dtype == np.float64
+                    and v.flags.c_contiguous and out.flags.c_contiguous) \
+                    or np.may_share_memory(v, out):
+                raise ValueError(f"a step adds M v of shape {shape} into another "
+                                 f"C-contiguous float64 array of that shape")
+            kernel(v, out)
+
+        return add, x, back
 
     def _shift(self, x: np.ndarray) -> np.ndarray:
         # L x on the support
@@ -279,12 +338,11 @@ class ShiftMatrix:
 
     @functools.cached_property
     def small(self) -> ShiftMatrix:
-        if len(self.factors) == 1 or (self._support is None and not self.on_gram):
+        if len(self.factors) == 1:
             return self
         a, b = self._on_support
-        if self.on_gram:
-            return ShiftMatrix(_restrict(b, None, self._support) @ a)
-        return ShiftMatrix(a, 1.0)
+        b = _restrict(b, None, self._support)
+        return ShiftMatrix(b @ a if self.on_gram else a @ b)
 
     def as_csr(self) -> sp.csr_matrix:
         """L as one read-only CSR matrix: M, or A A^T."""

@@ -294,11 +294,12 @@ def estimate_lambda_max(matrix, iterations: int = 50, seed: int = 0) -> float:
 
     A ShiftMatrix takes the same iterates on its small side: L^k v is
     A G^(k-1) A^T v on a Gram G = A^T A, and pad(S^(k-1) L v) where the small
-    side S is L on the rows it touches. So ``to_small`` and ``iterations - 1``
-    single-flow steps of ``small.series`` replace the edge-space products,
-    each normalized as here. The quotient v.Lv is u.Su on the rows L touches;
-    on a Gram, for v = A u / |A u|, it is |G u|^2 / u.Gu, since |A u|^2 = u.Gu
-    (u.Gu alone is half a step behind).
+    side S is L on the rows it touches, as one matrix. So ``to_small`` and
+    ``iterations - 1`` single-flow steps of ``small.series`` replace the
+    edge-space products: each adds S v into a zero-filled buffer, which
+    rounds as a fresh product does, and is normalized in place. The quotient
+    v.Lv is u.Su on the rows L touches; on a Gram, for v = A u / |A u|, it is
+    |G u|^2 / u.Gu, since |A u|^2 = u.Gu (u.Gu alone is half a step behind).
     """
     if iterations < 1:
         raise DataError("iterations must be >= 1")
@@ -317,20 +318,28 @@ def estimate_lambda_max(matrix, iterations: int = 50, seed: int = 0) -> float:
     rng = np.random.default_rng(seed)
     v = rng.standard_normal(n)
     v /= np.linalg.norm(v)
-    step = matrix.__matmul__
     if isinstance(matrix, ShiftMatrix):
         v, iterations = matrix.to_small(v), iterations - 1
         norm = np.linalg.norm(v)
         if norm < 1e-300:
             return 0.0
-        step, v, _ = matrix.small.series(v / norm)
+        add, v, _ = matrix.small.series(v / norm)
+
+        def step(v, w):
+            w.fill(0.0)
+            add(v, w)
+            return w
+    else:
+        step = lambda v, w: matrix @ v
+    w = np.empty_like(v)
     for _ in range(iterations):
-        w = step(v)
+        w = step(v, w)
         norm = np.linalg.norm(w)
         if norm < 1e-300:
             return 0.0
-        v = w / norm
-    w = step(v)
+        w /= norm
+        v, w = w, v
+    w = step(v, w)
     if getattr(matrix, "on_gram", False):
         quotient = v @ w
         return float(w @ w / quotient) if quotient > 0.0 else 0.0
@@ -374,7 +383,9 @@ class ChebyshevFilter:
     Either side may be empty (one-sided filter). The assembled operator is
     H_lower + H_upper - g0*I when both sides are present, or the single
     present side alone; its weight of I, ``h0``, is s_lower + s_upper - g0 or
-    the one s, s being a series' value at frequency 0.
+    the one s, s being a series' value at frequency 0. Each side is summed on
+    its shift's small side by Clenshaw's backward recurrence, whose
+    recurrences `_side_sum` states.
     """
 
     c_lower: tuple[float, ...]
@@ -413,42 +424,53 @@ class ChebyshevFilter:
 
     def _side_sum(self, upper: bool, small: ShiftMatrix, b: np.ndarray) -> np.ndarray:
         """One side's shifted-Chebyshev series of L = A A^T, summed from b = A^T f
-        on the operator's ``small`` side S (see `ShiftMatrix`).
+        on the operator's ``small`` side S (see `ShiftMatrix`) by Clenshaw's
+        backward recurrence.
 
         The edge-space terms w_0 = f, w_1 = (L/omega - I) f,
         w_{k+1} = 2 (L/omega - I) w_k - w_{k-1} are w_k = (-1)^k f + A v_k with
-        v_0 = 0, v_1 = b / omega and v_{k+1} = M v_k - v_{k-1} - (-1)^k b2, where
-        M = (2/omega) S - 2I is `_step_matrix` and b2 = (2/omega) b is formed
-        once. So the series is s f + A sum_k c_k v_k, s its value at frequency 0
-        (in ``h0``). This returns sum_k c_k v_k: per step one product with M and
-        four numpy passes into arrays it already holds. Each rounds per element,
-        with no fused multiply-add, so every column of a block is bitwise the
-        single-flow result. A single flow runs in the row order of M's
-        renumbered copy (`ShiftMatrix.series`): b is gathered into it once and
-        the sum back once, with no gather per step. Each product sums the same
-        entries in the same order as M's canonical rows, and the passes are
-        elementwise, so they commute with the permutation and the sum is
-        bitwise the one in canonical order.
+        v_0 = 0, v_1 = b / omega and v_{k+1} = M v_k - v_{k-1} + (-1)^k b2, where
+        M = (2/omega) S - 2I is `_step_matrix` and b2 = (2/omega) b. So the
+        series is s f + A sum_{k>=1} c_k v_k, s its value at frequency 0 (in
+        ``h0``), and this returns sum_{k>=1} c_k v_k for K = len(c) - 1 as
+
+            alpha_{K+1} = alpha_{K+2} = 0, alpha_k = c_k - 2 alpha_{k+1} - alpha_{k+2},
+            u_K = 0, u_{K-1} = (2 alpha_K / omega) b,
+            u_k = M u_{k+1} - u_{k+2} + (2 alpha_{k+1} / omega) b  (k = K-2 .. 1),
+            sum = (alpha_1 / omega) b + 1/2 M u_1 - u_2,
+
+        the alpha_k being Clenshaw's recurrence for sum_k c_k T_k at -1, the
+        frequency 0. That is K - 1 products with M, and no accumulator: a step
+        forms (2 alpha_{k+1} / omega) b - u_{k+2} in u_{k+2}'s array, in two
+        elementwise passes through a held buffer, and adds M u_{k+1} into it
+        (`ShiftMatrix.series`). Each pass rounds per element, and each product
+        sums a row's entries in stored order, so every column of a block is
+        bitwise the single-flow result. A single flow runs in the row order of
+        M's renumbered copy: b is gathered into it once and the sum back once,
+        and the passes commute with the permutation.
         """
         coeffs = self._series(upper)
         omega = self.omega_upper if upper else self.omega_lower
-        if len(coeffs) == 1:
+        top = len(coeffs) - 1
+        if top == 0:
             return np.zeros_like(b)
-        step, b, back = _step_matrix(small, omega).series(b)
-        b2 = (2.0 / omega) * b
-        v_prev, v = np.zeros_like(b), b / omega
-        acc = coeffs[1] * v
-        for k, c in enumerate(coeffs[2:], 1):
-            w = step(v)
-            w -= v_prev
-            if k % 2:
-                w -= b2
-            else:
-                w += b2
-            # v_{k-1} is spent: its array takes c * w, with no new allocation
-            acc += np.multiply(c, w, out=v_prev)
-            v_prev, v = v, w
-        return back(acc)
+        alpha = [0.0] * (top + 3)
+        for k in range(top, 0, -1):
+            alpha[k] = coeffs[k] - 2.0 * alpha[k + 1] - alpha[k + 2]
+        if top == 1:
+            return (alpha[1] / omega) * b
+        add, b, back = _step_matrix(small, omega).series(b)
+        # u_{k+2} and u_{k+1}, and the held buffer for the scaled b
+        far, near, scaled = np.zeros_like(b), (2.0 * alpha[top] / omega) * b, np.empty_like(b)
+        for k in range(top - 2, 0, -1):
+            np.subtract(np.multiply(b, 2.0 * alpha[k + 1] / omega, out=scaled), far, out=far)
+            add(near, far)
+            far, near = near, far
+        np.subtract(np.multiply(b, alpha[1] / omega, out=scaled), far, out=far)
+        # halving is exact, so M (u_1 / 2) is bitwise (M u_1) / 2
+        near *= 0.5
+        add(near, far)
+        return back(far)
 
     def _side_value(self, upper: bool, lam: float) -> float:
         coeffs = self._series(upper)

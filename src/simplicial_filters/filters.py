@@ -67,15 +67,15 @@ class FilterCoefficients:
         return self.beta if upper else self.alpha
 
     def _side_sum(self, upper: bool, small: ShiftMatrix, x: np.ndarray) -> np.ndarray:
-        # sum_l taps[l-1] L^l f = A (sum_l taps[l-1] G^(l-1) A^T f), summed on the small side
+        # sum_l taps[l-1] L^l f = A (sum_l taps[l-1] G^(l-1) A^T f), summed on the
+        # small side by Horner's rule: h = a_L x, then h <- a_l x + G h
         taps = self._series(upper)
-        step, x, back = small.series(x)
-        acc = taps[0] * x
-        term = np.empty_like(acc)
-        for a in taps[1:]:
-            x = step(x)
-            acc += np.multiply(a, x, out=term)
-        return back(acc)
+        add, x, back = small.series(x)
+        h, out = taps[-1] * x, np.empty_like(x)
+        for a in reversed(taps[:-1]):
+            add(h, np.multiply(x, a, out=out))
+            h, out = out, h
+        return back(h)
 
     def _side_value(self, upper: bool, lam: float) -> float:
         taps = self._series(upper)

@@ -311,16 +311,21 @@ def test_step_operators_are_built_on_first_use():
 def test_recursions_step_on_no_more_entries_than_the_shift():
     # a clique-filled complex's triangle Gram B2^T B2 stores sum_e t_e^2 - 2 N2
     # entries against 6 N2 in B2 and B2^T (the complete complex on 12 vertices:
-    # 6160 against 1320), so the upper recursions step on the edges; the node
-    # Gram stores at most 4 N1 entries and leaves out the nodes without an edge
+    # 6160 against 1320), so the upper recursions step on the edges, with
+    # B2 B2^T as one matrix: the 1320 entries and one diagonal entry per edge
+    # on a triangle (66). The node Gram stores at most 4 N1 entries and leaves
+    # out the nodes without an edge
     clique = [(u, v) for u in range(12) for v in range(u + 1, 12)]
     cases = [sf.build_complex(12, clique, sf.infer_triangles(12, clique)),
              random_complex(np.random.default_rng(5), edge_prob=0.8),
              sf.generate_road_complex(1100, 2176, 11)] + degenerate_complexes()
     for sc in cases:
         for op in sf.shift_operators(sc) + sf.spectral._normalized_operators(sc):
-            step = op.small
-            assert sum(f.nnz for f in step.factors) <= sum(f.nnz for f in op.factors)
+            (step,), shift = op.small.factors, sum(f.nnz for f in op.factors)
+            if op.on_gram:
+                assert step.nnz <= shift
+            else:
+                assert step.nnz == step.shape[0] + shift
             assert step.shape[0] <= 2 * sc.n_edges
 
 
@@ -350,8 +355,11 @@ def test_upper_recursions_step_on_the_cheaper_side():
         on_triangle = np.count_nonzero(np.diff(sf.boundary_csr(sc, 2).indptr))
         for op in _all_operators(sc)[1::2]:
             assert not op.on_gram and op.gram_bound > sum(f.nnz for f in op.factors)
+            # A A^T as one matrix: one diagonal entry per edge on a triangle and
+            # one per pair of edges on a triangle, which share no other one
+            (m,) = op.small.factors
             assert op.small.shape == (on_triangle, on_triangle)
-            assert len(op.small.factors) == 2
+            assert m.nnz == on_triangle + sum(f.nnz for f in op.factors)
     # the lower recursions stay on the node Gram everywhere
     for sc in (complete_complex(12), road_with_clique()) + tuple(degenerate_complexes()):
         assert all(op.on_gram for op in _all_operators(sc)[0::2])
@@ -523,36 +531,115 @@ def test_single_flows_are_bitwise_the_canonical_products(order_every_size):
             _assert_single_flows_canonical(op, rng)
 
 
+def _add_in_stored_order(m, v, out):
+    """out + m v with every row summed from out's value, entry by entry in
+    stored order, each product and sum rounded on its own."""
+    out, lengths = out.copy(), np.diff(m.indptr)
+    for p in range(lengths.max(initial=0)):
+        rows = np.flatnonzero(lengths > p)
+        at = m.indptr[rows] + p
+        weights = m.data[at] if v.ndim == 1 else m.data[at][:, None]
+        out[rows] += weights * v[m.indices[at]]
+    return out
+
+
 def test_single_flow_series_are_bitwise_the_canonical_recursions(order_every_size):
     # a single-flow series on one matrix runs in the row order of its copy,
-    # whose columns are renumbered: gathered in once and back once, it must
-    # sum every step as the canonical matrix does
+    # whose columns are renumbered: gathered in once and back once, Horner's
+    # and Clenshaw's recurrences must sum every step as on the canonical rows
     rng = np.random.default_rng(29)
     taps = tuple(rng.standard_normal(6))
     coeffs = FilterCoefficients(0.5, taps)
-    cheb = sf.ChebyshevFilter(taps, (), 3.0, 0.0, 0.5)  # the omega of the step matrices
+    omega = 3.0  # that of the step matrices
+    cheb = sf.ChebyshevFilter(taps, (), omega, 0.0, 0.5)
+    alpha = [0.0] * (len(taps) + 2)
+    for k in range(len(taps) - 1, 0, -1):
+        alpha[k] = taps[k] - 2.0 * alpha[k + 1] - alpha[k + 2]
     in_row_order = 0
     for sc in _row_order_cases():
         ops = _with_small_sides(sc)
         for small, step in zip(ops[1::3], ops[2::3]):
-            in_row_order += sum(m._renumbered and m._ordered[0] is not None
-                                for m in (small, step))
+            in_row_order += sum(m._ordered[0] is not None for m in (small, step))
             x = rng.standard_normal(small.shape[0])
-            # sum_l taps[l] S^l x
-            term, expect = x, taps[0] * x
-            for a in taps[1:]:
-                term = _canonical_product(small.factors, term)
-                expect = expect + a * term
-            np.testing.assert_array_equal(coeffs._side_sum(False, small, x), expect)
-            # sum_k taps[k] v_k, v_{k+1} = M v_k - v_{k-1} - (-1)^k (2/omega) x
-            v_prev, v = np.zeros_like(x), x / 3.0
-            expect = taps[1] * v
-            for k, c in enumerate(taps[2:], 1):
-                w = step.as_csr() @ v - v_prev + (-1) ** k * ((2.0 / 3.0) * x)
-                expect = expect + c * w
-                v_prev, v = v, w
+            # h = a_L x, then h <- a_l x + S h
+            (s,), h = small.factors, taps[-1] * x
+            for a in reversed(taps[:-1]):
+                h = _add_in_stored_order(s, h, a * x)
+            np.testing.assert_array_equal(coeffs._side_sum(False, small, x), h)
+            # u_K = 0, u_{K-1} = (2 alpha_K / omega) x, u_k = M u_{k+1} - u_{k+2}
+            # + (2 alpha_{k+1} / omega) x, and (alpha_1 / omega) x + M u_1 / 2 - u_2
+            (m,), top = step.factors, len(taps) - 1
+            far, near = np.zeros_like(x), (2.0 * alpha[top] / omega) * x
+            for k in range(top - 2, 0, -1):
+                far, near = near, _add_in_stored_order(
+                    m, near, (2.0 * alpha[k + 1] / omega) * x - far)
+            expect = _add_in_stored_order(m, 0.5 * near, (alpha[1] / omega) * x - far)
             np.testing.assert_array_equal(cheb._side_sum(False, small, x), expect)
     assert in_row_order > 0
+
+
+def test_scipy_csr_kernels_add_each_row_in_stored_order():
+    # a series step calls scipy's private CSR kernels: they must add M x into
+    # out, starting each row from out's value and summing its entries in
+    # stored order. The rows hold unsorted indices and entries of 1e16 that
+    # swallow what is added before them, so another order, or a product added
+    # to out only after its row is summed, rounds to other values
+    from scipy.sparse._sparsetools import csr_matvec, csr_matvecs
+
+    rng = np.random.default_rng(31)
+    indptr = np.array([0, 3, 3, 7, 9])
+    indices = np.array([2, 0, 4, 1, 4, 0, 3, 3, 2])
+    data = np.array([1e16, 1.0, -1e16, 3.0, 1e16, -1.0, -1e16, 2.5, -0.5])
+    n_rows, n_cols = indptr.size - 1, 5
+
+    def per_row(x, out):
+        out = out.copy()
+        for i in range(n_rows):
+            for jj in range(indptr[i], indptr[i + 1]):
+                out[i] = out[i] + data[jj] * x[indices[jj]]
+        return out
+
+    for index in (np.int32, np.int64):
+        matrix = (indptr.astype(index), indices.astype(index), data)
+        x, out = 1.0 + rng.random(n_cols), rng.standard_normal(n_rows)
+        expect = per_row(x, out)
+        csr_matvec(n_rows, n_cols, *matrix, x, out)
+        np.testing.assert_array_equal(out, expect)
+        for k in (0, 1, 3):
+            x, out = 1.0 + rng.random((n_cols, k)), rng.standard_normal((n_rows, k))
+            expect = per_row(x, out)
+            csr_matvecs(n_rows, n_cols, k, *matrix, x, out)
+            np.testing.assert_array_equal(out, expect)
+
+
+def test_series_refuses_operands_its_kernels_would_misread():
+    # the kernels check no bounds: a series checks its flow once, and a step
+    # each operand and that out shares no memory with v
+    rng = np.random.default_rng(37)
+    low = sf.shift_operators(sf.generate_road_complex(546, 1088, 11))[0]
+    (m,), n = low.small.factors, low.small.shape[0]
+    with pytest.raises(ValueError, match="one matrix"):
+        low.series(rng.standard_normal(low.shape[0]))
+    block = rng.standard_normal((n, 4))
+    for bad in (block[:-1], np.asfortranarray(block), block[:, ::2], block.astype(np.float32),
+                block[:, 0].astype(np.int64), block.reshape(n, 2, 2)):
+        with pytest.raises(ValueError, match="C-contiguous float64"):
+            low.small.series(bad)
+    for x in (block[:, 0].copy(), block):
+        add, x, _ = low.small.series(x)
+        strided = np.zeros((2 * n,) + x.shape[1:])[::2]
+        shared = np.zeros((n + 1,) + x.shape[1:])
+        bad = [(x, np.zeros_like(x)[:-1]), (x[:-1], np.zeros_like(x)[:-1]),
+               (x, np.zeros_like(x, dtype=np.float32)), (strided, np.zeros_like(x)),
+               (x, strided), (x, x), (shared[1:], shared[:-1])]
+        if x.ndim == 2:
+            bad.append((x, np.asfortranarray(np.zeros_like(x))))
+        for v, out in bad:
+            with pytest.raises(ValueError, match="C-contiguous float64"):
+                add(v, out)
+        out = np.ones_like(x)
+        add(x, out)
+        np.testing.assert_array_equal(out, _add_in_stored_order(m, x, np.ones_like(x)))
 
 
 def test_row_ordered_copies_are_read_only_and_sorted(order_every_size):
@@ -719,16 +806,17 @@ def test_small_side_recursions_match_edge_space_oracle(order):
 
 @pytest.mark.parametrize("order", [2, 61])
 def test_folded_chebyshev_step_on_two_factor_small_sides(monkeypatch, order):
-    # where cliques are filled the upper small side is the product of two
-    # factors, and a Chebyshev step is one product with M = (2/omega) S - 2I,
-    # S that product as one CSR
+    # where cliques are filled the upper small side is the product A A^T of
+    # the two factors on the edges on a triangle, as one CSR, and a Chebyshev
+    # step is one product with M = (2/omega) S - 2I
     from simplicial_filters.design import _step_matrix
 
     builds = spy_builds(monkeypatch, _step_matrix)
     rng = np.random.default_rng(order)
     for sc in (complete_complex(12), road_with_clique()):
         for low, up in (sf.shift_operators(sc), sf.spectral._normalized_operators(sc)):
-            assert not up.on_gram and len(up.small.factors) == 2
+            (s,), (a, b) = up.small.factors, up.factors
+            assert not up.on_gram and s.nnz == s.shape[0] + a.nnz + b.nnz
             block = rng.standard_normal((low.shape[0], 3))
             c_l = tuple(rng.standard_normal(order + 1) / np.arange(1, order + 2))
             c_u = tuple(rng.standard_normal(order + 1) / np.arange(1, order + 2))
@@ -744,8 +832,49 @@ def test_folded_chebyshev_step_on_two_factor_small_sides(monkeypatch, order):
             step = _step_matrix(up.small, omegas[1])
             (m,) = step.factors
             assert not any(x.flags.writeable for x in (m.data, m.indices, m.indptr))
-            a, b = up.small.factors
-            assert m.nnz == a.shape[0] + a.nnz + b.nnz
+            assert m.nnz == s.nnz
+
+
+@pytest.mark.parametrize("top", [0, 1, 2, 3])
+def test_clenshaw_tails_match_edge_space_oracle(top):
+    # K = len(c) - 1: K = 0 sums nothing, K = 1 takes no product, K = 2 only
+    # the closing one and K = 3 one step of the loop before it; on the node
+    # and triangle Grams, and on the edges on a triangle around filled cliques
+    rng = np.random.default_rng(43 + top)
+    for sc in (sf.generate_road_complex(546, 1088, 11), complete_complex(12), road_with_clique()):
+        for low, up in (sf.shift_operators(sc), sf.spectral._normalized_operators(sc)):
+            block = rng.standard_normal((low.shape[0], 3))
+            c_l = tuple(rng.standard_normal(top + 1) / np.arange(1, top + 2))
+            c_u = tuple(rng.standard_normal(top + 1) / np.arange(1, top + 2))
+            omegas = (_gershgorin_half(low), _gershgorin_half(up))
+            for sides in ((True, False), (False, True), (True, True)):
+                filt = sf.ChebyshevFilter(c_l if sides[0] else (), c_u if sides[1] else (),
+                                          *omegas, g0=0.4)
+                run = lambda f: apply_operators(low, up, filt, f)
+                expect, scale = edge_space_chebyshev(filt, low, up, block)
+                assert_near_chebyshev_oracle(run(block), expect, scale, top)
+                _assert_columns_bitwise(run, block)
+
+
+def test_filters_take_any_layout_of_flows():
+    # an F-ordered block, a strided view of one, a block of no columns and the
+    # flows of an edgeless complex: every column equals that of the
+    # C-contiguous block, and the strided single flow of that column, bitwise
+    rng = np.random.default_rng(47)
+    poly = FilterCoefficients(0.3, tuple(rng.standard_normal(4) / 8.0 ** np.arange(1, 5)),
+                              tuple(rng.standard_normal(4) / 6.0 ** np.arange(1, 5)))
+    cheb = sf.ChebyshevFilter(tuple(rng.standard_normal(9)), tuple(rng.standard_normal(9)),
+                              5.0, 4.0, 0.5)
+    for sc in (sf.generate_road_complex(546, 1088, 11), sf.build_complex(3, [])):
+        block = rng.standard_normal((sc.n_edges, 6))
+        for filt in (poly, cheb):
+            for flows in (np.asfortranarray(block), block[:, ::2], block[:, :0]):
+                got = sf.apply(sc, filt, flows)
+                expect = sf.apply(sc, filt, np.ascontiguousarray(flows))
+                assert got.shape == expect.shape == flows.shape
+                for j in range(flows.shape[1]):
+                    np.testing.assert_array_equal(got[:, j], expect[:, j])
+                    np.testing.assert_array_equal(got[:, j], sf.apply(sc, filt, flows[:, j]))
 
 
 @pytest.mark.parametrize("method, order", [("grid", 1), ("grid", 9), ("cheb", 2), ("cheb", 61)])
