@@ -14,7 +14,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from ._kernels import IDENTITY_CHUNK, identity_block, read_only
-from .complexes import SimplicialComplex, _clique_triangles, _rows, _vertex_count
+from .complexes import SimplicialComplex, _clique_triangles, _vertex_count
 from .design import (
     ResponseSpec,
     _vandermonde,
@@ -310,7 +310,7 @@ def market_complex(market: ExchangeMarket) -> SimplicialComplex:
     n = _vertex_count(market.n_currencies)
     # argwhere gives the pairs i < j distinct and sorted, as build_complex would
     edges = np.argwhere(np.triu(~np.isnan(market._directed), 1))
-    return SimplicialComplex(n, _rows(edges), _rows(_clique_triangles(n, edges)))
+    return SimplicialComplex(n, edges, _clique_triangles(n, edges))
 
 
 def arbitrage_check(
@@ -325,10 +325,11 @@ def arbitrage_check(
     if not math.isfinite(threshold):
         raise DataError("threshold must be finite")
     sc = market_complex(market)
-    i, j, k = np.asarray(sc.triangles, dtype=np.int64).reshape(-1, 3).T
+    i, j, k = sc.triangle_array.T
     rate = market._directed
     gain = rate[i, j] * rate[j, k] * rate[k, i] - 1.0
-    hits = [(sc.triangles[t], float(gain[t])) for t in np.flatnonzero(gain > threshold)]
+    hit = np.flatnonzero(gain > threshold)
+    hits = list(zip(map(tuple, sc.triangle_array[hit].tolist()), gain[hit].tolist()))
     hits.sort(key=lambda item: (-item[1], item[0]))
     return hits
 
@@ -343,7 +344,7 @@ def arbitrage_correct(market: ExchangeMarket) -> ExchangeMarket:
     are reciprocal-consistent.
     """
     sc = market_complex(market)
-    i, j = np.asarray(sc.edges, dtype=np.int64).reshape(-1, 2).T
+    i, j = sc.edge_array.T
     # one log-rate per edge (i, j), i < j, read in the i -> j direction; math.log
     # and math.exp, not np.log and np.exp, which differ from them in the last bit
     flow = np.array([math.log(r) for r in market._directed[i, j].tolist()])

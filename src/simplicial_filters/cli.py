@@ -244,7 +244,7 @@ def pagerank(sc_path, gamma, edge_index, rank_all, method, order, samples, out_p
             raise click.UsageError("--all needs --out for the CSV table")
         # the norm rows of each block are written as it arrives; no N1 x N1 pi is kept
         rows = (
-            (start + j, *sc.edges[start + j], *a, r.harmonic, r.gradient, r.curl)
+            (start + j, *sc.edge_array[start + j].tolist(), *a, r.harmonic, r.gradient, r.curl)
             for start, _, norms, rel in apps._rank_blocks(sc, gamma, method, order, samples)
             for j, (a, r) in enumerate(zip(norms, rel))
         )
@@ -252,7 +252,7 @@ def pagerank(sc_path, gamma, edge_index, rank_all, method, order, samples, out_p
         click.echo(f"wrote {out_path}")
         return
     result = apps.edge_pagerank(sc, gamma, edge_index, method, order=order, samples=samples)
-    u, v = sc.edges[result.edge_index]
+    u, v = sc.edge_array[result.edge_index].tolist()
     payload = {
         "edge_index": result.edge_index,
         "u": u,

@@ -30,28 +30,59 @@ Edge = tuple[int, int]
 Triangle = tuple[int, int, int]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SimplicialComplex:
     """Immutable complex of order 2: vertices, oriented edges, oriented triangles.
 
-    Simplices are ascending vertex tuples; list positions define the simplex
-    indices used by every signal and matrix in the package.
+    Simplices are ascending vertex rows, stored as read-only C-ordered
+    ``(N1, 2)`` and ``(N2, 3)`` int64 arrays ``edge_array`` and
+    ``triangle_array``; row positions define the simplex indices used by every
+    signal and matrix in the package. The constructor takes rows or arrays
+    (``SimplicialComplex(n0, edges, triangles)``), copies them, and validates
+    nothing: `build_complex` is the checked entry point.
+
+    ``edges`` and ``triangles`` are the same simplices as tuples of Python int
+    tuples, and ``edge_index`` maps an edge tuple to its index; each is built
+    on first access and kept. The package's builders, operators, filters and
+    writers read the arrays only; at 218,000 edges the two views took 36 MB.
+    Equality and hash are by value (the vertex count and both arrays); pickle
+    and copy carry the count and the arrays, not the views or `memo` entries.
     """
 
     vertex_count: int
-    edges: tuple[Edge, ...]
-    triangles: tuple[Triangle, ...]
+    edge_array: np.ndarray
+    triangle_array: np.ndarray
 
-    def __reduce__(self):  # the fields, without ``edge_index`` or `memo` entries
-        return type(self), (self.vertex_count, self.edges, self.triangles)
+    def __post_init__(self):
+        for name, size in (("edge_array", 2), ("triangle_array", 3)):
+            a = np.array(getattr(self, name), dtype=np.int64).reshape(-1, size)
+            a.setflags(write=False)
+            object.__setattr__(self, name, a)
+
+    def __reduce__(self):  # the count and arrays, without views or `memo` entries
+        return type(self), (self.vertex_count, self.edge_array, self.triangle_array)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return (
+            self.vertex_count == other.vertex_count
+            and np.array_equal(self.edge_array, other.edge_array)
+            and np.array_equal(self.triangle_array, other.triangle_array)
+        )
+
+    def __hash__(self):
+        return hash(
+            (self.vertex_count, self.edge_array.tobytes(), self.triangle_array.tobytes())
+        )
 
     @property
     def n_edges(self) -> int:
-        return len(self.edges)
+        return len(self.edge_array)
 
     @property
     def n_triangles(self) -> int:
-        return len(self.triangles)
+        return len(self.triangle_array)
 
     def simplex_count(self, k: int) -> int:
         if k == 0:
@@ -63,8 +94,21 @@ class SimplicialComplex:
         raise UnsupportedOrder(f"order {k} not supported")
 
     @cached_property
+    def edges(self) -> tuple[Edge, ...]:
+        return _rows(self.edge_array)
+
+    @cached_property
+    def triangles(self) -> tuple[Triangle, ...]:
+        return _rows(self.triangle_array)
+
+    @cached_property
     def edge_index(self) -> Mapping[Edge, int]:
         return MappingProxyType({e: i for i, e in enumerate(self.edges)})
+
+
+def _rows(a: np.ndarray) -> tuple:
+    """The rows of an (n, d) array as a tuple of int tuples."""
+    return tuple(zip(*a.T.tolist()))
 
 
 # Edge (u, v) has the key u * N0 + v, so sorted keys are lexicographic edges;
@@ -153,7 +197,7 @@ def _unique_rows(a: np.ndarray) -> np.ndarray:
     A sort and a mask: np.unique's hash pass took about 8 times as long on
     the 65,000 candidate keys of a 10,900-node Delaunay graph.
     """
-    a = a[np.lexsort(np.atleast_2d(a.T)[::-1])]
+    a = np.sort(a) if a.ndim == 1 else a[np.lexsort(a.T[::-1])]
     cols = np.atleast_2d(a.T)
     new = np.ones(len(a), dtype=bool)
     new[1:] = (cols[:, 1:] != cols[:, :-1]).any(axis=0)
@@ -211,11 +255,6 @@ def _face_rows(keys: np.ndarray, triangles: np.ndarray, vertex_count: int) -> np
     return order[pos]
 
 
-def _rows(a: np.ndarray) -> tuple:
-    """The rows of an (n, d) array as a tuple of int tuples."""
-    return tuple(zip(*a.T.tolist()))
-
-
 def build_complex(
     vertex_count: int,
     edges: Iterable[Iterable[int]],
@@ -234,7 +273,7 @@ def build_complex(
     triangle must have all three of its edges present (raises MissingFace
     otherwise). The keys bound vertex_count by `MAX_VERTEX_COUNT` (about
     3.04e9), the largest count whose keys fit int64; a larger count raises
-    DataError. The tuple fields of the complex are made once, at the end.
+    DataError. The complex stores the merged arrays; no tuples are made.
     """
     n0 = _vertex_count(vertex_count)
     keys, es = _unique_edges(_simplex_array(edges, n0, 2), n0)
@@ -242,7 +281,7 @@ def build_complex(
     # 2.1 million vertices
     ts = _unique_rows(_simplex_array(triangles, n0, 3))
     _face_rows(keys, ts, n0)
-    return SimplicialComplex(n0, _rows(es), _rows(ts))
+    return SimplicialComplex(n0, es, ts)
 
 
 def infer_triangles(vertex_count: int, edges: Iterable[Iterable[int]]) -> list[Triangle]:
@@ -291,7 +330,7 @@ def incidence_matrix(obj: SimplicialComplex | OrientedComplex, k: int) -> Signed
     complex scales them to B1 D1 and D1 B2 D2.
     """
     sc = obj.base if isinstance(obj, OrientedComplex) else obj
-    edges = np.asarray(sc.edges, dtype=np.int64).reshape(-1, 2)
+    edges = sc.edge_array
     n1 = len(edges)
     if k == 1:
         rows = edges.T.ravel()
@@ -299,7 +338,7 @@ def incidence_matrix(obj: SimplicialComplex | OrientedComplex, k: int) -> Signed
         data = np.repeat([-1.0, 1.0], n1)
         shape = (sc.vertex_count, n1)
     elif k == 2:
-        tris = np.asarray(sc.triangles, dtype=np.int64).reshape(-1, 3)
+        tris = sc.triangle_array
         n0, n2 = sc.vertex_count, len(tris)
         rows = _face_rows(edges[:, 0] * n0 + edges[:, 1], tris, n0).ravel()
         cols = np.tile(np.arange(n2), 3)
@@ -441,11 +480,9 @@ def _relabel(sc: SimplicialComplex, plan: PermutationPlan) -> tuple[np.ndarray, 
     plan.validate(sc)
     new_id = np.empty(sc.vertex_count, dtype=np.int64)
     new_id[np.asarray(plan.node_perm, dtype=np.int64)] = np.arange(sc.vertex_count)
-    edges = np.asarray(sc.edges, dtype=np.int64).reshape(-1, 2)
-    tris = np.asarray(sc.triangles, dtype=np.int64).reshape(-1, 3)
     return (
-        new_id[edges[np.asarray(plan.edge_perm, dtype=np.int64)]],
-        new_id[tris[np.asarray(plan.triangle_perm, dtype=np.int64)]],
+        new_id[sc.edge_array[np.asarray(plan.edge_perm, dtype=np.int64)]],
+        new_id[sc.triangle_array[np.asarray(plan.triangle_perm, dtype=np.int64)]],
     )
 
 
@@ -457,9 +494,7 @@ def permute(sc: SimplicialComplex, plan: PermutationPlan) -> SimplicialComplex:
     orientation; `permutation_signs` reports exactly those flips.
     """
     edges, tris = _relabel(sc, plan)
-    return SimplicialComplex(
-        sc.vertex_count, _rows(np.sort(edges, axis=1)), _rows(np.sort(tris, axis=1))
-    )
+    return SimplicialComplex(sc.vertex_count, np.sort(edges, axis=1), np.sort(tris, axis=1))
 
 
 def permutation_signs(sc: SimplicialComplex, plan: PermutationPlan) -> OrientationPlan:

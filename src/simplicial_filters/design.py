@@ -334,7 +334,8 @@ def estimate_lambda_max(matrix, iterations: int = 50, seed: int = 0) -> float:
     w = np.empty_like(v)
     for _ in range(iterations):
         w = step(v, w)
-        norm = np.linalg.norm(w)
+        # np.linalg.norm of a 1-D real array is sqrt(w.dot(w)), without its dispatch
+        norm = math.sqrt(w @ w)
         if norm < 1e-300:
             return 0.0
         w /= norm

@@ -2,12 +2,16 @@
 complex generator, and a small currency market with known inconsistencies."""
 from __future__ import annotations
 
-from collections import deque
-
 import numpy as np
 
 from .apps import ExchangeMarket
-from .complexes import SimplicialComplex, _clique_triangles, _unique_edges, build_complex
+from .complexes import (
+    SimplicialComplex,
+    _clique_triangles,
+    _unique_rows,
+    _vertex,
+    build_complex,
+)
 from .errors import DataError
 
 
@@ -31,20 +35,34 @@ def generate_road_complex(n_nodes: int, n_edges: int, seed: int) -> SimplicialCo
     Nodes are uniform points in the unit square; a random-order spanning tree
     keeps the graph connected, the remaining Delaunay edges are subsampled to
     reach ``n_edges``, and every 3-clique is filled. Deterministic per seed.
+    Counts must be integers (bools and floats raise DataError) and the seed a
+    non-negative integer (DataError).
+
+    The breadth-first search stays a Python loop: it shuffles each node's
+    neighbours as it visits the node, so the random stream is drawn in visit
+    order, and any other order of draws would change every seeded complex.
+    The rest runs on int64 arrays: the candidate edge keys u * n_nodes + v
+    come from one sort, the neighbour lists are one flat list with pointers,
+    tree edges are kept as (parent, child) lists, and the remaining
+    candidates are shuffled as one array (`Generator.shuffle` draws the same
+    stream for a list and a 1-D array). The edges and their cliques are
+    valid by construction, so the complex is made without `build_complex`.
     """
     from scipy.spatial import Delaunay
 
+    n_nodes, n_edges = _vertex(n_nodes), _vertex(n_edges)
+    if _vertex(seed) < 0:
+        raise DataError(f"seed must be a non-negative integer, got {seed!r}")
     if n_nodes < 3:
         raise DataError("need at least 3 nodes")
     if n_edges < n_nodes - 1:
         raise DataError("need at least n_nodes - 1 edges to stay connected")
     rng = np.random.default_rng(seed)
     points = rng.random((n_nodes, 2))
-    tri = Delaunay(points)
-    simplices = np.sort(tri.simplices, axis=1).astype(np.int64)
-    candidates, pairs = _unique_edges(
-        np.concatenate([simplices[:, face] for face in ((0, 1), (0, 2), (1, 2))]), n_nodes
-    )
+    simplices = np.sort(Delaunay(points).simplices, axis=1).astype(np.int64)
+    candidates = _unique_rows(np.concatenate(
+        [simplices[:, a] * n_nodes + simplices[:, b] for a, b in ((0, 1), (0, 2), (1, 2))]
+    ))
     if n_edges > len(candidates):
         raise DataError(
             f"target {n_edges} exceeds the {len(candidates)} available edges"
@@ -53,38 +71,34 @@ def generate_road_complex(n_nodes: int, n_edges: int, seed: int) -> SimplicialCo
     # sorted candidate edges list them, which the shuffles below depend on:
     # a stable sort on the node puts its smaller neighbours u (from edges
     # (u, node), ascending in u) before its larger ones
-    u, v = pairs.T
+    u, v = np.divmod(candidates, n_nodes)
     ends, nbrs = np.concatenate([v, u]), np.concatenate([u, v])
     flat = nbrs[np.argsort(ends, kind="stable")].tolist()
-    bounds = np.cumsum(np.bincount(ends, minlength=n_nodes)).tolist()
-    adjacency = [flat[a:b] for a, b in zip([0] + bounds, bounds)]
-    # spanning tree by breadth-first search with shuffled neighbor order
+    ptr = [0] + np.cumsum(np.bincount(ends, minlength=n_nodes)).tolist()
+    # spanning tree by breadth-first search with shuffled neighbor order;
+    # ``order`` is the queue, and grows while the loop walks it
     start = int(rng.integers(n_nodes))
     seen = {start}
-    tree: list[tuple[int, int]] = []
-    queue = deque([start])
-    while queue:
-        node = queue.popleft()
-        neighbors = list(adjacency[node])
+    order, parents = [start], []
+    for node in order:
+        neighbors = flat[ptr[node] : ptr[node + 1]]
         rng.shuffle(neighbors)
         for other in neighbors:
             if other not in seen:
                 seen.add(other)
-                tree.append(tuple(sorted((node, other))))
-                queue.append(other)
-    if len(seen) != n_nodes:
+                order.append(other)
+                parents.append(node)
+    if len(order) != n_nodes:
         raise DataError("Delaunay graph is disconnected; cannot build a tree")
-    tree_arr = np.array(tree, dtype=np.int64).reshape(-1, 2)
-    tree_keys = tree_arr[:, 0] * n_nodes + tree_arr[:, 1]
+    parent, child = np.array(parents, dtype=np.int64), np.array(order[1:], dtype=np.int64)
+    tree_keys = np.minimum(parent, child) * n_nodes + np.maximum(parent, child)
     in_tree = np.zeros(len(candidates), dtype=bool)
     in_tree[np.searchsorted(candidates, tree_keys)] = True
-    rest = candidates[~in_tree].tolist()
+    rest = candidates[~in_tree]
     rng.shuffle(rest)
-    keep = np.sort(np.concatenate(
-        [tree_keys, np.array(rest[: n_edges - len(tree)], dtype=np.int64)]
-    ))
+    keep = np.sort(np.concatenate([tree_keys, rest[: n_edges - len(tree_keys)]]))
     edges = np.stack(np.divmod(keep, n_nodes), axis=1)
-    return build_complex(n_nodes, edges, _clique_triangles(n_nodes, edges))
+    return SimplicialComplex(n_nodes, edges, _clique_triangles(n_nodes, edges))
 
 
 # A seven-currency market snapshot with small internal inconsistencies, kept

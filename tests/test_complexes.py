@@ -338,6 +338,71 @@ def test_complex_is_hashable(toy):
     assert toy == sf.toy_complex()
 
 
+def test_complexes_from_tuples_lists_and_arrays_are_equal(toy):
+    # the constructor stores any rows as read-only int64 arrays, so equality
+    # and hash are by value whatever the rows were given as
+    no_tris = [(0, 1), (0, 3), (1, 2), (2, 3), (3, 4)]
+    sc = sf.permute(toy, PermutationPlan.random(toy, np.random.default_rng(3)))
+    keys = sc.edge_array[:, 0] * sc.vertex_count + sc.edge_array[:, 1]
+    assert not (np.diff(keys) > 0).all()  # a permuted edge list is unsorted
+    for base in (toy, sc, build_complex(5, no_tris)):
+        n, edges, tris = base.vertex_count, base.edges, base.triangles
+        twins = [
+            sf.SimplicialComplex(n, edges, tris),
+            sf.SimplicialComplex(n, [list(e) for e in edges], [list(t) for t in tris]),
+            sf.SimplicialComplex(n, np.array(edges, dtype=np.int32).reshape(-1, 2),
+                                 np.array(tris, dtype=np.int32).reshape(-1, 3)),
+            sf.SimplicialComplex(n, base.edge_array, base.triangle_array),
+            pickle.loads(pickle.dumps(base)),
+        ]
+        for twin in twins:
+            assert twin == base and hash(twin) == hash(base)
+            assert twin.edges == edges and twin.triangles == tris
+    empty = [(), [], np.empty((0, 3), dtype=np.int64), np.empty(0, dtype=np.int32)]
+    assert len({hash(sf.SimplicialComplex(5, no_tris, t)) for t in empty}) == 1
+    assert all(sf.SimplicialComplex(5, no_tris, t) == build_complex(5, no_tris) for t in empty)
+    # value, not identity: another count, order, or simplex set differs
+    assert sc != toy and sf.SimplicialComplex(8, toy.edges, toy.triangles) != toy
+    assert build_complex(7, toy.edges) != toy
+    assert toy != (toy.vertex_count, toy.edges, toy.triangles)
+
+
+def test_simplex_arrays_are_read_only_and_views_are_int_tuples(toy):
+    src = np.array(toy.edges)
+    sc = sf.SimplicialComplex(7, src, toy.triangles)
+    src[0] = (5, 6)  # the complex holds its own copy
+    assert sc == toy
+    for a, shape in ((sc.edge_array, (10, 2)), (sc.triangle_array, (3, 3))):
+        assert a.shape == shape and a.dtype == np.int64 and a.flags.c_contiguous
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0, 0] = 1
+    assert build_complex(4, [(0, 1)]).triangle_array.shape == (0, 3)
+    assert build_complex(4, []).edge_array.shape == (0, 2)
+    assert {"edges", "triangles", "edge_index"}.isdisjoint(vars(sc))
+    for view, array in ((sc.edges, sc.edge_array), (sc.triangles, sc.triangle_array)):
+        assert type(view) is tuple and all(type(s) is tuple for s in view)
+        assert all(type(v) is int for s in view for v in s)
+        assert view == tuple(map(tuple, array.tolist()))
+    assert sc.edges is sc.edges and sc.triangles is sc.triangles
+
+
+def test_operators_filters_and_writer_build_no_tuple_views(tmp_path):
+    # the package works on the simplex arrays; only a caller reading edges,
+    # triangles or edge_index makes the tuples (36 MB of RSS at 218,000 edges)
+    sc = sf.generate_road_complex(546, 1088, 11)
+    flow = np.random.default_rng(0).standard_normal(sc.n_edges)
+    sf.shift_operators(sc)
+    sf.apply(sc, sf.FilterCoefficients(1.0, (0.5, 0.25), (0.5,)), flow)
+    sf.hodge_decompose(sc, flow)
+    sf.denoise(sc, flow, 0.5)
+    sf.io.save_complex(sc, tmp_path / "sc.json")
+    loaded = sf.io.load_complex(tmp_path / "sc.json")
+    permuted = sf.permute(sc, PermutationPlan.random(sc, np.random.default_rng(0)))
+    for obj in (sc, loaded, permuted, sf.market_complex(sf.demo_market())):
+        assert {"edges", "triangles", "edge_index"}.isdisjoint(vars(obj))
+
+
 def test_derived_data_is_kept_per_complex_object():
     # derived data lives on the object it comes from, not in a cache keyed by
     # value: a complex, plain or oriented, derives its operators once, and an
@@ -398,12 +463,19 @@ def test_pickle_and_copy_carry_no_derived_data():
         sf.hodge_decompose(obj, flow)
     assert sc.edge_index[sc.edges[0]] == 0
     sf.edge_pagerank(sc, 0.05, 0, "cheb", order=10)
-    fields = {"vertex_count", "edges", "triangles"}
+    fields = {"vertex_count", "edge_array", "triangle_array"}
     oriented = {"base", "edge_signs", "triangle_signs"}
+    sc.triangles
+    assert {"edges", "triangles", "edge_index"} <= set(vars(sc))
     for obj, names in ((sc, fields), (osc, oriented)):
         assert "_memo" in vars(obj)
         for twin in (pickle.loads(pickle.dumps(obj)), copy.copy(obj), copy.deepcopy(obj)):
             assert twin == obj and twin is not obj and set(vars(twin)) == names
+            assert hash(twin) == hash(obj)
+    # the simplex arrays travel as read-only copies of their own
+    for twin in (pickle.loads(pickle.dumps(sc)), copy.copy(sc), copy.deepcopy(sc)):
+        for a, b in ((twin.edge_array, sc.edge_array), (twin.triangle_array, sc.triangle_array)):
+            assert a is not b and np.array_equal(a, b) and not a.flags.writeable
     # and a factor with an empty row and an empty column, scaled by c != 1
     b2 = sf.boundary_csr(sc, 2)
     ragged = sf.ShiftMatrix(sp.hstack([b2[:, :-1], sp.csr_matrix((sc.n_edges, 1))]), 0.3)

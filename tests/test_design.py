@@ -178,6 +178,28 @@ def test_estimate_lambda_max_rejects_non_finite_entries():
                 sf.estimate_lambda_max(bad, 5)
 
 
+def _power_oracle(matrix, k):
+    """estimate_lambda_max's iterates, each normalized by np.linalg.norm."""
+    v = np.random.default_rng(0).standard_normal(matrix.shape[0])
+    v /= np.linalg.norm(v)
+    if isinstance(matrix, sf.ShiftMatrix):
+        u = matrix.to_small(v)
+        add, v, _ = matrix.small.series(u / np.linalg.norm(u))
+        k -= 1
+
+        def step(x):
+            out = np.zeros_like(x)
+            add(x, out)
+            return out
+    else:
+        step = lambda x: matrix @ x
+    for _ in range(k):
+        w = step(v)
+        v = w / np.linalg.norm(w)
+    w = step(v)
+    return float(w @ w / (v @ w)) if getattr(matrix, "on_gram", False) else float(v @ w)
+
+
 def test_estimate_lambda_max_on_the_small_side_matches_the_edge_space():
     # a ShiftMatrix iterates on its small side: the node and triangle Grams
     # (the node Gram and the one matrix through their row-ordered copies at
@@ -193,6 +215,9 @@ def test_estimate_lambda_max_on_the_small_side_matches_the_edge_space():
         for k in (1, 2, 50):
             expect = sf.estimate_lambda_max(op.as_csr(), k)
             assert abs(sf.estimate_lambda_max(op, k) - expect) <= 1e-14 * expect, (op, k)
+            # the loop's math.sqrt(w @ w) is np.linalg.norm's arithmetic, bitwise
+            assert expect == _power_oracle(op.as_csr(), k), (op, k)
+            assert sf.estimate_lambda_max(op, k) == _power_oracle(op, k), (op, k)
     no_triangles = sf.build_complex(5, [(0, 1), (1, 2), (2, 3), (0, 3), (3, 4)])
     assert sf.estimate_lambda_max(sf.shift_operators(no_triangles)[1], 50) == 0.0
 

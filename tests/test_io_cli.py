@@ -1,3 +1,4 @@
+import hashlib
 import json
 import warnings
 
@@ -30,6 +31,30 @@ def test_complex_roundtrip(tmp_path, toy):
     assert io.load_complex(path) == toy
     data = json.loads(path.read_text())
     assert data["vertex_count"] == 7
+
+
+# sha256 of save_complex's file, recorded while the writer rendered every
+# integer on its own; the array writer must write the same bytes
+SAVED_COMPLEX_SHA256 = {
+    "road-546-1088-11": "fc7bd67c9684da754056f8e4b34c1573a442df799282208d4c93b571d995e1b0",
+    "road-2176-4352-12": "19e46fdf4d7fa85e1f8f8b1d5d747d001e76be0badd6db37923669aee072dca7",
+    "toy": "efd5d6b1e96cb34fd964222edceb7a2bf554f9c71682e183265af9ae4c3f98f7",
+    "no-triangles": "7b3aec11d603c1d8575b6d524c5f3e4c096e71e163afacd31468774ebc985f69",
+}
+
+
+@pytest.mark.parametrize("name", list(SAVED_COMPLEX_SHA256))
+def test_saved_complex_bytes_are_pinned(tmp_path, name):
+    sc = {
+        "road-546-1088-11": lambda: sf.generate_road_complex(546, 1088, 11),
+        "road-2176-4352-12": lambda: sf.generate_road_complex(2176, 4352, 12),
+        "toy": sf.toy_complex,
+        "no-triangles": lambda: sf.build_complex(5, [(0, 1), (1, 2), (2, 3), (0, 3), (3, 4)]),
+    }[name]()
+    path = tmp_path / "sc.json"
+    io.save_complex(sc, path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == SAVED_COMPLEX_SHA256[name]
+    assert io.load_complex(path) == sc
 
 
 def test_complex_infer_flag(tmp_path, toy):
@@ -400,6 +425,25 @@ def test_cli_fixtures_generate(tmp_path, capsys):
     assert run_cli(["fixtures", "generate", "--nodes", "30", "--edges", "5",
                     "--seed", "3", "--out", str(out_path)]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("args", [
+    (10.5, 12, 1), (10, 12.0, 1), (10, 12, 1.5), (True, 12, 1), (10, True, 1),
+    (10, 12, -1), (10, 12, "1"),
+])
+def test_generator_rejects_bad_arguments(args):
+    # float counts used to raise TypeError inside numpy, a negative seed ValueError
+    with pytest.raises(sf.DataError):
+        sf.generate_road_complex(*args)
+
+
+def test_cli_generate_with_negative_seed_exits_2(tmp_path, capsys):
+    out_path = tmp_path / "road.json"
+    assert run_cli(["fixtures", "generate", "--nodes", "30", "--edges", "45",
+                    "--seed", "-1", "--out", str(out_path)]) == 2
+    err = capsys.readouterr().err
+    assert "data error: seed must be a non-negative integer" in err
+    assert "Traceback" not in err and not out_path.exists()
 
 
 def test_cli_response_csv(tmp_path, toy, capsys):
