@@ -213,6 +213,8 @@ class ShiftMatrix:
     back with zeros. One matrix is its own ``small``, so ``small`` is always
     one matrix, and ``series`` runs on it. ``gram_bound`` is the
     bound on G's stored entries that decides the side (None for one matrix).
+    ``lift`` is ``from_small`` without the zero rows, and ``small_images``
+    the unit flows on ``small``, for a series realized once on its identity.
 
     A single flow multiplies a read-only copy of each factor that stores at
     least ROW_ORDER_MIN_ENTRIES entries in rows of varying length, with its
@@ -357,9 +359,24 @@ class ShiftMatrix:
         return self._shift(x)
 
     def from_small(self, y: np.ndarray) -> np.ndarray:
+        return self._pad(self.lift(y))
+
+    def lift(self, y: np.ndarray) -> np.ndarray:
+        """``from_small`` on the rows L touches, without the zero rows."""
+        return self._product(0, y) if self.on_gram else y
+
+    def small_images(self) -> sp.csr_matrix:
+        """E^T as an (n, n_s) read-only CSR matrix, E being the map onto ``small``
+        with sum_l t_l L^l x = from_small(K sum_l t_l small^(l-1) E x) for any
+        taps t: on a Gram E = A^T (``to_small``) and K = I; on the edges E keeps
+        the rows L touches and K = ``small``, which commutes with its own series.
+        Row e is unit flow e on the small side: row e of A on the columns with
+        entries, or one 1 at e's place among the touched rows (none if untouched)."""
         if self.on_gram:
-            y = self._product(0, y)
-        return self._pad(y)
+            return read_only(sp.csr_matrix(self._on_support[1].T))
+        rows = np.arange(self.shape[0]) if self._support is None else self._support
+        return read_only(sp.csr_matrix((np.ones(rows.size), (rows, np.arange(rows.size))),
+                                       shape=(self.shape[0], rows.size)))
 
 
 def _restrict(m: sp.csr_matrix, rows, cols) -> sp.csr_matrix:

@@ -65,28 +65,35 @@ def _interval_tops(ops) -> tuple[float, float]:
     return tuple(_top(_lambda_max(op)) if op is not None else 1.0 for op in ops)
 
 
-def _resolvent(low, up, shift, scale, method, order, samples, lam_min=0.0):
+def _resolvent(low, up, shift, scale, method, order, samples):
     """The map f -> (shift*I + scale*L)^-1 f of an (N1,) flow or (N1, k) block,
     L = low + up, or low alone when ``up`` is None; the one solver behind
-    denoising and ranking.
+    denoising and exact ranking.
 
-    "exact" factors the sparse system assembled from the parts once;
-    "grid" and "cheb" realize the response 1/(shift + scale*lambda) on
-    [lam_min, top] per side with a grid-LS or Chebyshev filter of ``order``,
-    the tops from `_interval_tops`.
+    "exact" factors the sparse system assembled from the parts once; "grid"
+    and "cheb" apply `_resolvent_filter`.
     """
-    two_sided = up is not None
     if method == "exact":
         system = shift * sp.identity(low.shape[0])
         # an overflowing scale leaves a non-finite entry, which _factor rejects
         with np.errstate(over="ignore", invalid="ignore"):
-            for op in (low, up) if two_sided else (low,):
+            for op in (low, up) if up is not None else (low,):
                 system = system + scale * op.as_csr()
         return _factor(system).solve
+    filt = _resolvent_filter(low, up, shift, scale, method, order, samples)
+    return lambda flow: apply_operators(low, up, filt, flow)
+
+
+def _resolvent_filter(low, up, shift, scale, method, order, samples, lam_min=0.0):
+    """The grid-LS or Chebyshev filter of ``order`` ("grid" or "cheb") that
+    realizes the response 1/(shift + scale*lambda) on [lam_min, top] per side
+    of L = low + up (low alone when ``up`` is None), the tops from
+    `_interval_tops`; the filter of denoising and of ranking."""
     if method not in ("grid", "cheb"):
         raise DataError(f"unknown filter method {method!r}")
     if order is None:
         raise DataError(f"method {method!r} needs a filter order")
+    two_sided = up is not None
     lam_g, lam_c = _interval_tops((low, up))
     response = lambda lam: 1.0 / (shift + scale * lam)
     spec = ResponseSpec(
@@ -96,11 +103,9 @@ def _resolvent(low, up, shift, scale, method, order, samples, lam_min=0.0):
     )
     if method == "grid":
         design = grid_design(spec, samples, samples, order, order if two_sided else 0)
-        filt = design.coefficients
-    else:
-        # a one-sided spec has no curl curve, so the upper top and order go unused
-        filt = chebyshev_design(spec, lam_g, lam_c, order, order)
-    return lambda flow: apply_operators(low, up, filt, flow)
+        return design.coefficients
+    # a one-sided spec has no curl curve, so the upper top and order go unused
+    return chebyshev_design(spec, lam_g, lam_c, order, order)
 
 
 def nrmse(estimate, truth) -> float:
@@ -419,24 +424,103 @@ def _subspace_norms(
     )
 
 
-def _ranker(sc, gamma, method, order, samples):
-    """The map from an (N1, k) right-hand side f to y = (gamma*I + S)^-1 R^-1 f,
-    and R's diagonal as an (N1, 1) column, so that pi = R y solves
-    (gamma*I + L_n) pi = f.
+def _ranker(sc, gamma, method, order, samples, edge=None):
+    """The map (start, stop) -> y = (gamma*I + S)^-1 R^-1 I[:, start:stop] on the
+    columns start .. stop-1 of the N1 x N1 identity, and R's diagonal as an
+    (N1, 1) column, so that pi = R y solves (gamma*I + L_n) pi = I[:, start:stop].
 
     L_n = R S R^-1 with S = S_lower + S_upper the symmetric parts of
-    `_normalized_operators` and R = diag(sqrt(d2)). The solve is `_resolvent`
+    `_normalized_operators` and R = diag(sqrt(d2)). "exact" is `_resolvent`
     with shift gamma and scale 1 on S_lower and S_upper: one sparse
-    factorization of the SPD gamma*I + S (exact), or a filter realizing
-    1/(gamma + lambda) from GRID_LAMBDA_MIN up (grid/cheb)."""
+    factorization of the SPD gamma*I + S. "grid" and "cheb" realize
+    1/(gamma + lambda) from GRID_LAMBDA_MIN up by `_resolvent_filter` through
+    `_filter_ranker`, which with ``edge`` given serves that edge's column only.
+    """
     if not 0 < gamma < math.inf:
         raise DataError("gamma must be positive and finite")
     # R as a column: broadcasting scales a block's rows at a tenth of the cost
     # of a product with sp.diags
     root = np.sqrt(_normalized_degrees(sc)[1])[:, np.newaxis]
-    solve = _resolvent(*_normalized_operators(sc), gamma, 1.0, method, order, samples,
-                       GRID_LAMBDA_MIN)
-    return (lambda f: solve(f / root)), root
+    ops = _normalized_operators(sc)
+    if method == "exact":
+        solve = _resolvent(*ops, gamma, 1.0, method, order, samples)
+        n = sc.n_edges
+        return (lambda start, stop: solve(np.eye(n, stop - start, -start) / root)), root
+    filt = _resolvent_filter(*ops, gamma, 1.0, method, order, samples, GRID_LAMBDA_MIN)
+    return _filter_ranker(ops, filt, root, edge), root
+
+
+def _filter_ranker(ops, filt, root, edge=None):
+    """The map (start, stop) -> y = H R^-1 I[:, start:stop], H being the filter
+    ``filt`` on the (lower, upper) parts ``ops`` and R = diag(root), as
+    h0 R^-1 I[:, start:stop] plus one term per side that has a series.
+
+    Each side's series is Q = ``filt._side_sum`` on the identity of its
+    operator's ``small`` side (n_s x n_s), held as ``q``, whose row k is
+    column k of Q: the series of the unit flow k. Unit flow e enters the small
+    side as row e of ``small_images`` scaled by 1/r_e, with 2-3 entries on a
+    Gram and one on the edges; so column e of the side's term is
+    ``from_small`` of K Q times that row, K being I on a Gram and ``small`` on
+    the edges (see `ShiftMatrix.small_images`). Scaled as one CSR matrix, the
+    rows of a block of columns multiply ``q`` in one sparse-dense product, in
+    which each column sums its few rows of ``q`` in stored order from zero.
+
+    With ``edge`` None, every column of Q is computed, IDENTITY_CHUNK at a
+    time, `_in_order` on the threads ranking uses: one n_s x n_s array per
+    side (3.1 MB at 1088 edges, 50 MB at 4352, 1.25 GB at 21800), held by the
+    returned map only. With ``edge`` given, only the columns of Q its rows
+    touch are computed and the map serves (edge, edge + 1) only. A column of a
+    series block is bitwise the series of that column alone, and every other
+    step treats each column on its own, so that column is bitwise the one the
+    full map gives.
+    """
+    n = root.shape[0]
+    inverse = 1.0 / root[:, 0]
+    sides = []
+    for upper, op in enumerate(ops):
+        if not filt._series(upper):
+            continue
+        images = op.small_images()
+        rows = sp.csr_matrix(
+            (images.data * np.repeat(inverse, np.diff(images.indptr)), images.indices,
+             images.indptr),
+            shape=images.shape,
+        )
+        size = rows.shape[1]
+        if edge is None:
+            q = np.empty((size, size))
+        else:
+            touched = rows.indices[rows.indptr[edge] : rows.indptr[edge + 1]]
+            units = np.zeros((size, touched.size))
+            units[touched, np.arange(touched.size)] = 1.0
+            # row edge keeps its entries, in order, on columns 0 .. touched.size-1
+            rows = rows[:, touched]
+            q = filt._side_sum(upper, op.small, units).T if touched.size else units.T
+        to_edges = op.from_small if op.on_gram else (lambda z, op=op: op.from_small(op.small @ z))
+        sides.append((upper, op.small, rows, q, to_edges))
+
+    if edge is None:
+        def fill(i):
+            start = i * IDENTITY_CHUNK
+            for upper, small, _, q, _ in sides:
+                if start < q.shape[0]:
+                    block = filt._side_sum(upper, small, identity_block(q.shape[0], start))
+                    q[start : start + block.shape[1]] = block.T
+
+        # chunk 0 of both sides runs first, alone: it builds the step matrices
+        chunks = max((-(-q.shape[0] // IDENTITY_CHUNK) for _, _, _, q, _ in sides), default=0)
+        for _ in _in_order(fill, range(chunks)):
+            pass
+        for side in sides:
+            read_only(side[3])
+
+    def rank(start, stop):
+        y = filt.h0 * (np.eye(n, stop - start, -start) / root)
+        for _, _, rows, q, to_edges in sides:
+            y += to_edges((rows[start:stop] @ q).T)
+        return y
+
+    return rank
 
 
 def edge_pagerank(
@@ -449,17 +533,20 @@ def edge_pagerank(
 ) -> PageRankResult:
     """Influence of one edge: solve (gamma*I + L_n) pi = indicator(edge).
 
-    ``pi`` is column ``edge_index`` of ``edge_pagerank_all``, bit for bit. Norms
-    split pi into harmonic/gradient/curl parts of the normalized operator.
+    ``pi`` is column ``edge_index`` of ``edge_pagerank_all``, bit for bit: the
+    exact method solves the whole block of IDENTITY_CHUNK columns that holds
+    it, and grid and cheb compute only the columns of each side's small-side
+    series that the edge touches (`_filter_ranker`). Norms split pi into
+    harmonic/gradient/curl parts of the normalized operator.
     """
     if not 0 <= edge_index < sc.n_edges:
         raise IndexOutOfRange(f"edge index {edge_index} outside [0, {sc.n_edges})")
-    rank, root = _ranker(sc, gamma, method, order, samples)
-    if method == "exact":  # LU solves round by block width, SpMM columns do not
+    rank, root = _ranker(sc, gamma, method, order, samples, edge_index)
+    if method == "exact":  # LU solves round by block width
         start = edge_index - edge_index % IDENTITY_CHUNK
-        y = rank(identity_block(sc.n_edges, start))[:, [edge_index - start]]
+        y = rank(start, min(start + IDENTITY_CHUNK, sc.n_edges))[:, [edge_index - start]]
     else:
-        y = rank(np.eye(sc.n_edges, 1, -edge_index))
+        y = rank(edge_index, edge_index + 1)
     norms, rel = _subspace_norms(sc, y)
     return PageRankResult(edge_index, (root * y)[:, 0], norms[0], rel[0])
 
@@ -511,23 +598,24 @@ def _in_order(fn, items):
 
 
 def _rank_blocks(sc, gamma, method, order, samples):
-    """Rank the identity in `identity_block` column blocks: an iterator of
+    """Rank the identity in blocks of IDENTITY_CHUNK columns: an iterator of
     ``(start, pi, norms, rel)`` per block in edge order, pi being the (N1, k)
     block of columns start .. start+k-1 and norms, rel their `_subspace_norms`.
 
-    The ranker is built, and its arguments checked, before this returns. The
-    blocks share nothing, and the sparse products, LU solves and numpy passes
-    of each release the GIL, so they run `_in_order` on one thread per CPU.
-    The first block builds what the others read before any worker starts:
-    each ``small``, the Chebyshev step matrices and the weighted projectors,
-    kept on the complex and its operators (`memo`). A block's arithmetic does
-    not depend on the thread it runs on, so every block is bitwise the serial one.
+    The ranker is built, and its arguments checked, before this returns; for
+    grid and cheb that includes each side's small-side series of the identity
+    (`_filter_ranker`), which the blocks share and only read. The blocks share
+    nothing else, and the sparse products, LU solves and numpy passes of each
+    release the GIL, so they run `_in_order` on one thread per CPU. The first
+    block builds the weighted projectors, kept on the complex (`memo`), before
+    any worker starts. A block's arithmetic does not depend on the thread it
+    runs on, so every block is bitwise the serial one.
     """
     rank, root = _ranker(sc, gamma, method, order, samples)
     n = sc.n_edges
 
     def block(start):
-        y = rank(identity_block(n, start))
+        y = rank(start, min(start + IDENTITY_CHUNK, n))
         norms, rel = _subspace_norms(sc, y)
         return start, root * y, norms, rel
 
@@ -545,12 +633,16 @@ def edge_pagerank_all(
     """PageRank for every edge.
 
     The identity runs through the method in column blocks of `IDENTITY_CHUNK`:
-    the exact path solves against one sparse factorization, grid/cheb run one
-    SpMM recursion per block. The blocks run on one thread per CPU this
-    process may run on (``os.sched_getaffinity``), at most one per block, and
-    serially on one CPU; every pi and norm is bitwise the same for any number
-    of threads. ``power_steps`` is ignored: callers written when the interval
-    tops were a power iteration still pass it, and the tops are `_interval_tops`.
+    the exact path solves against one sparse factorization; grid and cheb
+    first realize each side's filter once on the identity of its small side
+    (the nodes and, on road complexes, the triangles) and then combine it per
+    edge (`_filter_ranker`), holding one n_s x n_s array per side for the
+    call. The series chunks and the blocks run on one thread per CPU this
+    process may run on (``os.sched_getaffinity``), at most one per chunk or
+    block, and serially on one CPU; every pi and norm is bitwise the same for
+    any number of threads. ``power_steps`` is ignored: callers written when the
+    interval tops were a power iteration still pass it, and the tops are
+    `_interval_tops`.
     """
     out = []
     for start, pi, norms, rel in _rank_blocks(sc, gamma, method, order, samples):

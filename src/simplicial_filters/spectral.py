@@ -332,13 +332,15 @@ def _projector(sc: SimplicialComplex, side: str, weighted: bool = False):
     shift = CURL_SHIFT * float(magnitude.sum(axis=1).max())
     lu = _factor(small + shift * sp.identity(small.shape[0], format="csr"))
     ulps = REFINE_ULPS * np.finfo(np.float64).eps
+    # the projection is from_small(result(u)); its rows L touches, lift(result(u)),
+    # are A u on the Gram and S u on the edges
     if op.on_gram:
-        system, solve, output = (lambda u: small @ u), lu.solve, op.from_small
+        system, solve, result = (lambda u: small @ u), lu.solve, (lambda u: u)
         noise = lambda step: 0.0
     else:
         system = lambda u: small @ (small @ u)
         solve = lambda r: lu.solve(lu.solve(r))
-        output = lambda u: op.from_small(small @ u)
+        result = lambda u: small @ u
         # S step rounds at up to |S| |step|, and the steps' kernel parts,
         # amplified by 1/delta^2, bring that to about 8 ulps of y
         noise = lambda step: np.linalg.norm(magnitude @ np.abs(step), axis=0)
@@ -350,8 +352,9 @@ def _projector(sc: SimplicialComplex, side: str, weighted: bool = False):
         for _ in range(REFINE_STEPS):
             step = solve(rhs - system(u))
             u += step
-            if np.all(np.linalg.norm(output(step), axis=0) <= tol + ulps * noise(step)):
-                return output(u)
+            # from_small's padding rows are zeros, which add nothing to the norms
+            if np.all(np.linalg.norm(op.lift(result(step)), axis=0) <= tol + ulps * noise(step)):
+                return op.from_small(result(u))
         raise NumericalError(
             f"curl projection did not converge in {REFINE_STEPS} refinement steps"
         )

@@ -445,15 +445,37 @@ def test_pagerank_batch_matches_single(toy):
     np.testing.assert_allclose(batch[3].pi, single.pi, atol=1e-12)
 
 
+def _edges_at_chunk_bounds(sc):
+    """Edges 0, 127, 128 and the last, an edge at each node and one on each
+    triangle at a boundary of 128-column chunks (127, 128, 255, 256, ...)."""
+    bounds = [k for c in range(128, max(sc.vertex_count, sc.n_triangles), 128)
+              for k in (c - 1, c)]
+    at_node = [int(np.flatnonzero((sc.edge_array == k).any(axis=1))[0])
+               for k in bounds if k < sc.vertex_count]
+    on_triangle = [sc.edge_index[tuple(sc.triangle_array[t, :2].tolist())]
+                   for t in bounds if t < sc.n_triangles]
+    return sorted({0, 127, 128, sc.n_edges - 1, *at_node, *on_triangle})
+
+
 def test_pagerank_batch_filters_match_single(toy):
-    # the batch runs the identity as column blocks through one LU solve or
-    # SpMM recursion; each single-edge pi must equal its column bit for bit,
-    # also past the first block of 128 edges
+    # the batch runs the identity as column blocks through one LU solve, or
+    # combines per edge the small-side filter series of the identity of each
+    # side, computed in chunks of 128 columns; a single edge computes only
+    # the columns it touches. Its pi must equal its column bit for bit, also
+    # past the first block and on chunk boundaries: the 1088-edge road complex
+    # has 5 node and 3 triangle chunks, and the upper side of the complete
+    # 17-vertex complex steps on its 136 edges (2 chunks)
     gamma = 0.05
     road = sf.generate_road_complex(60, 130, 11)
+    large = sf.generate_road_complex(546, 1088, 11)
+    complete = complete_complex(17)
+    assert not spectral._normalized_operators(complete)[1].on_gram
+    cases = [(toy, range(toy.n_edges)), (road, (0, 127, 128, 129)),
+             (large, _edges_at_chunk_bounds(large)), (complete, (0, 1, 127, 128, 135))]
+    cases += [(sc, range(sc.n_edges)) for sc in degenerate_complexes()]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        for sc, edges in ((toy, range(toy.n_edges)), (road, (0, 127, 128, 129))):
+        for sc, edges in cases:
             for method, kwargs in (("exact", {}), ("cheb", {"order": 30}),
                                    ("grid", {"order": 9, "samples": 200})):
                 batch = sf.edge_pagerank_all(sc, gamma, method, **kwargs)
@@ -474,10 +496,12 @@ RANKINGS = (("exact", {}), ("grid", {"order": 9, "samples": 200}), ("cheb", {"or
 
 
 def test_pagerank_all_is_independent_of_worker_count(monkeypatch):
-    # three blocks of the identity (128 + 128 + 44 columns) on one, two and
-    # three threads, the last more threads than this machine may have CPUs;
-    # a short switch interval makes the threads interleave often
-    sc = sf.generate_road_complex(150, 300, 11)
+    # five blocks of the identity (4 x 128 + 88 columns), and small-side
+    # series of 300 nodes and 181 triangles (3 and 2 chunks of 128), on one,
+    # two and three threads, the last more threads than this machine may have
+    # CPUs; a short switch interval makes the threads interleave often
+    sc = sf.generate_road_complex(300, 600, 11)
+    assert [op.small.shape[0] for op in spectral._normalized_operators(sc)] == [300, 181]
     switch = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -500,11 +524,9 @@ def test_pagerank_all_is_independent_of_worker_count(monkeypatch):
 def test_pagerank_all_block_failure_joins_its_threads(monkeypatch, tmp_path, capsys):
     # a block that fails on a worker thread raises in the caller, which gets
     # back every thread it started; the CLI exits 3 and leaves no partial table
-    from simplicial_filters._kernels import identity_block
-
     sc = sf.generate_road_complex(150, 300, 11)
     rank, _ = apps._ranker(sc, 0.05, "exact", None, 200)
-    failing = rank(identity_block(sc.n_edges, 128))
+    failing = rank(128, 256)
     norms = apps._subspace_norms
 
     def fail_at_128(sc_, y):

@@ -804,6 +804,35 @@ def test_small_side_recursions_match_edge_space_oracle(order):
             _assert_columns_bitwise(lambda f: sf.chebyshev_apply(filt, obj, f), block)
 
 
+def test_small_images_enter_every_power():
+    # L^l x = from_small(K small^(l-1) E x) for l >= 1, with E^T = small_images():
+    # E = A^T and K = I on a Gram, E the rows L touches and K = small on the
+    # edges; lift is from_small on the rows L touches, without the zero rows
+    rng = np.random.default_rng(53)
+    cases = [sf.generate_road_complex(150, 300, 11), complete_complex(8), road_with_clique()]
+    for sc in cases + degenerate_complexes():
+        for op in sf.shift_operators(sc) + sf.spectral._normalized_operators(sc):
+            n, size = op.shape[0], op.small.shape[0]
+            images = op.small_images()
+            assert images.shape == (n, size)
+            touched = np.diff(op.factors[0].indptr) > 0
+            if not op.on_gram:
+                assert images.nnz == size and np.array_equal(images.data, np.ones(size))
+                assert np.array_equal(np.diff(images.indptr) > 0, touched)
+            x = rng.standard_normal((n, 2))
+            v, power = images.T @ x, x
+            for _ in range(3):
+                power = op @ power
+                got = op.from_small(v if op.on_gram else op.small @ v)
+                np.testing.assert_allclose(got, power, rtol=0,
+                                           atol=1e-13 * np.abs(power).max(initial=1.0))
+                v = op.small @ v
+            y = rng.standard_normal((size, 2))
+            padded, lifted = op.from_small(y), op.lift(y)
+            assert np.array_equal(padded[touched], lifted)
+            assert not padded[~touched].any()
+
+
 @pytest.mark.parametrize("order", [2, 61])
 def test_folded_chebyshev_step_on_two_factor_small_sides(monkeypatch, order):
     # where cliques are filled the upper small side is the product A A^T of
@@ -887,23 +916,32 @@ def test_ranking_matches_edge_space_oracle(monkeypatch, method, order):
     permuted = sf.permute(road, PermutationPlan.random(road, np.random.default_rng(4)))
     for sc in [road, permuted] + degenerate_complexes():
         got = sf.edge_pagerank_all(sc, 0.01, method, order=order)
-        bounds = []
+        bounds, built = [], []
 
-        def oracle(run):
-            def realize(*args):
-                expect, bound = run(*args)
+        def oracle(ops, filt, root, edge=None):
+            # the ranking filter on identity columns, by one edge-space
+            # recursion per block in place of the small-side series
+            built.append(edge)
+
+            def rank(start, stop):
+                units = np.eye(root.shape[0], stop - start, -start) / root
+                expect, bound = edge_space_oracle(*ops, filt, units)
                 bounds.append(bound)
                 return expect
-            return realize
+            return rank
 
         with monkeypatch.context() as patch:
-            patch.setattr(apps, "apply_operators", oracle(edge_space_oracle))
+            patch.setattr(apps, "_filter_ranker", oracle)
             # the bounds are collected per block in call order: one thread
             patch.setattr(apps, "_worker_count", lambda blocks: 1)
             expect = sf.edge_pagerank_all(sc, 0.01, method, order=order)
         pi = np.column_stack([r.pi for r in got] or [np.zeros((sc.n_edges, 0))])
         pi_oracle = np.column_stack([r.pi for r in expect] or [np.zeros((sc.n_edges, 0))])
+        # the oracle ran, on every block: a bound for each edge's column
+        assert built == [None]
+        assert len(bounds) == -(-sc.n_edges // 128)
         bound = np.concatenate(bounds, axis=-1) if bounds else np.zeros(pi.shape[1])
+        assert bound.shape[-1] == sc.n_edges
         # the filters run on y = pi / sqrt(d2), d2 the triangles per edge floored
         # at 1; the bounds are on y
         root = np.sqrt(np.maximum(np.diff(sf.boundary_csr(sc, 2).indptr), 1))
